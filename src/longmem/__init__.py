@@ -30,6 +30,7 @@ from .analytics import (
     classify_summability,
     cross_covariance_asymptotic,
     cross_covariance_exact,
+    cross_covariance_matrix,
     dominating_bound,
     l2_membership,
     limit_kernel,
@@ -82,6 +83,7 @@ __all__ = [
     "classify_summability",
     "cross_covariance_asymptotic",
     "cross_covariance_exact",
+    "cross_covariance_matrix",
     "dominating_bound",
     "fit_variance_exponent",
     "generate_paths",

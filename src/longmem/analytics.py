@@ -20,7 +20,6 @@ from .model import (
     ProcessSpec,
     ValidationError,
     truncation_length,
-    validate,
 )
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -102,12 +101,6 @@ def _grid_index(spec: ProcessSpec, s: float) -> int:
     return int(hits[0])
 
 
-def _require_valid(spec: ProcessSpec) -> None:
-    report = validate(spec)
-    if not report.ok:
-        raise ValidationError("; ".join(report.fatal))
-
-
 def _improper_quad(f, a: float) -> tuple[float, float]:
     """int_a^inf f(x) dx with the tail mapped to (0, 1] via x = a/t."""
     import warnings
@@ -120,22 +113,13 @@ def _improper_quad(f, a: float) -> tuple[float, float]:
     return val, err
 
 
-def cross_covariance_exact(spec: ProcessSpec, s: float, t: float, h: int) -> CertifiedValue:
-    """E[X_0(s) X_h(t)] = sigma(s,t) sum_{j>=0} (j+1)^{-d(s)} (j+h+1)^{-d(t)}.
+def _lag_series(d_s: float, d_t: float, h: int) -> tuple[float, float, float]:
+    """sum_{j>=0} (j+1)^{-d_s} (j+h+1)^{-d_t} as (value, error, partial sum).
 
     Sums the series directly up to an index J, then adds a midpoint-rule
-    tail integral; the returned error bound covers the midpoint error and
-    the quadrature tolerance.
+    tail integral; the error covers the midpoint error and the quadrature
+    tolerance, before the roundoff term proportional to the partial sum.
     """
-    _require_valid(spec)
-    if h < 0:
-        raise ValueError("lag h must be nonnegative")
-    i, j = _grid_index(spec, s), _grid_index(spec, t)
-    sig = float(spec.innovations.sigma[i, j])
-    if sig == 0.0:
-        return CertifiedValue(0.0, 0.0)
-    d_s, d_t = float(spec.memory.values[i]), float(spec.memory.values[j])
-
     J = int(min(5_000_000, max(4096, 4 * h)))
     jj = np.arange(J + 1, dtype=float)
     partial = float(np.sum((jj + 1.0) ** (-d_s) * (jj + h + 1.0) ** (-d_t)))
@@ -146,8 +130,54 @@ def cross_covariance_exact(spec: ProcessSpec, s: float, t: float, h: int) -> Cer
     tail, quad_err = _improper_quad(f, J + 0.5)
     a_tot = d_s + d_t
     midpoint_err = (a_tot / 24.0) * (J + 1.5) ** (-a_tot - 1.0)
-    return CertifiedValue(sig * (partial + tail),
-                          abs(sig) * (midpoint_err + quad_err) + 1e-15 * abs(sig) * partial)
+    return partial + tail, midpoint_err + quad_err, partial
+
+
+def _scaled(sig: float, series: tuple[float, float, float]) -> tuple[float, float]:
+    """Covariance and certified bound of one grid pair from its unscaled series."""
+    value, err, partial = series
+    return sig * value, abs(sig) * err + 1e-15 * abs(sig) * partial
+
+
+def cross_covariance_exact(spec: ProcessSpec, s: float, t: float, h: int) -> CertifiedValue:
+    """E[X_0(s) X_h(t)] = sigma(s,t) sum_{j>=0} (j+1)^{-d(s)} (j+h+1)^{-d(t)}.
+
+    The pointwise form of ``cross_covariance_matrix``, by the same
+    arithmetic; the error bound is certified.
+    """
+    spec.require_valid()
+    if h < 0:
+        raise ValueError("lag h must be nonnegative")
+    i, j = _grid_index(spec, s), _grid_index(spec, t)
+    sig = float(spec.innovations.sigma[i, j])
+    if sig == 0.0:
+        return CertifiedValue(0.0, 0.0)
+    d = spec.memory.values
+    return CertifiedValue(*_scaled(sig, _lag_series(float(d[i]), float(d[j]), h)))
+
+
+def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-h cross-covariances and certified bounds over the whole grid, as q x q arrays.
+
+    Entry (i, j) equals ``cross_covariance_exact(spec, t_i, t_j, h)``
+    bit for bit.  The series depends on a grid pair only through its
+    exponents (d(t_i), d(t_j)), so it is summed once per distinct pair
+    and then scaled by sigma(t_i, t_j).
+    """
+    spec.require_valid()
+    if h < 0:
+        raise ValueError("lag h must be nonnegative")
+    sigma = spec.innovations.sigma
+    d = spec.memory.values
+    values = np.zeros(sigma.shape)
+    bounds = np.zeros(sigma.shape)
+    series: dict = {}
+    for i, j in zip(*np.nonzero(sigma)):
+        key = (float(d[i]), float(d[j]))
+        if key not in series:
+            series[key] = _lag_series(*key, h)
+        values[i, j], bounds[i, j] = _scaled(float(sigma[i, j]), series[key])
+    return values, bounds
 
 
 def cross_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float, h: float) -> float:
@@ -197,7 +227,7 @@ def l2_membership(spec: ProcessSpec, finite_threshold: float = 1e12) -> L2Report
     ``finite_threshold`` (reachable only through d -> 1/2 blowup or
     singular weights).
     """
-    _require_valid(spec)
+    spec.require_valid()
     s2 = spec.innovations.sigma2
     i1 = spec.grid.quadrature(s2)
     i2 = spec.grid.quadrature(s2 / (2.0 * spec.memory.values - 1.0))
@@ -284,7 +314,7 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
     window, matching the window used by the simulator so that the
     independent-summands identity is exact.
     """
-    _require_valid(spec)
+    spec.require_valid()
     if n < 2:
         raise ValueError("coefficient table defined for n >= 2")
     if past_cut is None:
@@ -325,7 +355,7 @@ def partial_sum_covariance_lagsum(spec: ProcessSpec, n: int, s: float, t: float,
     value agrees exactly with the coefficient-table route on the shared
     window.
     """
-    _require_valid(spec)
+    spec.require_valid()
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
     if sig == 0.0:
@@ -358,7 +388,7 @@ def partial_sum_covariance_exact(spec: ProcessSpec, n: int, s: float, t: float,
     "auto" mode whenever n * window is small enough to be cheap).
     A disagreement beyond 1e-9 relative is an internal error and aborts.
     """
-    _require_valid(spec)
+    spec.require_valid()
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
     if n == 1:
@@ -462,9 +492,7 @@ class NormalizationPlan:
 
 
 def _clt_regime(spec: ProcessSpec) -> str:
-    report = validate(spec)
-    if not report.ok:
-        raise ValidationError("; ".join(report.fatal))
+    report = spec.require_valid()
     if report.clt_part == "i":
         return "long"
     if report.clt_part == "ii":

@@ -15,18 +15,20 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .model import TailBudgetError, ValidationError, spec_from_dict, validate
+from .model import TailBudgetError, ValidationError, spec_from_dict
 from .analytics import (
     RegimeError,
     classify_summability,
     cross_covariance_asymptotic,
-    cross_covariance_exact,
+    cross_covariance_matrix,
     l2_membership,
     scale_integral,
     scale_integral_closed_form,
@@ -49,6 +51,8 @@ def _resolve(args, cfg):
     out = Path(args.out if args.out is not None else _env("OUT") or ".")
     threads = args.threads if args.threads is not None else \
         int(_env("THREADS")) if _env("THREADS") else 1
+    if threads < 1:
+        raise ValueError(f"--threads / {ENV_PREFIX}THREADS must be at least 1; got {threads}")
     tail_tol = args.tail_tol if args.tail_tol is not None else \
         float(_env("TAIL_TOL")) if _env("TAIL_TOL") else None
     return seed, out, threads, tail_tol
@@ -62,9 +66,7 @@ def _load(args):
     if tail_tol is not None:
         cfg = dict(cfg, tail_tol=tail_tol)
     spec = spec_from_dict(cfg, base_dir=cfg_path.parent)
-    report = validate(spec)
-    if not report.ok:
-        raise ValidationError("; ".join(report.fatal))
+    spec.require_valid()
     out.mkdir(parents=True, exist_ok=True)
     return cfg, spec, seed, out, threads
 
@@ -73,6 +75,9 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
     payload = {
         "command": command,
         "version": __version__,
+        # byte-identical outputs are promised only on one software stack
+        "software": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
         "seed": seed,
         "resolved_config": cfg,
         "outputs": {name: io.sha256_file(out / name) for name in outputs},
@@ -93,37 +98,47 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _pair_rows(ds: float, dt: float):
+    """c_matrix.csv fields and summability class of one exponent pair."""
+    try:
+        cq = scale_integral(ds, dt)
+        cc = scale_integral_closed_form(ds, dt)
+        c_fields = (cq, cc, abs(cq - cc) / abs(cc), "")
+    except RegimeError as exc:
+        c_fields = ("", "", "", str(exc))
+    return c_fields, classify_summability(ds, dt)
+
+
 def cmd_analyze(args) -> int:
     cfg, spec, seed, out, _ = _load(args)
     pts = spec.grid.points
     d = spec.memory.values
+    sigma = spec.innovations.sigma
     q = spec.grid.q
     lags = [int(h) for h in cfg.get("lags", [0, 1, 10, 100])]
+    covs = [cross_covariance_matrix(spec, h) for h in lags]
 
+    per_pair = {}
     c_rows, cov_rows, sum_rows = [], [], []
     for i in range(q):
         for j in range(q):
             s, t = float(pts[i]), float(pts[j])
             ds, dt = float(d[i]), float(d[j])
-            try:
-                cq = scale_integral(ds, dt)
-                cc = scale_integral_closed_form(ds, dt)
-                delta = abs(cq - cc) / abs(cc)
-                c_rows.append((s, t, cq, cc, delta, ""))
-            except RegimeError as exc:
-                c_rows.append((s, t, "", "", "", str(exc)))
-            sum_rows.append((s, t, classify_summability(ds, dt)))
-            for h in lags:
-                exact = cross_covariance_exact(spec, s, t, h)
+            if (ds, dt) not in per_pair:
+                per_pair[ds, dt] = _pair_rows(ds, dt)
+            c_fields, summability = per_pair[ds, dt]
+            c_rows.append((s, t, *c_fields))
+            sum_rows.append((s, t, summability))
+            for h, (values, bounds) in zip(lags, covs):
                 try:
                     asym = io.format_float(
-                        cross_covariance_asymptotic(
-                            ds, dt, float(spec.innovations.sigma[i, j]), h)) \
+                        cross_covariance_asymptotic(ds, dt, float(sigma[i, j]), h)) \
                         if h >= 2 else ""
                     note = "" if h >= 2 else "lag too small for asymptotics"
                 except RegimeError as exc:
                     asym, note = "", str(exc)
-                cov_rows.append((s, t, h, exact.value, exact.error_bound, asym, note))
+                cov_rows.append((s, t, h, float(values[i, j]), float(bounds[i, j]),
+                                 asym, note))
 
     io.write_table_csv(out / "c_matrix.csv",
                        ["s", "t", "c_quadrature", "c_closed_form",

@@ -9,13 +9,14 @@ and the limit kernel is reported separately as the convergence gap.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .model import ProcessSpec, ValidationError, validate
+from .model import ProcessSpec
 from .analytics import (
     LimitKernel,
     limit_kernel,
@@ -71,6 +72,11 @@ def _shard_moments(spec, table, b, seed, rep_start, rep_count):
     return acc, samples
 
 
+def _pool_size(shards: int) -> int:
+    """Worker threads for ``shards`` shards: one each, capped at the core count."""
+    return min(shards, os.cpu_count() or 1)
+
+
 def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
                        z_star: float = DEFAULT_Z_STAR,
                        shards: int = 1) -> CovarianceReport:
@@ -78,13 +84,14 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
 
     Replications are addressed by absolute index, so splitting them into
     shards (possibly run on worker threads) changes only the association
-    order of the accumulators, never the draws.
+    order of the accumulators, never the draws.  The shards run on at most
+    ``os.cpu_count()`` threads.
     """
     if N < 100:
         raise ValueError("N must be >= 100")
-    report = validate(spec)
-    if not report.ok:
-        raise ValidationError("; ".join(report.fatal))
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1; got {shards}")
+    spec.require_valid()
     plan = normalization_plan(spec, n)   # raises RegimeError on mixed regimes
     kern = limit_kernel(spec)
     table = partial_sum_weights(spec, n)
@@ -93,13 +100,13 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
 
     finite = sigma * (table.z @ table.z.T) / np.outer(b, b)
 
-    shards = max(1, min(int(shards), N))
+    shards = min(int(shards), N)
     bounds = [(N * s) // shards for s in range(shards + 1)]
     jobs = [(bounds[s], bounds[s + 1] - bounds[s]) for s in range(shards)]
     if shards == 1:
         results = [_shard_moments(spec, table, b, seed, 0, N)]
     else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
+        with ThreadPoolExecutor(max_workers=_pool_size(shards)) as pool:
             futures = [pool.submit(_shard_moments, spec, table, b, seed, lo, cnt)
                        for lo, cnt in jobs]
             results = [f.result() for f in futures]
@@ -203,9 +210,7 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
         raise ValueError("need at least 5 horizons")
     if any(n < 2 or (n & (n - 1)) for n in n_list):
         raise ValueError("horizons must be dyadic (powers of two, >= 2)")
-    report = validate(spec)
-    if not report.ok:
-        raise ValidationError("; ".join(report.fatal))
+    spec.require_valid()
     log_n = np.log(n_list)
     q = spec.grid.q
     slopes = np.empty(q)

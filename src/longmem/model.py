@@ -8,6 +8,7 @@ truncating the infinite moving-average filter, and a time horizon.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -227,6 +228,17 @@ class ProcessSpec:
     def q(self) -> int:
         return self.grid.q
 
+    @functools.cached_property
+    def report(self) -> "ValidationReport":
+        """The validation report, computed on first use and kept: the spec is immutable."""
+        return _check(self)
+
+    def require_valid(self) -> "ValidationReport":
+        """The cached report; raises ``ValidationError`` listing every fatal violation."""
+        if not self.report.ok:
+            raise ValidationError("; ".join(self.report.fatal))
+        return self.report
+
     def to_dict(self) -> dict:
         return {
             "grid": {"points": self.grid.points.tolist(),
@@ -275,8 +287,13 @@ def _classify_exponent(d: float) -> str:
 def validate(spec: ProcessSpec) -> ValidationReport:
     """Check every standing assumption; list each violation with its grid location.
 
-    Pure: the same spec always yields an identical report.
+    Pure: the same spec always yields an identical report.  The checks run
+    once per spec; later calls return the report cached on the spec.
     """
+    return spec.report
+
+
+def _check(spec: ProcessSpec) -> ValidationReport:
     fatal = []
     q = spec.grid.q
     if len(spec.memory.values) != q:

@@ -19,7 +19,6 @@ from .model import (
     ValidationError,
     tail_variance_bound,
     truncation_length,
-    validate,
 )
 from .analytics import CoefficientTable, NormalizationPlan, partial_sum_weights
 
@@ -97,9 +96,7 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
     X_k(t_i) = sum_{j=0}^{M} (j+1)^{-d(t_i)} eps_{k-j}(t_i), with M chosen
     from the spec's tail budget; consecutive k share innovations.
     """
-    report = validate(spec)
-    if not report.ok:
-        raise ValidationError("; ".join(report.fatal))
+    spec.require_valid()
     if n < 1:
         raise ValueError("n must be >= 1")
     M = truncation_length(spec.memory.d_min, spec.tail_tol)

@@ -89,6 +89,62 @@ class TestCrossCovariance:
         assert abs(cv.value - ref) <= cv.error_bound + 0.25 * 4e7 ** (-0.35) / 0.35
 
 
+@st.composite
+def small_specs(draw):
+    """Step/table memory with 1-3 levels in (1/2, 2]; wiener or custom sigma with zeros."""
+    q = draw(st.integers(1, 6))
+    levels = draw(st.lists(st.floats(0.5, 2.0, exclude_min=True), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        breaks = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(levels) - 1,
+                                      max_size=len(levels) - 1)))
+        memory = {"kind": "step", "breakpoints": breaks, "levels": levels}
+    else:
+        memory = {"kind": "table",
+                  "values": draw(st.lists(st.sampled_from(levels), min_size=q, max_size=q))}
+    if draw(st.booleans()):
+        innovations = {"kind": "wiener"}
+    else:
+        # sigma = B B^T with small dyadic entries: exactly symmetric, PSD, and
+        # zero wherever two rows of B are orthogonal or a row vanishes
+        b = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.0, 0.5, 1.0, 2.0]),
+                          min_size=2 * q, max_size=2 * q))
+        B = np.reshape(b, (q, 2))
+        innovations = {"kind": "custom", "sigma": (B @ B.T).tolist()}
+    return {"grid": {"points": (np.arange(1, q + 1) / q).tolist()},
+            "memory": memory, "innovations": innovations, "tail_tol": 0.3}
+
+
+class TestCrossCovarianceMatrix:
+    @given(cfg=small_specs(), h=st.integers(0, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_pointwise_oracle_exactly(self, cfg, h):
+        spec = lm.spec_from_dict(cfg)
+        values, bounds = lm.cross_covariance_matrix(spec, h)
+        pts = spec.grid.points
+        assert values.shape == bounds.shape == (spec.q, spec.q)
+        for i, s in enumerate(pts):
+            for j, t in enumerate(pts):
+                cv = lm.cross_covariance_exact(spec, float(s), float(t), h)
+                assert values[i, j] == cv.value
+                assert bounds[i, j] == cv.error_bound
+        # the report cached on the spec is the one a fresh spec computes
+        assert lm.validate(spec) == lm.validate(lm.spec_from_dict(cfg))
+
+    def test_zero_sigma_entries_are_positive_zero(self):
+        spec = lm.spec_from_dict({
+            "grid": {"points": [0.25, 0.5]},
+            "memory": {"kind": "table", "values": [0.7, 1.2]},
+            "innovations": {"kind": "custom", "sigma": [[1.0, -0.0], [-0.0, 1.0]]},
+        })
+        values, bounds = lm.cross_covariance_matrix(spec, 3)
+        assert values[0, 1] == bounds[0, 1] == 0.0
+        assert math.copysign(1.0, values[0, 1]) == 1.0
+
+    def test_rejects_negative_lag(self, mixed_spec):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lm.cross_covariance_matrix(mixed_spec, -1)
+
+
 class TestCrossCovarianceAsymptotic:
     def test_power_law_form(self, rel):
         c = lm.scale_integral_closed_form(0.75, 0.75)

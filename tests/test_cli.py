@@ -1,10 +1,15 @@
+import csv
 import json
+import platform
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import longmem as lm
+from longmem import io
 from longmem.cli import main
 
 
@@ -88,6 +93,13 @@ class TestSimulate:
         m2 = json.loads((tmp_path / "w2" / "manifest.json").read_text())
         assert m1["window"] > m2["window"]
 
+    def test_manifest_records_software_stack(self, tmp_path):
+        cfg = _write(tmp_path, SMALL_LONG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+        m = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert m["software"] == {"python": platform.python_version(),
+                                 "numpy": np.__version__, "scipy": scipy.__version__}
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = _write(tmp_path, SMALL_LONG)
         monkeypatch.setenv("LONGMEM_SEED", "123")
@@ -143,6 +155,56 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
         body = (out / "c_matrix.csv").read_text()
         assert "1/2 < d_s < 1" in body  # the rejected entries carry the reason
+
+
+    def test_kernel_route_matches_pointwise_oracles(self, tmp_path):
+        cfg = {
+            "grid": {"linspace": [0.125, 0.875, 7]},
+            "memory": {"kind": "step", "breakpoints": [0.5], "levels": [0.6, 1.5]},
+            "innovations": {"kind": "wiener"},
+            "tail_tol": 0.1,
+            "lags": [0, 1, 10],
+        }
+        out = tmp_path / "k"
+        assert main(["analyze", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        spec = lm.spec_from_dict(cfg)
+        d = dict(zip(spec.grid.points.tolist(), spec.memory.values.tolist()))
+        with (out / "covariances.csv").open() as fh:
+            cov = list(csv.DictReader(fh))
+        assert len(cov) == 7 * 7 * 3
+        for row in cov:
+            cv = lm.cross_covariance_exact(spec, float(row["s"]), float(row["t"]),
+                                           int(row["h"]))
+            assert row["exact"] == io.format_float(cv.value)
+            assert row["exact_error_bound"] == io.format_float(cv.error_bound)
+        with (out / "c_matrix.csv").open() as fh:
+            c_rows = list(csv.DictReader(fh))
+        assert len(c_rows) == 7 * 7
+        for row in c_rows:
+            d_s, d_t = d[float(row["s"])], d[float(row["t"])]
+            try:
+                expected = io.format_float(lm.scale_integral(d_s, d_t))
+            except lm.RegimeError as exc:
+                assert (row["c_quadrature"], row["note"]) == ("", str(exc))
+            else:
+                assert row["c_quadrature"] == expected
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_flag_below_one_exits_2(self, tmp_path, capsys, threads):
+        cfg = _write(tmp_path, SMALL_LONG)
+        assert main(["verify-clt", "--config", cfg, "--out", str(tmp_path / "v"),
+                     "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # single-line diagnostic
+        assert "--threads" in err and threads in err
+
+    def test_env_below_one_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = _write(tmp_path, SMALL_LONG)
+        monkeypatch.setenv("LONGMEM_THREADS", "0")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert "LONGMEM_THREADS" in capsys.readouterr().err
 
 
 class TestVerifyClt:

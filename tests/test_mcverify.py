@@ -56,6 +56,18 @@ class TestRunCltExperiment:
         with pytest.raises(ValueError):
             lm.run_clt_experiment(boundary_spec, 64, 50, seed=1)
 
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_rejects_fewer_than_one_shard(self, boundary_spec, shards):
+        with pytest.raises(ValueError, match="shards must be at least 1"):
+            lm.run_clt_experiment(boundary_spec, 64, 200, seed=1, shards=shards)
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        # the pool size is computed, never tried out with many threads
+        monkeypatch.setattr(lm.mcverify.os, "cpu_count", lambda: 2)
+        assert [lm.mcverify._pool_size(s) for s in (1, 2, 3, 10_000)] == [1, 2, 2, 2]
+        monkeypatch.setattr(lm.mcverify.os, "cpu_count", lambda: None)
+        assert lm.mcverify._pool_size(8) == 1
+
 
 class TestNormalityDiagnostics:
     def test_null_case_normal_samples(self):

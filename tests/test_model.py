@@ -100,6 +100,32 @@ class TestValidate:
     def test_pure(self, mixed_spec):
         assert lm.validate(mixed_spec) == lm.validate(mixed_spec)
 
+    def test_checks_run_once_per_spec(self, monkeypatch):
+        calls = []
+        check = lm.model._check
+        monkeypatch.setattr(lm.model, "_check",
+                            lambda spec: calls.append(spec) or check(spec))
+        spec = lm.spec_from_dict({
+            "grid": {"points": [0.25, 0.5]},
+            "memory": {"kind": "constant", "values": 0.7},
+            "innovations": {"kind": "wiener"},
+        })
+        first = lm.validate(spec)
+        lm.cross_covariance_matrix(spec, 0)
+        lm.cross_covariance_exact(spec, 0.25, 0.5, 1)
+        lm.limit_kernel(spec)
+        assert lm.validate(spec) is first
+        assert calls == [spec]
+
+    def test_require_valid_raises_every_violation(self):
+        spec = lm.spec_from_dict({
+            "grid": {"points": [0.25, 0.5]},
+            "memory": {"kind": "table", "values": [0.4, 0.5]},
+            "innovations": {"kind": "white", "sigma2": 1.0},
+        })
+        with pytest.raises(lm.ValidationError, match="t=0.25.*t=0.5"):
+            spec.require_valid()
+
 
 class TestTruncationLength:
     def test_short_memory_needs_tens(self):
