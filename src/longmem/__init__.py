@@ -61,7 +61,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CertifiedValue",

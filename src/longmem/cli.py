@@ -207,7 +207,9 @@ def cmd_verify_clt(args) -> int:
               ["covariance_empirical.csv", "covariance_finite_exact.csv",
                "covariance_limit.csv", "covariance_se.csv", "verdicts.csv",
                "gap_relative.csv", "normality.csv", "exponent_fit.csv",
-               "summary.json"])
+               "summary.json"],
+              extra={"window": report.window,
+                     "innovations_drawn": report.innovations_drawn})
     return 0 if passed else 1
 
 

@@ -14,9 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .model import ProcessSpec
+from .model import ProcessSpec, _factor_psd
 from .analytics import (
     LimitKernel,
     limit_kernel,
@@ -24,7 +23,7 @@ from .analytics import (
     partial_sum_covariance_series,
     partial_sum_weights,
 )
-from .simulate import innovation_block
+from .simulate import _standard_block, partial_sums_via_z
 
 DEFAULT_Z_STAR = 4.0
 BATCH_COUNT = 50  # batch-means shards for non-Gaussian standard errors
@@ -45,6 +44,8 @@ class CovarianceReport:
     samples: np.ndarray    # (N, q) normalized partial sums
     seed: int
     z_star: float
+    window: int            # truncation length M of the target's model
+    innovations_drawn: int  # innovation rows drawn over all replications
 
     @property
     def passed(self) -> bool:
@@ -55,21 +56,45 @@ class CovarianceReport:
         return float(np.max(self.gap_rel))
 
 
-def _shard_moments(spec, table, b, seed, rep_start, rep_count):
-    """Sum of outer products and the raw samples for one replication shard."""
-    q = spec.grid.q
-    M = table.window
-    n = table.n
-    acc = np.zeros((q, q))
-    samples = np.empty((rep_count, q))
+def _past_factor(model, table) -> np.ndarray:
+    """L with L L^T = sigma o Z_past Z_past^T, the covariance of the past
+    term sum_{m<=0} z_{n,m} eps_m of the truncated partial sum."""
+    z_past = table.z[:, :table.window]
+    return _factor_psd(model.sigma * (z_past @ z_past.T))
+
+
+def _replication_sampler(spec: ProcessSpec, table, seed: int):
+    """``(rep -> S_n, rows)``: the partial-sum vector of one replication and
+    the innovation rows it draws.
+
+    Under the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
+    N(0, sigma o Z_past Z_past^T), so a replication draws the standardized
+    block at indices 0..n: rows 1..n times ``factor.T`` are eps_1..eps_n of
+    ``innovation_block``, and row 0 drives the past through the factor of
+    that covariance.  Any other law keeps the full pathwise window.
+    """
+    model = spec.innovations
+    n, M = table.n, table.window
+    if model.law != "gaussian":
+        return (lambda rep: partial_sums_via_z(spec, n, seed, rep=rep, table=table),
+                n + M)
+    past_factor = _past_factor(model, table)
+    z_in = np.ascontiguousarray(table.z[:, M:])
+
+    def sample(rep: int) -> np.ndarray:
+        g = _standard_block(model, seed, start=0, count=n + 1, rep=rep)
+        eps = g[1:] @ model.factor.T
+        return np.einsum("im,mi->i", z_in, eps) + past_factor @ g[0]
+
+    return sample, n + 1
+
+
+def _shard_samples(sample, b, rep_start, rep_count):
+    """Normalized samples of replications rep_start .. rep_start+rep_count-1."""
+    out = np.empty((rep_count, b.shape[0]))
     for r in range(rep_count):
-        rep = rep_start + r
-        eps = innovation_block(spec.innovations, seed, start=1 - M,
-                               count=n + M, rep=rep)
-        x = np.einsum("im,mi->i", table.z, eps) / b
-        samples[r] = x
-        acc += np.outer(x, x)
-    return acc, samples
+        out[r] = sample(rep_start + r) / b
+    return out
 
 
 def _pool_size(shards: int) -> int:
@@ -82,10 +107,10 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
                        shards: int = 1) -> CovarianceReport:
     """Simulate N normalized partial-sum vectors and compare covariances.
 
-    Replications are addressed by absolute index, so splitting them into
-    shards (possibly run on worker threads) changes only the association
-    order of the accumulators, never the draws.  The shards run on at most
-    ``os.cpu_count()`` threads.
+    Replications are addressed by absolute index and the covariance is
+    reduced once over the index-ordered samples, so splitting them into
+    shards (run on at most ``os.cpu_count()`` threads) changes no bit of the
+    result.
     """
     if N < 100:
         raise ValueError("N must be >= 100")
@@ -100,21 +125,18 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
 
     finite = sigma * (table.z @ table.z.T) / np.outer(b, b)
 
+    sample, rows = _replication_sampler(spec, table, seed)
     shards = min(int(shards), N)
     bounds = [(N * s) // shards for s in range(shards + 1)]
     jobs = [(bounds[s], bounds[s + 1] - bounds[s]) for s in range(shards)]
     if shards == 1:
-        results = [_shard_moments(spec, table, b, seed, 0, N)]
+        samples = _shard_samples(sample, b, 0, N)
     else:
         with ThreadPoolExecutor(max_workers=_pool_size(shards)) as pool:
-            futures = [pool.submit(_shard_moments, spec, table, b, seed, lo, cnt)
+            futures = [pool.submit(_shard_samples, sample, b, lo, cnt)
                        for lo, cnt in jobs]
-            results = [f.result() for f in futures]
-    acc = np.zeros((spec.grid.q, spec.grid.q))
-    for shard_acc, _ in results:
-        acc += shard_acc
-    samples = np.concatenate([s for _, s in results], axis=0)
-    empirical = acc / N
+            samples = np.concatenate([f.result() for f in futures], axis=0)
+    empirical = samples.T @ samples / N
 
     if spec.innovations.law == "gaussian":
         se = np.sqrt((np.outer(np.diag(finite), np.diag(finite)) + finite ** 2) / N)
@@ -129,7 +151,8 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     return CovarianceReport(n=int(n), replications=int(N), empirical=empirical,
                             finite_n_exact=finite, limit=kern, se=se,
                             verdicts=verdicts, gap_rel=gap_rel, samples=samples,
-                            seed=int(seed), z_star=float(z_star))
+                            seed=int(seed), z_star=float(z_star), window=table.window,
+                            innovations_drawn=N * rows)
 
 
 @dataclass(frozen=True)
@@ -165,6 +188,8 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     The KS distance is taken against the zero-mean normal with the exact
     finite-n variance when ``variances`` is given, else the sample variance.
     """
+    from scipy import stats   # deferred: costs about half of ``import longmem``
+
     samples = np.asarray(samples, dtype=float)
     N, q = samples.shape
     if N < 500:

@@ -8,6 +8,7 @@ identical draw for a given index regardless of evaluation order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,19 @@ def _words_per_index(q: int) -> int:
     return 4 * ((q + 3) // 4)
 
 
+@functools.lru_cache(maxsize=64)
+def _philox_key(seed: int) -> np.ndarray:
+    """Philox key of a master seed, hashed once: a Monte Carlo run draws one
+    block per replication under the same seed."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
 def _uniform_block(seed: int, rep: int, start: int, count: int, q: int) -> np.ndarray:
     """(count, q) uniforms on [0, 1), one fixed counter block per time index."""
     W = _words_per_index(q)
-    key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    key = _philox_key(int(seed))
     counter = (int(rep) << 128) + (int(start) + ORIGIN) * (W // 4)
     gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
     return gen.random((count, W))[:, :q]
@@ -54,12 +64,12 @@ def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndar
     return np.sign(v) * mag * scale
 
 
-def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
-                     rep: int = 0) -> np.ndarray:
-    """Innovation vectors eps_m for m = start .. start+count-1, as (count, q).
+def _standard_block(model: InnovationModel, seed: int, start: int, count: int,
+                    rep: int = 0) -> np.ndarray:
+    """Standardized draws g_m for m = start .. start+count-1, as (count, q).
 
-    Deterministic in (seed, rep, m): overlapping blocks agree entry for
-    entry, which is what makes the two partial-sum routes comparable.
+    Entries are i.i.d. mean zero, unit variance, of the model's law;
+    ``innovation_block`` is this block times ``model.factor.T``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -67,8 +77,17 @@ def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
         raise ValidationError("innovation covariance could not be factorized "
                               "even with jitter; cannot sample")
     u = _uniform_block(seed, rep, start, count, model.q)
-    g = _standardized_draws(u, model.law, model.pareto_alpha)
-    return g @ model.factor.T
+    return _standardized_draws(u, model.law, model.pareto_alpha)
+
+
+def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
+                     rep: int = 0) -> np.ndarray:
+    """Innovation vectors eps_m for m = start .. start+count-1, as (count, q).
+
+    Deterministic in (seed, rep, m): overlapping blocks agree entry for
+    entry, which is what makes the two partial-sum routes comparable.
+    """
+    return _standard_block(model, seed, start, count, rep) @ model.factor.T
 
 
 def sample_innovations(model: InnovationModel, count: int, seed: int,

@@ -266,8 +266,7 @@ def test_A9_reproducibility(tmp_path):
     spec = lm.spec_from_dict(cfg)
     whole = lm.run_clt_experiment(spec, 64, 400, seed=17, shards=1)
     parts = lm.run_clt_experiment(spec, 64, 400, seed=17, shards=4)
-    shard_rel = float(np.max(np.abs(whole.empirical - parts.empirical)
-                             / np.maximum(np.abs(whole.empirical), 1e-300)))
-    ok = identical and shard_rel <= 1e-12
+    shards_equal = np.array_equal(whole.empirical, parts.empirical)
+    ok = identical and shards_equal
     assert _report("A9 (reproducibility)", ok,
-                   f"byte-identical {identical}, shard rel {shard_rel:.2e}")
+                   f"byte-identical {identical}, shards bit-identical {shards_equal}")

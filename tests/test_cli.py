@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import platform
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -235,11 +238,34 @@ class TestVerifyClt:
 
     def test_reproducible_and_threads_invariant(self, tmp_path):
         cfg = _write(tmp_path, SMALL_LONG)
-        for name, threads in (("t1", "1"), ("t4", "4")):
+        runs = (("r1", "1"), ("r2", "1"), ("t2", "2"), ("t4", "4"))
+        for name, threads in runs:
             assert main(["verify-clt", "--config", cfg,
                          "--out", str(tmp_path / name), "--threads", threads]) == 0
-        a = np.loadtxt(tmp_path / "t1" / "covariance_empirical.csv",
-                       delimiter=",", skiprows=1, usecols=range(1, 5))
-        b = np.loadtxt(tmp_path / "t4" / "covariance_empirical.csv",
-                       delimiter=",", skiprows=1, usecols=range(1, 5))
-        assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)) < 1e-12
+        # every data file byte for byte, through the manifest digests
+        digests = [_manifest_without_timestamp(tmp_path / name)["outputs"]
+                   for name, _ in runs]
+        assert all(d == digests[0] for d in digests)
+
+    @pytest.mark.parametrize("law", ["gaussian", "pareto"])
+    def test_manifest_records_window_and_draws(self, tmp_path, law):
+        cfg = dict(SMALL_LONG, innovations={"kind": "white", "sigma2": 1.0, "law": law})
+        out = tmp_path / law
+        assert main(["verify-clt", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) in (0, 1)
+        m = _manifest_without_timestamp(out)
+        window = lm.partial_sum_weights(lm.spec_from_dict(cfg), cfg["n"]).window
+        assert m["window"] == window
+        # a Gaussian replication draws one q-vector for the whole past
+        rows = cfg["n"] + (window if law == "pareto" else 1)
+        assert m["innovations_drawn"] == cfg["N"] * rows
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half of the import; only verify-clt needs it
+    src = str(Path(lm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, longmem.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0

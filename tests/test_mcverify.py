@@ -2,17 +2,27 @@ import numpy as np
 import pytest
 
 import longmem as lm
+from longmem.analytics import partial_sum_covariance_lagsum
+from longmem.mcverify import _past_factor, _replication_sampler
+from longmem.simulate import _standard_block, innovation_block
+
+BOUNDARY = {
+    "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
+    "memory": {"kind": "constant", "values": 1.0},
+    "innovations": {"kind": "white", "sigma2": 1.0},
+    "tail_tol": 0.001,
+}
+WIENER_07 = {
+    "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
+    "memory": {"kind": "constant", "values": 0.7},
+    "innovations": {"kind": "wiener"},
+    "tail_tol": 0.1,
+}
 
 
 @pytest.fixture(scope="module")
 def boundary_report():
-    spec = lm.spec_from_dict({
-        "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
-        "memory": {"kind": "constant", "values": 1.0},
-        "innovations": {"kind": "white", "sigma2": 1.0},
-        "tail_tol": 0.001,
-    })
-    return lm.run_clt_experiment(spec, 512, 600, seed=71)
+    return lm.run_clt_experiment(lm.spec_from_dict(BOUNDARY), 512, 600, seed=71)
 
 
 class TestRunCltExperiment:
@@ -36,17 +46,19 @@ class TestRunCltExperiment:
         assert np.all(rep.se[np.abs(rep.limit.K) > 0] > 0)
 
     def test_sharded_equals_unsharded(self, boundary_report):
-        spec = lm.spec_from_dict({
-            "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
-            "memory": {"kind": "constant", "values": 1.0},
-            "innovations": {"kind": "white", "sigma2": 1.0},
-            "tail_tol": 0.001,
-        })
+        spec = lm.spec_from_dict(BOUNDARY)
         sharded = lm.run_clt_experiment(spec, 512, 600, seed=71, shards=4)
-        denom = np.maximum(np.abs(boundary_report.empirical), 1e-300)
-        assert np.max(np.abs(sharded.empirical - boundary_report.empirical)
-                      / denom) < 1e-12
+        assert np.array_equal(sharded.empirical, boundary_report.empirical)
         assert np.array_equal(sharded.samples, boundary_report.samples)
+
+    def test_unfactorizable_covariance_fatal(self):
+        # passes the PSD tolerance of validate() but not a jittered Cholesky
+        spec = lm.spec_from_dict(dict(WIENER_07, grid={"points": [0.25, 0.5]},
+                                      innovations={"kind": "custom", "sigma": [
+                                          [1.0, 1.0 + 1e-11], [1.0 + 1e-11, 1.0]]}))
+        assert spec.innovations.factor is None
+        with pytest.raises(lm.ValidationError, match="factoriz"):
+            lm.run_clt_experiment(spec, 8, 100, seed=1)
 
     def test_refuses_mixed_regime(self, mixed_spec):
         with pytest.raises(lm.RegimeError, match="mixed"):
@@ -67,6 +79,64 @@ class TestRunCltExperiment:
         assert [lm.mcverify._pool_size(s) for s in (1, 2, 3, 10_000)] == [1, 2, 2, 2]
         monkeypatch.setattr(lm.mcverify.os, "cpu_count", lambda: None)
         assert lm.mcverify._pool_size(8) == 1
+
+
+def _lagsum_target(spec, n):
+    """Normalized covariance of S_n by the triple sum over lag covariances."""
+    pts = spec.grid.points
+    cov = np.array([[partial_sum_covariance_lagsum(spec, n, s, t) for t in pts]
+                    for s in pts])
+    b = lm.normalization_plan(spec, n).b
+    return cov / np.outer(b, b)
+
+
+class TestReplicationSampler:
+    @pytest.mark.parametrize("cfg, n", [(BOUNDARY, 512), (WIENER_07, 64)])
+    def test_gaussian_rows_are_the_innovation_block(self, cfg, n):
+        spec = lm.spec_from_dict(cfg)
+        model = spec.innovations
+        table = lm.partial_sum_weights(spec, n)
+        sample, rows = _replication_sampler(spec, table, seed=71)
+        assert rows == n + 1
+        past = _past_factor(model, table)
+        for rep in (0, 3, 599):
+            g = _standard_block(model, 71, start=0, count=n + 1, rep=rep)
+            eps = innovation_block(model, 71, start=1, count=n, rep=rep)
+            assert np.array_equal(g[1:] @ model.factor.T, eps)
+            expected = np.einsum("im,mi->i", table.z[:, table.window:], eps) \
+                + past @ g[0]
+            assert np.max(np.abs(sample(rep) - expected)) \
+                <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("cfg, n", [(BOUNDARY, 512), (WIENER_07, 64)])
+    def test_past_factor_reproduces_past_covariance(self, cfg, n):
+        spec = lm.spec_from_dict(cfg)
+        table = lm.partial_sum_weights(spec, n)
+        past = _past_factor(spec.innovations, table)
+        z_past = table.z[:, :table.window]
+        target = spec.innovations.sigma * (z_past @ z_past.T)
+        assert np.max(np.abs(past @ past.T - target)) <= 1e-12 * np.max(np.abs(target))
+
+    def test_pareto_samples_follow_the_pathwise_route(self):
+        spec = lm.spec_from_dict(dict(
+            WIENER_07, innovations={"kind": "white", "sigma2": 1.0,
+                                    "law": "pareto", "pareto_alpha": 4.5}))
+        n, N = 64, 200
+        report = lm.run_clt_experiment(spec, n, N, seed=13, shards=3)
+        table = lm.partial_sum_weights(spec, n)
+        b = lm.normalization_plan(spec, n).b
+        expected = np.array([lm.partial_sums_via_z(spec, n, 13, rep=r, table=table) / b
+                             for r in range(N)])
+        assert np.array_equal(report.samples, expected)
+        assert report.innovations_drawn == N * (n + table.window)
+
+    @pytest.mark.parametrize("cfg, n, N", [(BOUNDARY, 512, 600), (WIENER_07, 64, 2000)])
+    def test_empirical_matches_lagsum_route(self, cfg, n, N):
+        # the target does not come from the coefficient table the sampler uses
+        spec = lm.spec_from_dict(cfg)
+        report = lm.run_clt_experiment(spec, n, N, seed=71)
+        target = _lagsum_target(spec, n)
+        assert np.all(np.abs(report.empirical - target) <= report.z_star * report.se)
 
 
 class TestNormalityDiagnostics:
