@@ -47,10 +47,8 @@ from .simulate import (
     PathEnsemble,
     generate_paths,
     innovation_block,
-    normalize_partial_sums,
     partial_sums_direct,
     partial_sums_via_z,
-    sample_innovations,
 )
 from .mcverify import (
     CovarianceReport,
@@ -61,7 +59,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CertifiedValue",
@@ -93,7 +91,6 @@ __all__ = [
     "load_spec",
     "normality_diagnostics",
     "normalization_plan",
-    "normalize_partial_sums",
     "partial_sum_covariance_asymptotic",
     "partial_sum_covariance_exact",
     "partial_sum_covariance_series",
@@ -101,7 +98,6 @@ __all__ = [
     "partial_sums_direct",
     "partial_sums_via_z",
     "run_clt_experiment",
-    "sample_innovations",
     "scale_integral",
     "scale_integral_closed_form",
     "scale_integral_upper_bound",

@@ -16,17 +16,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .model import (
-    ProcessSpec,
-    ValidationError,
-    truncation_length,
-)
+from .model import ProcessSpec, ValidationError
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 # route (a) / route (b) internal consistency tolerance for the partial-sum
-# covariance, and the work budget above which the O(n*M) cross-check is
-# skipped in "auto" mode
+# covariance, and the work budget n*M above which that cross-check is skipped
 CROSS_CHECK_RTOL = 1e-9
 CROSS_CHECK_BUDGET = 2 ** 24
 
@@ -41,9 +36,6 @@ class CertifiedValue:
 
     value: float
     error_bound: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -244,30 +236,23 @@ def l2_membership(spec: ProcessSpec, finite_threshold: float = 1e12) -> L2Report
 class CoefficientTable:
     """Weights z_{n,j}(t_i) of innovation eps_j in the partial sum S_n(t_i).
 
-    Rows are grid points, columns follow ``j_index`` (j from -past_cut up
-    to n).  Weights are those of the window-M truncated model, so they
-    coincide with the two defining formulas
+    Rows are grid points; the n + window columns are j = 1 - window .. n,
+    so j sits in column j + window - 1.  Weights are those of the window-M
+    truncated model (M = ``window``), so they coincide with the two defining
+    formulas
 
         z_{n,j} = sum_{k=1}^{n-j+1} k^{-d}          (2 <= j <= n)
         z_{n,j} = sum_{k=1}^{n} (k-j+1)^{-d}        (j < 2)
 
-    wherever the window does not bite (always when window >= n + past_cut).
-    ``tail_var`` certifies, per grid point, an upper bound on the variance
-    the truncation discarded relative to the untruncated model.
+    wherever the window does not bite.  ``tail_var`` certifies, per grid
+    point, an upper bound on the variance the truncation discarded relative
+    to the untruncated model.
     """
 
     n: int
-    past_cut: int
     window: int
-    j_index: np.ndarray
     z: np.ndarray
     tail_var: np.ndarray
-
-    def column(self, j: int) -> np.ndarray:
-        pos = j + self.past_cut
-        if not (0 <= pos < len(self.j_index)):
-            raise ValueError(f"j={j} outside stored range [{-self.past_cut}, {self.n}]")
-        return self.z[:, pos]
 
 
 def _prefix_powers(d: float, m: int) -> np.ndarray:
@@ -307,24 +292,18 @@ def _tail_weight_integral(d: float, n: int, J: float) -> float:
 
 
 def partial_sum_weights(spec: ProcessSpec, n: int,
-                        past_cut: int | None = None) -> CoefficientTable:
+                        window: int | None = None) -> CoefficientTable:
     """Build the coefficient table of S_n for every grid point.
 
-    ``past_cut`` defaults to M - 1 where M is the spec's truncation
-    window, matching the window used by the simulator so that the
-    independent-summands identity is exact.
+    ``window`` defaults to the spec's truncation window, the one the
+    simulator uses, so that the independent-summands identity is exact.
     """
     spec.require_valid()
     if n < 2:
         raise ValueError("coefficient table defined for n >= 2")
-    if past_cut is None:
-        M = truncation_length(spec.memory.d_min, spec.tail_tol)
-        past_cut = M - 1
-    else:
-        M = past_cut + 1
-    j_index = np.arange(-past_cut, n + 1)
+    M = spec.window if window is None else window
     q = spec.grid.q
-    z = np.empty((q, len(j_index)))
+    z = np.empty((q, n + M))
     tail_var = np.empty(q)
     s2 = spec.innovations.sigma2
     for i in range(q):
@@ -339,8 +318,7 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
             + _tail_weight_integral(d, n, max(M - 1.0, 0.5))
         var_m = float(np.sum(z[i] ** 2))
         tail_var[i] = s2[i] * (var_d + 2.0 * math.sqrt(max(var_m * var_d, 0.0)))
-    return CoefficientTable(n=n, past_cut=int(past_cut), window=int(M),
-                            j_index=j_index, z=z, tail_var=tail_var)
+    return CoefficientTable(n=n, window=int(M), z=z, tail_var=tail_var)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +339,7 @@ def partial_sum_covariance_lagsum(spec: ProcessSpec, n: int, s: float, t: float,
     if sig == 0.0:
         return 0.0
     d_s, d_t = float(spec.memory.values[i]), float(spec.memory.values[j])
-    M = truncation_length(spec.memory.d_min, spec.tail_tol) if window is None else window
+    M = spec.window if window is None else window
     k = np.arange(M + 1, dtype=float)
     c_s = (k + 1.0) ** (-d_s)
     c_t = (k + 1.0) ** (-d_t)
@@ -377,30 +355,24 @@ def partial_sum_covariance_lagsum(spec: ProcessSpec, n: int, s: float, t: float,
 
 
 def partial_sum_covariance_exact(spec: ProcessSpec, n: int, s: float, t: float,
-                                 window: int | None = None,
-                                 cross_check: str = "auto",
-                                 table: CoefficientTable | None = None) -> float:
-    """E[S_n(s) S_n(t)] of the truncated model, computed two independent ways.
+                                 window: int | None = None) -> float:
+    """E[S_n(s) S_n(t)] of the window-M truncated model (M = ``window``,
+    by default the spec's), computed two independent ways.
 
     Route (b), sigma(s,t) sum_j z_{n,j}(s) z_{n,j}(t), is returned; route
     (a), the triple-sum over lag covariances, is recomputed as a
-    consistency check (always when ``cross_check="always"``, and in
-    "auto" mode whenever n * window is small enough to be cheap).
+    consistency check whenever n * window is small enough to be cheap.
     A disagreement beyond 1e-9 relative is an internal error and aborts.
+    At n = 1 the two routes coincide and route (a) is returned.
     """
     spec.require_valid()
+    if n == 1:
+        return partial_sum_covariance_lagsum(spec, 1, s, t, window=window)
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
-    if n == 1:
-        return float(cross_covariance_exact(spec, s, t, 0).value) if window is None \
-            else partial_sum_covariance_lagsum(spec, 1, s, t, window=window)
-    if table is None:
-        M = truncation_length(spec.memory.d_min, spec.tail_tol) if window is None else window
-        table = partial_sum_weights(spec, n, past_cut=M - 1)
+    table = partial_sum_weights(spec, n, window=window)
     vb = sig * float(np.dot(table.z[i], table.z[j]))
-    do_check = cross_check == "always" or (
-        cross_check == "auto" and n * table.window <= CROSS_CHECK_BUDGET)
-    if do_check:
+    if n * table.window <= CROSS_CHECK_BUDGET:
         va = partial_sum_covariance_lagsum(spec, n, s, t, window=table.window)
         scale = max(abs(va), abs(vb), 1e-300)
         if abs(va - vb) > CROSS_CHECK_RTOL * scale:
@@ -486,9 +458,6 @@ class NormalizationPlan:
     regime: str
     n: int
     b: np.ndarray
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float) / self.b
 
 
 def _clt_regime(spec: ProcessSpec) -> str:

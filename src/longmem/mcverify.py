@@ -241,14 +241,13 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
     slopes = np.empty(q)
     max_resid = np.empty(q)
     corrected = np.zeros(q, dtype=bool)
-    cache: dict = {}
+    unit_var: dict = {}   # Var(S_n) at sigma2 = 1 per distinct exponent
     for i in range(q):
         d = float(spec.memory.values[i])
-        s2 = float(spec.innovations.sigma2[i])
-        var = np.array([cache.setdefault(
-            (d, n), partial_sum_covariance_series(d, d, 1.0, n).value)
-            for n in n_list]) * s2
-        y = np.log(var)
+        if d not in unit_var:
+            unit_var[d] = np.array([partial_sum_covariance_series(d, d, 1.0, n).value
+                                    for n in n_list])
+        y = np.log(unit_var[d] * float(spec.innovations.sigma2[i]))
         if d == 1.0:
             corrected[i] = True
             y = y - 2.0 * np.log(np.log(n_list))

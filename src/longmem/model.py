@@ -152,12 +152,13 @@ class InnovationModel:
     ``law`` selects the marginal sampling distribution: "gaussian" (default)
     or "pareto" (symmetrized, scaled to unit variance; heavy-tailed but
     square integrable).  Either way the sampled vectors are mean zero with
-    covariance ``sigma`` (via the stored factor).
+    covariance ``sigma`` (via ``factor``, always the jittered Cholesky
+    factor of ``sigma``, or None when ``sigma`` cannot be factorized).
     """
 
     kind: str
     sigma: np.ndarray
-    factor: np.ndarray = None
+    factor: np.ndarray = field(init=False, default=None)
     law: str = "gaussian"
     pareto_alpha: float = 4.5
 
@@ -172,15 +173,12 @@ class InnovationModel:
         if sigma.shape[0] != sigma.shape[1]:
             raise ValidationError("innovation covariance must be square")
         object.__setattr__(self, "sigma", _readonly(sigma))
-        if self.factor is None:
-            # indefinite matrices are left unfactorized so that validate()
-            # can report them; sampling from such a model is fatal
-            try:
-                object.__setattr__(self, "factor", _readonly(_factor_psd(sigma)))
-            except ValidationError:
-                pass
-        else:
-            object.__setattr__(self, "factor", _readonly(np.atleast_2d(self.factor)))
+        # indefinite matrices are left unfactorized so that validate()
+        # can report them; sampling from such a model is fatal
+        try:
+            object.__setattr__(self, "factor", _readonly(_factor_psd(sigma)))
+        except ValidationError:
+            pass
 
     @property
     def q(self) -> int:
@@ -227,6 +225,12 @@ class ProcessSpec:
     @property
     def q(self) -> int:
         return self.grid.q
+
+    @functools.cached_property
+    def window(self) -> int:
+        """Truncation window M of the moving-average filter: the smallest M
+        meeting the tail budget at the smallest exponent, computed once per spec."""
+        return truncation_length(self.memory.d_min, self.tail_tol)
 
     @functools.cached_property
     def report(self) -> "ValidationReport":
@@ -409,10 +413,11 @@ def _grid_from_dict(cfg: dict) -> SpaceGrid:
 def _memory_from_dict(cfg: dict, grid: SpaceGrid) -> MemoryFunction:
     kind = cfg["kind"]
     if kind == "constant":
-        values = cfg["values"]
-        if np.ndim(values) > 0:
-            values = np.asarray(values, dtype=float).ravel()[0]
-        return MemoryFunction.constant(values, grid)
+        values = np.unique(np.asarray(cfg["values"], dtype=float))
+        if values.size != 1:
+            raise ValidationError(f"constant memory needs one exponent; got "
+                                  f"{values.size} distinct values")
+        return MemoryFunction.constant(values[0], grid)
     if kind == "step":
         return MemoryFunction.step(cfg["breakpoints"], cfg["levels"], grid)
     if kind == "table":
@@ -431,7 +436,10 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
         if "sigma2" in cfg:
             sigma2 = cfg["sigma2"]
         elif "sigma" in cfg:
-            sigma2 = np.diag(np.asarray(cfg["sigma"], dtype=float))
+            sigma = np.atleast_2d(np.asarray(cfg["sigma"], dtype=float))
+            sigma2 = np.diagonal(sigma)
+            if sigma.shape != (sigma2.size,) * 2 or np.any(sigma != np.diag(sigma2)):
+                raise ValidationError("white innovations need a square diagonal sigma")
         else:
             sigma2 = 1.0
         return InnovationModel.white(sigma2, q=grid.q, **kw)

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import (
-    InnovationModel,
-    ProcessSpec,
-    ValidationError,
-    tail_variance_bound,
-    truncation_length,
-)
-from .analytics import CoefficientTable, NormalizationPlan, partial_sum_weights
+from .model import InnovationModel, ProcessSpec, ValidationError, tail_variance_bound
+from .analytics import CoefficientTable, partial_sum_weights
 
 # time indices are shifted by ORIGIN inside the counter so that past
 # innovations (index >= 1 - M, M capped at 1e7) stay nonnegative
@@ -90,12 +84,6 @@ def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
     return _standard_block(model, seed, start, count, rep) @ model.factor.T
 
 
-def sample_innovations(model: InnovationModel, count: int, seed: int,
-                       rep: int = 0) -> np.ndarray:
-    """i.i.d. mean-zero innovation vectors with covariance sigma, (count, q)."""
-    return innovation_block(model, seed, start=1, count=count, rep=rep)
-
-
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated paths X_k(t_i) for k = 1..n on the spec's grid."""
@@ -118,7 +106,7 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
     spec.require_valid()
     if n < 1:
         raise ValueError("n must be >= 1")
-    M = truncation_length(spec.memory.d_min, spec.tail_tol)
+    M = spec.window
     eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M, rep=rep)
     j = np.arange(M + 1, dtype=float)
     values = np.empty((n, spec.q))
@@ -159,8 +147,3 @@ def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0,
         raise ValueError("innovation window does not match the coefficient table; "
                          "refusing to compare different truncations")
     return np.einsum("im,mi->i", table.z, eps)
-
-
-def normalize_partial_sums(sums: np.ndarray, plan: NormalizationPlan) -> np.ndarray:
-    """Divide coordinate i by b_n(t_i)."""
-    return plan.apply(sums)

@@ -51,7 +51,7 @@ def test_A2_variance_identity():
     pts = spec.grid.points
     worst = 0.0
     for n in range(2, 65):
-        table = lm.partial_sum_weights(spec, n, past_cut=window - 1)
+        table = lm.partial_sum_weights(spec, n, window=window)
         for i in range(4):
             for j in range(4):
                 vb = float(spec.innovations.sigma[i, j]

@@ -219,12 +219,17 @@ class TestClassifiers:
         assert lm.l2_membership(spec).verdict == "no"
 
 
+def _column(table, j):
+    """z_{n,j} over the grid: the table's columns are j = 1 - window .. n."""
+    return table.z[:, j + table.window - 1]
+
+
 class TestCoefficientTable:
     def test_hand_values_n2_d1(self, boundary_spec):
         table = lm.partial_sum_weights(boundary_spec, 2)
-        assert table.column(2)[0] == pytest.approx(1.0)
-        assert table.column(1)[0] == pytest.approx(1.5)
-        assert table.column(0)[0] == pytest.approx(1 / 2 + 1 / 3)
+        assert _column(table, 2)[0] == pytest.approx(1.0)
+        assert _column(table, 1)[0] == pytest.approx(1.5)
+        assert _column(table, 0)[0] == pytest.approx(1 / 2 + 1 / 3)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_against_brute_force_accumulation(self, mixed_spec, n, rel):
@@ -232,13 +237,14 @@ class TestCoefficientTable:
         # the truncated model
         table = lm.partial_sum_weights(mixed_spec, n)
         M = table.window
+        assert table.z.shape == (4, n + M)
         for i, d in enumerate(mixed_spec.memory.values):
             acc = {}
             for k in range(1, n + 1):
                 for j in range(M + 1):
                     m = k - j
                     acc[m] = acc.get(m, 0.0) + (j + 1.0) ** (-d)
-            for pos, m in enumerate(table.j_index):
+            for pos, m in enumerate(range(1 - M, n + 1)):
                 assert rel(table.z[i, pos], acc.get(int(m), 0.0)) < 1e-10
 
     def test_defining_formulas_when_window_covers(self, mixed_spec, rel):
@@ -249,10 +255,10 @@ class TestCoefficientTable:
         for i, d in enumerate(mixed_spec.memory.values):
             for j in range(2, n + 1):
                 ref = sum(k ** (-d) for k in range(1, n - j + 2))
-                assert rel(table.column(j)[i], ref) < 1e-10
+                assert rel(_column(table, j)[i], ref) < 1e-10
             for j in (1, 0, -3):
                 ref = sum((k - j + 1.0) ** (-d) for k in range(1, n + 1))
-                assert rel(table.column(j)[i], ref) < 1e-10
+                assert rel(_column(table, j)[i], ref) < 1e-10
 
     def test_tail_var_certifies_untruncated_gap(self, rel):
         spec = lm.spec_from_dict({
@@ -270,14 +276,19 @@ class TestCoefficientTable:
 
 class TestPartialSumCovariance:
     def test_n1_reduces_to_lag0(self, long_spec, rel):
+        # S_1 = X_1: the lag-0 covariance of the spec's truncated model, not
+        # the untruncated series value
+        M = long_spec.window
+        assert M == 11
         a = lm.partial_sum_covariance_exact(long_spec, 1, 0.5, 0.75)
-        b = lm.cross_covariance_exact(long_spec, 0.5, 0.75, 0).value
-        assert rel(a, b) < 1e-12
+        assert a == partial_sum_covariance_lagsum(long_spec, 1, 0.5, 0.75, window=M)
+        truncated_lag0 = 0.5 * sum((k + 1.0) ** -1.4 for k in range(M + 1))
+        assert rel(a, truncated_lag0) < 1e-12
+        assert a < lm.cross_covariance_exact(long_spec, 0.5, 0.75, 0).value
 
     def test_routes_agree(self, mixed_spec, rel):
         for n in (2, 7, 33):
-            vb = lm.partial_sum_covariance_exact(mixed_spec, n, 0.25, 1.0,
-                                                 cross_check="always")
+            vb = lm.partial_sum_covariance_exact(mixed_spec, n, 0.25, 1.0)
             va = partial_sum_covariance_lagsum(mixed_spec, n, 0.25, 1.0)
             assert rel(va, vb) < 1e-10
 
@@ -373,7 +384,6 @@ class TestLimitKernelAndPlan:
         assert np.allclose(plan.b, 100 ** 0.8)
         planb = lm.normalization_plan(boundary_spec, 64)
         assert np.allclose(planb.b, math.sqrt(64) * math.log(64))
-        assert np.allclose(plan.apply(np.full(4, 2.0)), 2.0 / 100 ** 0.8)
 
     def test_plan_d06(self, rel):
         spec = lm.spec_from_dict({

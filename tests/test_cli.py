@@ -82,6 +82,31 @@ class TestSimulate:
         assert err.count("\n") == 1  # single-line diagnostic
         assert "0.5" in err
 
+    def test_constant_memory_with_distinct_values_exits_2(self, tmp_path, capsys):
+        bad = dict(SMALL_LONG, memory={"kind": "constant", "values": [0.6, 0.9]})
+        assert main(["simulate", "--config", _write(tmp_path, bad),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "constant memory needs one exponent" in capsys.readouterr().err
+        # the form to_dict writes, one equal value per grid point, still loads
+        ok = dict(SMALL_LONG, memory={"kind": "constant", "values": [0.7] * 4})
+        assert main(["simulate", "--config", _write(tmp_path, ok),
+                     "--out", str(tmp_path / "ok")]) == 0
+
+    def test_white_sigma_with_off_diagonal_exits_2(self, tmp_path, capsys):
+        grid = {"points": [0.5, 1.0]}
+        bad = dict(SMALL_LONG, grid=grid, innovations={
+            "kind": "white", "sigma": [[1.0, 0.9], [0.9, 1.0]]})
+        assert main(["simulate", "--config", _write(tmp_path, bad),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "diagonal sigma" in capsys.readouterr().err
+        ok = dict(SMALL_LONG, grid=grid, innovations={
+            "kind": "white", "sigma": [[1.0, 0.0], [0.0, 2.0]]})
+        assert main(["simulate", "--config", _write(tmp_path, ok),
+                     "--out", str(tmp_path / "ok")]) == 0
+        spec = lm.spec_from_dict(ok)
+        assert np.array_equal(spec.innovations.sigma2, [1.0, 2.0])
+        assert lm.spec_from_dict(spec.to_dict()).spec_hash == spec.spec_hash
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2

@@ -130,9 +130,12 @@ class TestReplicationSampler:
         assert np.array_equal(report.samples, expected)
         assert report.innovations_drawn == N * (n + table.window)
 
-    @pytest.mark.parametrize("cfg, n, N", [(BOUNDARY, 512, 600), (WIENER_07, 64, 2000)])
+    @pytest.mark.parametrize("cfg, n, N", [(BOUNDARY, 512, 600), (WIENER_07, 64, 2000),
+                                           (BOUNDARY, 8, 2000)])
     def test_empirical_matches_lagsum_route(self, cfg, n, N):
-        # the target does not come from the coefficient table the sampler uses
+        # the target does not come from the coefficient table the sampler uses;
+        # at boundary n = 8 the past term is 29.5% of Var S_n against a 4-se
+        # band of about 12.6%, so dropping it fails (at n = 512 it is 5.8%)
         spec = lm.spec_from_dict(cfg)
         report = lm.run_clt_experiment(spec, n, N, seed=71)
         target = _lagsum_target(spec, n)
@@ -217,6 +220,23 @@ class TestFitVarianceExponent:
         assert fit.corrected[0]
         assert fit.theoretical[0] == pytest.approx(1.0)
         assert fit.deviations[0] < 0.01
+
+    def test_series_summed_once_per_distinct_exponent(self, monkeypatch):
+        calls = []
+        series = lm.mcverify.partial_sum_covariance_series
+
+        def counted(*args):
+            calls.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(lm.mcverify, "partial_sum_covariance_series", counted)
+        spec = lm.spec_from_dict(dict(BOUNDARY, memory={
+            "kind": "table", "values": [0.6, 0.6, 1.0, 1.0]}))
+        n_list = [2 ** k for k in range(6, 11)]
+        fit = lm.fit_variance_exponent(spec, n_list)
+        assert len(calls) == 10
+        assert set(calls) == {(d, d, 1.0, n) for d in (0.6, 1.0) for n in n_list}
+        assert fit.slopes[0] == fit.slopes[1] and fit.slopes[2] == fit.slopes[3]
 
     def test_rejects_bad_horizons(self, long_spec):
         with pytest.raises(ValueError):

@@ -11,13 +11,13 @@ def _rel_vec(a, b):
 
 class TestInnovations:
     def test_same_seed_identical(self, long_spec):
-        a = lm.sample_innovations(long_spec.innovations, 50, seed=9)
-        b = lm.sample_innovations(long_spec.innovations, 50, seed=9)
+        a = innovation_block(long_spec.innovations, seed=9, start=1, count=50)
+        b = innovation_block(long_spec.innovations, seed=9, start=1, count=50)
         assert np.array_equal(a, b)
 
     def test_different_seed_differs(self, long_spec):
-        a = lm.sample_innovations(long_spec.innovations, 50, seed=9)
-        b = lm.sample_innovations(long_spec.innovations, 50, seed=10)
+        a = innovation_block(long_spec.innovations, seed=9, start=1, count=50)
+        b = innovation_block(long_spec.innovations, seed=10, start=1, count=50)
         assert not np.array_equal(a, b)
 
     def test_counter_addressing_overlapping_blocks(self, long_spec):
@@ -35,7 +35,7 @@ class TestInnovations:
 
     def test_white_sample_covariance(self):
         model = lm.InnovationModel.white(1.0, q=3)
-        x = lm.sample_innovations(model, 40_000, seed=11)
+        x = innovation_block(model, seed=11, start=1, count=40_000)
         cov = x.T @ x / len(x)
         assert np.max(np.abs(cov - np.eye(3))) < 4 / np.sqrt(len(x)) * 2
         assert np.max(np.abs(x.mean(axis=0))) < 4 / np.sqrt(len(x))
@@ -44,20 +44,20 @@ class TestInnovations:
         pts = [0.25, 0.5, 0.75, 1.0]
         model = lm.InnovationModel.wiener(pts)
         count = 40_000
-        x = lm.sample_innovations(model, count, seed=12)
+        x = innovation_block(model, seed=12, start=1, count=count)
         cov = x.T @ x / count
         assert np.max(np.abs(cov - np.minimum.outer(pts, pts))) < 4 / np.sqrt(count)
 
     def test_pareto_zero_mean_unit_variance(self):
         model = lm.InnovationModel.white(1.0, q=2, law="pareto", pareto_alpha=4.5)
-        x = lm.sample_innovations(model, 200_000, seed=13)
+        x = innovation_block(model, seed=13, start=1, count=200_000)
         assert abs(x.mean()) < 0.01
         assert abs(x.var() - 1.0) < 0.02
 
     def test_unfactorizable_model_fatal(self):
         model = lm.InnovationModel.custom([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(lm.ValidationError, match="factoriz"):
-            lm.sample_innovations(model, 10, seed=1)
+            innovation_block(model, seed=1, start=1, count=10)
 
 
 class TestGeneratePaths:
@@ -143,21 +143,15 @@ class TestPartialSums:
         # with innovations (eps_1, eps_2) = (1, 0) and zeroed past, the
         # partial sum is z_{2,1} = 1.5; with (0, 1) it is z_{2,2} = 1
         table = lm.partial_sum_weights(boundary_spec, 2)
-        eps = np.zeros(len(table.j_index))
-        eps[table.past_cut + 1] = 1.0  # j = 1
+        # columns are j = 1 - window .. n, so j sits at j + window - 1
+        eps = np.zeros(table.z.shape[1])
+        eps[table.window] = 1.0  # j = 1
         assert float(table.z[0] @ eps) == pytest.approx(1.5)
         eps[:] = 0.0
-        eps[table.past_cut + 2] = 1.0  # j = 2
+        eps[table.window + 1] = 1.0  # j = 2
         assert float(table.z[0] @ eps) == pytest.approx(1.0)
 
     def test_window_mismatch_rejected(self, mixed_spec):
         table = lm.partial_sum_weights(mixed_spec, 8)
         with pytest.raises(ValueError, match="n=8"):
             lm.partial_sums_via_z(mixed_spec, 16, seed=1, table=table)
-
-    def test_normalize(self, long_spec):
-        plan = lm.normalization_plan(long_spec, 64)
-        sums = np.zeros(4)
-        assert np.array_equal(lm.normalize_partial_sums(sums, plan), sums)
-        out = lm.normalize_partial_sums(np.ones(4), plan)
-        assert np.allclose(out, 64.0 ** -0.8)
