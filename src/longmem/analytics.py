@@ -24,6 +24,8 @@ QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 # covariance, and the work budget n*M above which that cross-check is skipped
 CROSS_CHECK_RTOL = 1e-9
 CROSS_CHECK_BUDGET = 2 ** 24
+# an L2 integral above this counts as infinite (d -> 1/2 blowup, singular weights)
+L2_FINITE_THRESHOLD = 1e12
 
 
 class RegimeError(ValueError):
@@ -125,8 +127,8 @@ def _lag_series(d_s: float, d_t: float, h: int) -> tuple[float, float, float]:
     return partial + tail, midpoint_err + quad_err, partial
 
 
-def _scaled(sig: float, series: tuple[float, float, float]) -> tuple[float, float]:
-    """Covariance and certified bound of one grid pair from its unscaled series."""
+def _scaled(sig, series):
+    """Covariance and certified bound of grid pairs from their unscaled series."""
     value, err, partial = series
     return sig * value, abs(sig) * err + 1e-15 * abs(sig) * partial
 
@@ -160,16 +162,14 @@ def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.n
     if h < 0:
         raise ValueError("lag h must be nonnegative")
     sigma = spec.innovations.sigma
-    d = spec.memory.values
-    values = np.zeros(sigma.shape)
-    bounds = np.zeros(sigma.shape)
-    series: dict = {}
-    for i, j in zip(*np.nonzero(sigma)):
-        key = (float(d[i]), float(d[j]))
-        if key not in series:
-            series[key] = _lag_series(*key, h)
-        values[i, j], bounds[i, j] = _scaled(float(sigma[i, j]), series[key])
-    return values, bounds
+    u, idx = spec.memory.distinct
+    rows, cols = np.nonzero(sigma)
+    series = np.zeros((3, len(u), len(u)))
+    for a, b in set(zip(idx[rows], idx[cols])):
+        series[:, a, b] = _lag_series(float(u[a]), float(u[b]), h)
+    values, bounds = _scaled(sigma, series[:, idx[:, None], idx])
+    nonzero = sigma != 0.0
+    return np.where(nonzero, values, 0.0), np.where(nonzero, bounds, 0.0)
 
 
 def cross_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float, h: float) -> float:
@@ -212,19 +212,18 @@ class L2Report:
         return "yes" if self.member else "no"
 
 
-def l2_membership(spec: ProcessSpec, finite_threshold: float = 1e12) -> L2Report:
+def l2_membership(spec: ProcessSpec) -> L2Report:
     """Check that int sigma^2 dmu and int sigma^2/(2d-1) dmu are both finite.
 
     On a finite grid, "infinite" means overflow or exceeding
-    ``finite_threshold`` (reachable only through d -> 1/2 blowup or
-    singular weights).
+    ``L2_FINITE_THRESHOLD``.
     """
     spec.require_valid()
     s2 = spec.innovations.sigma2
     i1 = spec.grid.quadrature(s2)
     i2 = spec.grid.quadrature(s2 / (2.0 * spec.memory.values - 1.0))
     ok = bool(np.isfinite(i1) and np.isfinite(i2)
-              and abs(i1) <= finite_threshold and abs(i2) <= finite_threshold)
+              and abs(i1) <= L2_FINITE_THRESHOLD and abs(i2) <= L2_FINITE_THRESHOLD)
     return L2Report(member=ok, integral_sigma2=float(i1), integral_weighted=float(i2))
 
 
@@ -232,7 +231,7 @@ def l2_membership(spec: ProcessSpec, finite_threshold: float = 1e12) -> L2Report
 # partial-sum coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Weights z_{n,j}(t_i) of innovation eps_j in the partial sum S_n(t_i).
 
@@ -276,17 +275,19 @@ def _windowed_weights(d: float, n: int, M: int) -> np.ndarray:
     return P[hi] - P[lo]
 
 
+def _window_integral(d: float, n: int, c: float):
+    """x -> int_{x+c}^{x+c+n} y^{-d} dy, the integral form of a partial-sum weight."""
+    if d == 1.0:
+        return lambda x: np.log((x + n + c) / (x + c))
+    return lambda x: ((x + n + c) ** (1.0 - d) - (x + c) ** (1.0 - d)) / (1.0 - d)
+
+
 def _tail_weight_integral(d: float, n: int, J: float) -> float:
     """Upper bound on sum_{m > J} w(m)^2, w(m) = sum_{k=1}^n (k+m)^{-d}.
 
     Uses w(m) <= int_{m}^{n+m} x^{-d} dx and monotonicity of the bound.
     """
-    if d == 1.0:
-        def w(x):
-            return np.log((x + n) / x)
-    else:
-        def w(x):
-            return ((x + n) ** (1.0 - d) - x ** (1.0 - d)) / (1.0 - d)
+    w = _window_integral(d, n, 0.0)
     val, _ = _improper_quad(lambda x: w(x) ** 2, float(J))
     return val
 
@@ -302,23 +303,19 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
     if n < 2:
         raise ValueError("coefficient table defined for n >= 2")
     M = spec.window if window is None else window
-    q = spec.grid.q
-    z = np.empty((q, n + M))
-    tail_var = np.empty(q)
-    s2 = spec.innovations.sigma2
-    for i in range(q):
-        d = float(spec.memory.values[i])
-        z[i] = _windowed_weights(d, n, M)
-        # discarded variance vs. the untruncated model: if D = S - S_M then
-        # Var(S) - Var(S_M) <= Var(D) + 2 sqrt(Var(S_M) Var(D)).  D collects
-        # weight lost inside the kept indices (each term <= n (M+2)^{-d},
-        # at most n terms) plus the full weights of innovations older than
-        # the window (bounded by the integral form w)
-        var_d = n ** 3 * (M + 2.0) ** (-2.0 * d) \
-            + _tail_weight_integral(d, n, max(M - 1.0, 0.5))
-        var_m = float(np.sum(z[i] ** 2))
-        tail_var[i] = s2[i] * (var_d + 2.0 * math.sqrt(max(var_m * var_d, 0.0)))
-    return CoefficientTable(n=n, window=int(M), z=z, tail_var=tail_var)
+    u, idx = spec.memory.distinct
+    z = np.stack([_windowed_weights(float(d), n, M) for d in u])
+    # discarded variance vs. the untruncated model: if D = S - S_M then
+    # Var(S) - Var(S_M) <= Var(D) + 2 sqrt(Var(S_M) Var(D)).  D collects
+    # weight lost inside the kept indices (each term <= n (M+2)^{-d}, at
+    # most n terms) plus the full weights of innovations older than the
+    # window (bounded by the integral form w)
+    var_d = np.array([n ** 3 * (M + 2.0) ** (-2.0 * float(d))
+                      + _tail_weight_integral(float(d), n, max(M - 1.0, 0.5)) for d in u])
+    var_m = np.sum(z ** 2, axis=1)
+    tail_var = var_d + 2.0 * np.sqrt(np.maximum(var_m * var_d, 0.0))
+    return CoefficientTable(n=n, window=int(M), z=z[idx],
+                            tail_var=spec.innovations.sigma2 * tail_var[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +404,7 @@ def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: in
     w_s = P_s[n:n + J + 1] - P_s[: J + 1]
     w_t = P_t[n:n + J + 1] - P_t[: J + 1]
     mid = float(np.dot(w_s, w_t))
-
-    def w_of(d):
-        if d == 1.0:
-            return lambda x: np.log((x + n + 0.5) / (x + 0.5))
-        return lambda x: ((x + n + 0.5) ** (1.0 - d) - (x + 0.5) ** (1.0 - d)) / (1.0 - d)
-
-    ws, wt = w_of(d_s), w_of(d_t)
+    ws, wt = _window_integral(d_s, n, 0.5), _window_integral(d_t, n, 0.5)
     tail, quad_err = _improper_quad(lambda x: ws(x) * wt(x), J + 0.5)
     value = sigma_st * (head + mid + tail)
     err = abs(sigma_st) * (abs(tail) * min(1.0, (n / (J + 0.5)) ** 2)
@@ -443,7 +434,7 @@ def partial_sum_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float,
 # limit kernel, normalization, bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitKernel:
     """Covariance of the Gaussian limit of the normalized partial sums."""
 
@@ -451,7 +442,7 @@ class LimitKernel:
     K: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationPlan:
     """Per-point normalizers b_n(t): n^{3/2-d(t)} (long) or sqrt(n) ln n (boundary)."""
 
@@ -473,23 +464,18 @@ def _clt_regime(spec: ProcessSpec) -> str:
 def limit_kernel(spec: ProcessSpec) -> LimitKernel:
     """Limit covariance kernel at the grid points, per regime."""
     regime = _clt_regime(spec)
-    sigma = np.asarray(spec.innovations.sigma)
+    sigma = spec.innovations.sigma
     if regime == "boundary":
-        K = sigma.copy()
+        K = sigma
     else:
-        d = spec.memory.values
-        q = spec.grid.q
-        K = np.empty((q, q))
-        for i in range(q):
-            for j in range(i, q):
-                D = float(d[i] + d[j])
-                if sigma[i, j] == 0.0:
-                    K[i, j] = 0.0
-                else:
-                    c_sum = (scale_integral_closed_form(d[i], d[j])
-                             + scale_integral_closed_form(d[j], d[i]))
-                    K[i, j] = c_sum * sigma[i, j] / ((2.0 - D) * (3.0 - D))
-                K[j, i] = K[i, j]
+        # [c(s,t) + c(t,s)] sigma / ((2-D)(3-D)), D = d(s) + d(t); sigma is
+        # symmetric only to roundoff, so its upper triangle decides both halves
+        u, idx = spec.memory.distinct
+        c = np.array([[scale_integral_closed_form(a, b) for b in u] for a in u])
+        D = u[:, None] + u
+        pair = np.ix_(idx, idx)
+        K = np.where(sigma == 0.0, 0.0, (c + c.T)[pair] * sigma / ((2.0 - D) * (3.0 - D))[pair])
+        K = np.triu(K) + np.triu(K, 1).T
     K = (K + K.T) / 2.0
     return LimitKernel(regime=regime, K=K)
 

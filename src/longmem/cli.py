@@ -85,7 +85,7 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
     }
     if extra:
         payload.update(extra)
-    io.write_manifest(out / "manifest.json", payload)
+    io.write_json(out / "manifest.json", payload)
 
 
 def cmd_simulate(args) -> int:
@@ -117,16 +117,15 @@ def cmd_analyze(args) -> int:
     q = spec.grid.q
     lags = [int(h) for h in cfg.get("lags", [0, 1, 10, 100])]
     covs = [cross_covariance_matrix(spec, h) for h in lags]
+    u, idx = spec.memory.distinct
+    pair_rows = [[_pair_rows(float(a), float(b)) for b in u] for a in u]
 
-    per_pair = {}
     c_rows, cov_rows, sum_rows = [], [], []
     for i in range(q):
         for j in range(q):
             s, t = float(pts[i]), float(pts[j])
             ds, dt = float(d[i]), float(d[j])
-            if (ds, dt) not in per_pair:
-                per_pair[ds, dt] = _pair_rows(ds, dt)
-            c_fields, summability = per_pair[ds, dt]
+            c_fields, summability = pair_rows[idx[i]][idx[j]]
             c_rows.append((s, t, *c_fields))
             sum_rows.append((s, t, summability))
             for h, (values, bounds) in zip(lags, covs):
@@ -148,12 +147,10 @@ def cmd_analyze(args) -> int:
                         "asymptotic", "note"], cov_rows)
     io.write_table_csv(out / "summability.csv", ["s", "t", "classification"], sum_rows)
     l2 = l2_membership(spec)
-    with (out / "l2_report.json").open("w") as fh:
-        json.dump({"verdict": l2.verdict,
+    io.write_json(out / "l2_report.json",
+                  {"verdict": l2.verdict,
                    "integral_sigma2": l2.integral_sigma2,
-                   "integral_sigma2_over_2d_minus_1": l2.integral_weighted},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+                   "integral_sigma2_over_2d_minus_1": l2.integral_weighted})
     _manifest(out, "analyze", cfg, seed,
               ["c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"])
     return 0
@@ -200,9 +197,7 @@ def cmd_verify_clt(args) -> int:
         "skew_band": norm.skew_band, "kurt_band": norm.kurt_band,
         "overall_pass": passed,
     }
-    with (out / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    io.write_json(out / "summary.json", summary)
     _manifest(out, "verify-clt", cfg, seed,
               ["covariance_empirical.csv", "covariance_finite_exact.csv",
                "covariance_limit.csv", "covariance_se.csv", "verdicts.csv",

@@ -50,7 +50,8 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path: Path, payload: dict) -> None:
+def write_json(path: Path, payload: dict) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
     with Path(path).open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -29,7 +29,7 @@ DEFAULT_Z_STAR = 4.0
 BATCH_COUNT = 50  # batch-means shards for non-Gaussian standard errors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceReport:
     """Empirical vs. exact finite-n vs. limit covariance, with verdicts."""
 
@@ -155,7 +155,7 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
                             innovations_drawn=N * rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalityReport:
     """Per-coordinate Gaussianity diagnostics of a sample matrix."""
 
@@ -208,7 +208,7 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
                            kurt_band=kurt_z * math.sqrt(24.0 / N))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentFit:
     """Log-log fit of the exact variance growth of the partial sums."""
 
@@ -241,13 +241,13 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
     slopes = np.empty(q)
     max_resid = np.empty(q)
     corrected = np.zeros(q, dtype=bool)
-    unit_var: dict = {}   # Var(S_n) at sigma2 = 1 per distinct exponent
+    u, idx = spec.memory.distinct
+    # Var(S_n) at sigma2 = 1 per distinct exponent
+    unit_var = [np.array([partial_sum_covariance_series(float(d), float(d), 1.0, n).value
+                          for n in n_list]) for d in u]
     for i in range(q):
         d = float(spec.memory.values[i])
-        if d not in unit_var:
-            unit_var[d] = np.array([partial_sum_covariance_series(d, d, 1.0, n).value
-                                    for n in n_list])
-        y = np.log(unit_var[d] * float(spec.innovations.sigma2[i]))
+        y = np.log(unit_var[idx[i]] * float(spec.innovations.sigma2[i]))
         if d == 1.0:
             corrected[i] = True
             y = y - 2.0 * np.log(np.log(n_list))

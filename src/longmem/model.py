@@ -47,7 +47,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceGrid:
     """Discretized index space: ordered points with positive quadrature weights."""
 
@@ -83,7 +83,7 @@ class SpaceGrid:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemoryFunction:
     """Memory exponent field d(t), stored as per-grid-point values."""
 
@@ -129,6 +129,14 @@ class MemoryFunction:
     def d_min(self) -> float:
         return float(np.min(self.values))
 
+    @functools.cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(exponents, index)``, sorted distinct exponents with ``values ==
+        exponents[index]``: per-exponent work is done once per exponent."""
+        exponents, index = np.unique(self.values, return_inverse=True)
+        exponents.flags.writeable = index.flags.writeable = False
+        return exponents, index
+
 
 def _factor_psd(sigma: np.ndarray) -> np.ndarray:
     """Lower-triangular F with F F^T ~= sigma, adding diagonal jitter if needed."""
@@ -145,7 +153,7 @@ def _factor_psd(sigma: np.ndarray) -> np.ndarray:
     raise ValidationError("innovation covariance could not be factorized even with jitter")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnovationModel:
     """Spatial covariance sigma(s, t) of the i.i.d.-in-time innovations plus sampling law.
 
@@ -206,7 +214,7 @@ class InnovationModel:
         return cls("custom", sigma, **kw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessSpec:
     """Fully specified simulation input: grid + memory + innovations + budgets."""
 
@@ -357,13 +365,13 @@ def tail_variance_bound(d: float, M: int) -> float:
     return (M + 1.0) ** (1.0 - 2.0 * d) / (2.0 * d - 1.0)
 
 
-def truncation_length(d: float, tail_tol: float, hard_cap: int = HARD_CAP) -> int:
+def truncation_length(d: float, tail_tol: float) -> int:
     """Smallest M whose certified tail-variance bound meets the relative budget.
 
     The budget is ``tail_tol`` times the total coefficient variance
     zeta(2d); the tail is bounded by integral comparison.  Deterministic
-    in (d, tail_tol); raises ``TailBudgetError`` when no M under the hard
-    cap satisfies the budget (d near 1/2 with a tight tolerance).
+    in (d, tail_tol); raises ``TailBudgetError`` when no M under
+    ``HARD_CAP`` satisfies the budget (d near 1/2 with a tight tolerance).
     """
     if d <= 0.5:
         raise ValidationError(f"d={d:g} <= 1/2: truncation undefined (series diverges)")
@@ -375,19 +383,17 @@ def truncation_length(d: float, tail_tol: float, hard_cap: int = HARD_CAP) -> in
     # closed-form start, then fix up to the exact smallest M
     M = int(math.ceil((budget * (2.0 * d - 1.0)) ** (1.0 / (1.0 - 2.0 * d)) - 1.0))
     M = max(M, 1)
-    if M > 4 * hard_cap:
+    if M > 4 * HARD_CAP:
         raise TailBudgetError(
             f"tail budget unreachable: d={d:g}, tail_tol={tail_tol:g} needs M~{M:.3g} "
-            f"> hard cap {hard_cap}; increase tail_tol")
+            f"> hard cap {HARD_CAP}; increase tail_tol")
     while M > 1 and tail_variance_bound(d, M - 1) <= budget:
         M -= 1
-    while tail_variance_bound(d, M) > budget:
+    while tail_variance_bound(d, M) > budget and M <= HARD_CAP:
         M += 1
-        if M > hard_cap:
-            break
-    if M > hard_cap:
+    if M > HARD_CAP:
         raise TailBudgetError(
-            f"tail budget unreachable: d={d:g}, tail_tol={tail_tol:g} needs M>{hard_cap}; "
+            f"tail budget unreachable: d={d:g}, tail_tol={tail_tol:g} needs M>{HARD_CAP}; "
             f"increase tail_tol")
     return M
 
@@ -454,12 +460,22 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
     raise ValidationError(f"unknown innovation kind {kind!r}")
 
 
+def _section(cfg: dict, name: str, build, *args):
+    """``build(cfg[name], *args)``; a missing key raises ``ValidationError``
+    naming it and its section."""
+    if name not in cfg:
+        raise ValidationError(f"config: missing key {name!r}")
+    try:
+        return build(cfg[name], *args)
+    except KeyError as exc:
+        raise ValidationError(f"{name}: missing key {exc.args[0]!r}") from None
+
+
 def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
     """Build a ProcessSpec from a parsed JSON config dictionary."""
-    base_dir = Path(base_dir)
-    grid = _grid_from_dict(cfg["grid"])
-    memory = _memory_from_dict(cfg["memory"], grid)
-    innovations = _innovations_from_dict(cfg["innovations"], grid, base_dir)
+    grid = _section(cfg, "grid", _grid_from_dict)
+    memory = _section(cfg, "memory", _memory_from_dict, grid)
+    innovations = _section(cfg, "innovations", _innovations_from_dict, grid, Path(base_dir))
     return ProcessSpec(
         grid=grid,
         memory=memory,

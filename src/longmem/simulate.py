@@ -84,7 +84,7 @@ def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
     return _standard_block(model, seed, start, count, rep) @ model.factor.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated paths X_k(t_i) for k = 1..n on the spec's grid."""
 
@@ -108,18 +108,17 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
         raise ValueError("n must be >= 1")
     M = spec.window
     eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M, rep=rep)
+    u, idx = spec.memory.distinct
     j = np.arange(M + 1, dtype=float)
+    coefs = [((j + 1.0) ** (-float(d)))[::-1] for d in u]
     values = np.empty((n, spec.q))
     for i in range(spec.q):
-        coef = (j + 1.0) ** (-float(spec.memory.values[i]))
         windows = np.lib.stride_tricks.sliding_window_view(eps[:, i], M + 1)
-        values[:, i] = windows[:n] @ coef[::-1]
-    tail = np.array([spec.innovations.sigma2[i]
-                     * tail_variance_bound(float(spec.memory.values[i]), M)
-                     for i in range(spec.q)])
+        values[:, i] = windows[:n] @ coefs[idx[i]]
+    tail = np.array([tail_variance_bound(float(d), M) for d in u])
     return PathEnsemble(spec_hash=spec.spec_hash, n=int(n), values=values,
                         window=M, seed=int(seed), rep=int(rep),
-                        truncation_tail_var=tail)
+                        truncation_tail_var=spec.innovations.sigma2 * tail[idx])
 
 
 def partial_sums_direct(ensemble: PathEnsemble) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import longmem as lm
-from longmem.analytics import partial_sum_covariance_lagsum
+from longmem.analytics import _windowed_weights, partial_sum_covariance_lagsum
 
 
 class TestScaleIntegral:
@@ -260,6 +260,23 @@ class TestCoefficientTable:
                 ref = sum((k - j + 1.0) ** (-d) for k in range(1, n + 1))
                 assert rel(_column(table, j)[i], ref) < 1e-10
 
+    def test_rows_are_the_weights_of_their_exponent(self, repeated_spec):
+        n = 16
+        table = lm.partial_sum_weights(repeated_spec, n)
+        for i, d in enumerate(repeated_spec.memory.values):
+            assert np.array_equal(table.z[i], _windowed_weights(float(d), n, table.window))
+
+    @pytest.mark.parametrize("fixture", ["constant8_spec", "repeated_spec"])
+    def test_weights_built_once_per_distinct_exponent(self, fixture, request,
+                                                      count_calls):
+        spec = request.getfixturevalue(fixture)
+        weights = count_calls(lm.analytics, "_windowed_weights")
+        tails = count_calls(lm.analytics, "_tail_weight_integral")
+        lm.partial_sum_weights(spec, 16)
+        exponents = spec.memory.distinct[0].tolist()
+        assert [args[0] for args in weights] == exponents
+        assert [args[0] for args in tails] == exponents
+
     def test_tail_var_certifies_untruncated_gap(self, rel):
         spec = lm.spec_from_dict({
             "grid": {"points": [0.5]},
@@ -368,6 +385,22 @@ class TestLimitKernelAndPlan:
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
         assert lm.limit_kernel(spec).K[0, 1] == 0.0
+
+    def test_long_kernel_entries_are_asymptotic_constants(self, repeated_spec):
+        # K(s, t) is the n^{3-D} coefficient of E[S_n(s) S_n(t)]
+        d, sigma = repeated_spec.memory.values, repeated_spec.innovations.sigma
+        expected = [[lm.partial_sum_covariance_asymptotic(d[i], d[j], sigma[i, j], 1)
+                     for j in range(4)] for i in range(4)]
+        assert np.array_equal(lm.limit_kernel(repeated_spec).K, expected)
+
+    @pytest.mark.parametrize("fixture", ["constant8_spec", "repeated_spec"])
+    def test_kernel_constants_once_per_distinct_pair(self, fixture, request,
+                                                     count_calls):
+        spec = request.getfixturevalue(fixture)
+        calls = count_calls(lm.analytics, "scale_integral_closed_form")
+        lm.limit_kernel(spec)
+        exponents = spec.memory.distinct[0].tolist()
+        assert calls == [(a, b) for a in exponents for b in exponents]
 
     def test_kernel_psd(self, long_spec):
         eig = np.linalg.eigvalsh(lm.limit_kernel(long_spec).K)

@@ -107,6 +107,21 @@ class TestSimulate:
         assert np.array_equal(spec.innovations.sigma2, [1.0, 2.0])
         assert lm.spec_from_dict(spec.to_dict()).spec_hash == spec.spec_hash
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("memory", {"kind": "constant"}, "memory: missing key 'values'"),
+        ("grid", None, "config: missing key 'grid'"),
+        ("grid", {"weights": [1.0]}, "grid: missing key 'points'"),
+        ("innovations", {"kind": "custom"}, "innovations: missing key 'sigma'"),
+    ])
+    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys, section, value,
+                                           message):
+        bad = dict(SMALL_LONG, **{section: value})
+        if value is None:
+            del bad[section]
+        assert main(["simulate", "--config", _write(tmp_path, bad),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2

@@ -221,15 +221,8 @@ class TestFitVarianceExponent:
         assert fit.theoretical[0] == pytest.approx(1.0)
         assert fit.deviations[0] < 0.01
 
-    def test_series_summed_once_per_distinct_exponent(self, monkeypatch):
-        calls = []
-        series = lm.mcverify.partial_sum_covariance_series
-
-        def counted(*args):
-            calls.append(args)
-            return series(*args)
-
-        monkeypatch.setattr(lm.mcverify, "partial_sum_covariance_series", counted)
+    def test_series_summed_once_per_distinct_exponent(self, count_calls):
+        calls = count_calls(lm.mcverify, "partial_sum_covariance_series")
         spec = lm.spec_from_dict(dict(BOUNDARY, memory={
             "kind": "table", "values": [0.6, 0.6, 1.0, 1.0]}))
         n_list = [2 ** k for k in range(6, 11)]

@@ -40,6 +40,15 @@ class TestMemoryFunction:
         with pytest.raises(lm.ValidationError):
             lm.MemoryFunction.table([0.7], g)
 
+    def test_distinct_exponents(self, repeated_spec):
+        memory = repeated_spec.memory
+        exponents, index = memory.distinct
+        assert exponents.tolist() == [0.75, 0.8, 0.9]
+        assert index.tolist() == [0, 1, 0, 2]
+        assert np.array_equal(exponents[index], memory.values)
+        assert memory.distinct is memory.distinct
+        assert not exponents.flags.writeable and not index.flags.writeable
+
 
 class TestInnovationModel:
     def test_wiener_is_min_kernel(self):
@@ -213,3 +222,11 @@ class TestConfigLoading:
     def test_spec_hash_stable(self, long_spec):
         assert long_spec.spec_hash == lm.spec_from_dict(
             long_spec.to_dict()).spec_hash
+
+    def test_specs_hash_and_compare_by_identity(self, long_spec):
+        # array fields make value equality ambiguous; content identity is spec_hash
+        cfg = long_spec.to_dict()
+        a, b = lm.spec_from_dict(cfg), lm.spec_from_dict(cfg)
+        assert len({a, b}) == 2
+        assert a == a and a != b
+        assert a.spec_hash == b.spec_hash

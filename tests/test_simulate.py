@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import longmem as lm
+from longmem.model import tail_variance_bound
 from longmem.simulate import innovation_block
 
 
@@ -119,6 +120,17 @@ class TestGeneratePaths:
             se = 4 * np.sqrt(2.0) * abs(lm.cross_covariance_exact(
                 spec, 0.5, 0.5, 0).value) / np.sqrt(reps)
             assert abs(emp - exact) < se
+
+    @pytest.mark.parametrize("fixture", ["constant8_spec", "repeated_spec"])
+    def test_tail_bound_once_per_distinct_exponent(self, fixture, request,
+                                                   count_calls):
+        spec = request.getfixturevalue(fixture)
+        calls = count_calls(lm.simulate, "tail_variance_bound")
+        pe = lm.generate_paths(spec, 4, seed=2)
+        assert calls == [(d, pe.window) for d in spec.memory.distinct[0].tolist()]
+        d, s2 = spec.memory.values, spec.innovations.sigma2
+        assert pe.truncation_tail_var.tolist() == [
+            s2[i] * tail_variance_bound(float(d[i]), pe.window) for i in range(spec.q)]
 
     def test_figure_recipe_runs(self):
         spec = lm.load_spec("src/longmem/configs/fig1a.json")
