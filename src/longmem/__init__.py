@@ -29,14 +29,12 @@ from .analytics import (
     RegimeError,
     classify_summability,
     cross_covariance_asymptotic,
-    cross_covariance_exact,
     cross_covariance_matrix,
     dominating_bound,
     l2_membership,
     limit_kernel,
     normalization_plan,
     partial_sum_covariance_asymptotic,
-    partial_sum_covariance_exact,
     partial_sum_covariance_series,
     partial_sum_weights,
     scale_integral,
@@ -59,7 +57,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CertifiedValue",
@@ -80,7 +78,6 @@ __all__ = [
     "ValidationReport",
     "classify_summability",
     "cross_covariance_asymptotic",
-    "cross_covariance_exact",
     "cross_covariance_matrix",
     "dominating_bound",
     "fit_variance_exponent",
@@ -92,7 +89,6 @@ __all__ = [
     "normality_diagnostics",
     "normalization_plan",
     "partial_sum_covariance_asymptotic",
-    "partial_sum_covariance_exact",
     "partial_sum_covariance_series",
     "partial_sum_weights",
     "partial_sums_direct",

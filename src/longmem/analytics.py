@@ -20,10 +20,6 @@ from .model import ProcessSpec, ValidationError
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
-# route (a) / route (b) internal consistency tolerance for the partial-sum
-# covariance, and the work budget n*M above which that cross-check is skipped
-CROSS_CHECK_RTOL = 1e-9
-CROSS_CHECK_BUDGET = 2 ** 24
 # an L2 integral above this counts as infinite (d -> 1/2 blowup, singular weights)
 L2_FINITE_THRESHOLD = 1e12
 
@@ -88,13 +84,6 @@ def scale_integral_upper_bound(d: float) -> float:
 # exact and asymptotic cross-covariances
 # ---------------------------------------------------------------------------
 
-def _grid_index(spec: ProcessSpec, s: float) -> int:
-    hits = np.nonzero(np.isclose(spec.grid.points, s, rtol=0.0, atol=1e-12))[0]
-    if len(hits) != 1:
-        raise ValueError(f"{s!r} is not a grid point of this spec")
-    return int(hits[0])
-
-
 def _improper_quad(f, a: float) -> tuple[float, float]:
     """int_a^inf f(x) dx with the tail mapped to (0, 1] via x = a/t."""
     import warnings
@@ -127,36 +116,14 @@ def _lag_series(d_s: float, d_t: float, h: int) -> tuple[float, float, float]:
     return partial + tail, midpoint_err + quad_err, partial
 
 
-def _scaled(sig, series):
-    """Covariance and certified bound of grid pairs from their unscaled series."""
-    value, err, partial = series
-    return sig * value, abs(sig) * err + 1e-15 * abs(sig) * partial
-
-
-def cross_covariance_exact(spec: ProcessSpec, s: float, t: float, h: int) -> CertifiedValue:
-    """E[X_0(s) X_h(t)] = sigma(s,t) sum_{j>=0} (j+1)^{-d(s)} (j+h+1)^{-d(t)}.
-
-    The pointwise form of ``cross_covariance_matrix``, by the same
-    arithmetic; the error bound is certified.
-    """
-    spec.require_valid()
-    if h < 0:
-        raise ValueError("lag h must be nonnegative")
-    i, j = _grid_index(spec, s), _grid_index(spec, t)
-    sig = float(spec.innovations.sigma[i, j])
-    if sig == 0.0:
-        return CertifiedValue(0.0, 0.0)
-    d = spec.memory.values
-    return CertifiedValue(*_scaled(sig, _lag_series(float(d[i]), float(d[j]), h)))
-
-
 def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Lag-h cross-covariances and certified bounds over the whole grid, as q x q arrays.
 
-    Entry (i, j) equals ``cross_covariance_exact(spec, t_i, t_j, h)``
-    bit for bit.  The series depends on a grid pair only through its
-    exponents (d(t_i), d(t_j)), so it is summed once per distinct pair
-    and then scaled by sigma(t_i, t_j).
+    Entry (i, j) is E[X_0(t_i) X_h(t_j)] = sigma(t_i, t_j) sum_{k>=0}
+    (k+1)^{-d(t_i)} (k+h+1)^{-d(t_j)}.  The series depends on a grid pair
+    only through its exponents, so it is summed once per distinct pair and
+    then scaled by sigma(t_i, t_j); the bound adds roundoff proportional to
+    the partial sum to the series' certified error.
     """
     spec.require_valid()
     if h < 0:
@@ -167,16 +134,20 @@ def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.n
     series = np.zeros((3, len(u), len(u)))
     for a, b in set(zip(idx[rows], idx[cols])):
         series[:, a, b] = _lag_series(float(u[a]), float(u[b]), h)
-    values, bounds = _scaled(sigma, series[:, idx[:, None], idx])
+    value, err, partial = series[:, idx[:, None], idx]
+    values = sigma * value
+    bounds = np.abs(sigma) * err + 1e-15 * np.abs(sigma) * partial
     nonzero = sigma != 0.0
     return np.where(nonzero, values, 0.0), np.where(nonzero, bounds, 0.0)
 
 
-def cross_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float, h: float) -> float:
+def cross_covariance_asymptotic(d_s: float, d_t: float, sigma_st, h: float):
     """Leading-order lag-h cross-covariance in the two covered regimes.
 
     Power regime (1/2 < d_s < 1, d_t > 1/2): c(d_s, d_t) sigma h^{1-(d_s+d_t)}.
     Boundary regime (d_s = d_t = 1): sigma h^{-1} ln h.
+    ``sigma_st`` may be an array: the sigma block of every grid pair with
+    these exponents, each entry scaled by the same arithmetic.
     """
     if h < 2:
         raise ValueError("asymptotic law needs h >= 2")
@@ -321,64 +292,6 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
 # ---------------------------------------------------------------------------
 # partial-sum covariances
 # ---------------------------------------------------------------------------
-
-def partial_sum_covariance_lagsum(spec: ProcessSpec, n: int, s: float, t: float,
-                                  window: int | None = None) -> float:
-    """Route (a): E[S_n(s) S_n(t)] = n r(0) + sum_{h=1}^{n-1} (n-h)[r_st(h) + r_ts(h)].
-
-    Lag covariances r are those of the window-M truncated model, so the
-    value agrees exactly with the coefficient-table route on the shared
-    window.
-    """
-    spec.require_valid()
-    i, j = _grid_index(spec, s), _grid_index(spec, t)
-    sig = float(spec.innovations.sigma[i, j])
-    if sig == 0.0:
-        return 0.0
-    d_s, d_t = float(spec.memory.values[i]), float(spec.memory.values[j])
-    M = spec.window if window is None else window
-    k = np.arange(M + 1, dtype=float)
-    c_s = (k + 1.0) ** (-d_s)
-    c_t = (k + 1.0) ** (-d_t)
-    r0 = float(np.dot(c_s, c_t))
-    total = n * r0
-    for h in range(1, n):
-        if h > M:
-            break
-        r_st = float(np.dot(c_s[: M - h + 1], c_t[h:]))
-        r_ts = float(np.dot(c_t[: M - h + 1], c_s[h:]))
-        total += (n - h) * (r_st + r_ts)
-    return sig * total
-
-
-def partial_sum_covariance_exact(spec: ProcessSpec, n: int, s: float, t: float,
-                                 window: int | None = None) -> float:
-    """E[S_n(s) S_n(t)] of the window-M truncated model (M = ``window``,
-    by default the spec's), computed two independent ways.
-
-    Route (b), sigma(s,t) sum_j z_{n,j}(s) z_{n,j}(t), is returned; route
-    (a), the triple-sum over lag covariances, is recomputed as a
-    consistency check whenever n * window is small enough to be cheap.
-    A disagreement beyond 1e-9 relative is an internal error and aborts.
-    At n = 1 the two routes coincide and route (a) is returned.
-    """
-    spec.require_valid()
-    if n == 1:
-        return partial_sum_covariance_lagsum(spec, 1, s, t, window=window)
-    i, j = _grid_index(spec, s), _grid_index(spec, t)
-    sig = float(spec.innovations.sigma[i, j])
-    table = partial_sum_weights(spec, n, window=window)
-    vb = sig * float(np.dot(table.z[i], table.z[j]))
-    if n * table.window <= CROSS_CHECK_BUDGET:
-        va = partial_sum_covariance_lagsum(spec, n, s, t, window=table.window)
-        scale = max(abs(va), abs(vb), 1e-300)
-        if abs(va - vb) > CROSS_CHECK_RTOL * scale:
-            raise RuntimeError(
-                f"partial-sum covariance routes disagree: lag-sum {va!r} vs "
-                f"coefficient route {vb!r} (relative {abs(va - vb) / scale:.3e}); "
-                f"this indicates an implementation bug")
-    return vb
-
 
 def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: int,
                                   past_terms: int | None = None) -> CertifiedValue:

@@ -34,7 +34,8 @@ from .analytics import (
     scale_integral_closed_form,
 )
 from .simulate import generate_paths
-from .mcverify import fit_variance_exponent, normality_diagnostics, run_clt_experiment
+from .mcverify import (MIN_NORMALITY_N, fit_variance_exponent, normality_diagnostics,
+                       run_clt_experiment)
 from . import io
 
 ENV_PREFIX = "LONGMEM_"
@@ -109,14 +110,34 @@ def _pair_rows(ds: float, dt: float):
     return c_fields, classify_summability(ds, dt)
 
 
+def _asymptotic(spec, h: int):
+    """Lag-h asymptotic covariance of every grid pair, and the note of each
+    distinct exponent pair ("" where the law applies); the closed form runs
+    once per distinct pair, on its whole sigma block."""
+    sigma = spec.innovations.sigma
+    u, idx = spec.memory.distinct
+    values = np.zeros_like(sigma)
+    notes = [["lag too small for asymptotics"] * len(u) for _ in u]
+    if h < 2:
+        return values, notes
+    for a in range(len(u)):
+        for b in range(len(u)):
+            block = np.ix_(idx == a, idx == b)
+            try:
+                values[block] = cross_covariance_asymptotic(float(u[a]), float(u[b]),
+                                                            sigma[block], h)
+                notes[a][b] = ""
+            except RegimeError as exc:
+                notes[a][b] = str(exc)
+    return values, notes
+
+
 def cmd_analyze(args) -> int:
     cfg, spec, seed, out, _ = _load(args)
     pts = spec.grid.points
-    d = spec.memory.values
-    sigma = spec.innovations.sigma
     q = spec.grid.q
     lags = [int(h) for h in cfg.get("lags", [0, 1, 10, 100])]
-    covs = [cross_covariance_matrix(spec, h) for h in lags]
+    covs = [cross_covariance_matrix(spec, h) + _asymptotic(spec, h) for h in lags]
     u, idx = spec.memory.distinct
     pair_rows = [[_pair_rows(float(a), float(b)) for b in u] for a in u]
 
@@ -124,20 +145,13 @@ def cmd_analyze(args) -> int:
     for i in range(q):
         for j in range(q):
             s, t = float(pts[i]), float(pts[j])
-            ds, dt = float(d[i]), float(d[j])
             c_fields, summability = pair_rows[idx[i]][idx[j]]
             c_rows.append((s, t, *c_fields))
             sum_rows.append((s, t, summability))
-            for h, (values, bounds) in zip(lags, covs):
-                try:
-                    asym = io.format_float(
-                        cross_covariance_asymptotic(ds, dt, float(sigma[i, j]), h)) \
-                        if h >= 2 else ""
-                    note = "" if h >= 2 else "lag too small for asymptotics"
-                except RegimeError as exc:
-                    asym, note = "", str(exc)
+            for h, (values, bounds, asym, notes) in zip(lags, covs):
+                note = notes[idx[i]][idx[j]]
                 cov_rows.append((s, t, h, float(values[i, j]), float(bounds[i, j]),
-                                 asym, note))
+                                 "" if note else io.format_float(asym[i, j]), note))
 
     io.write_table_csv(out / "c_matrix.csv",
                        ["s", "t", "c_quadrature", "c_closed_form",
@@ -163,10 +177,13 @@ def cmd_verify_clt(args) -> int:
     n_list = cfg.get("n_list", [256, 512, 1024, 2048, 4096])
     z_star = float(cfg.get("z_star", 4.0))
 
+    # everything that can reject the input runs before the Monte Carlo run
+    fit = fit_variance_exponent(spec, n_list)
+    if N < MIN_NORMALITY_N:
+        raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
     report = run_clt_experiment(spec, n, N, seed, z_star=z_star, shards=threads)
     norm = normality_diagnostics(report.samples,
                                  variances=np.diag(report.finite_n_exact))
-    fit = fit_variance_exponent(spec, n_list)
 
     pts = spec.grid.points
     io.write_matrix_csv(out / "covariance_empirical.csv", report.empirical, pts)

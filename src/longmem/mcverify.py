@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProcessSpec, _factor_psd
+from .model import ProcessSpec, ValidationError, _factor_psd
 from .analytics import (
     LimitKernel,
     limit_kernel,
@@ -27,6 +27,7 @@ from .simulate import _standard_block, partial_sums_via_z
 
 DEFAULT_Z_STAR = 4.0
 BATCH_COUNT = 50  # batch-means shards for non-Gaussian standard errors
+MIN_NORMALITY_N = 500  # replications the normality bands are stated for
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +98,16 @@ def _shard_samples(sample, b, rep_start, rep_count):
     return out
 
 
+def _require_nondegenerate(spec: ProcessSpec) -> None:
+    """Refuse grid points with zero innovation variance: S_n is identically 0
+    there, and a degenerate marginal has no Gaussian-marginal verdict."""
+    zero = spec.innovations.sigma2 == 0.0
+    if np.any(zero):
+        where = ", ".join(f"t={t:g}" for t in spec.grid.points[zero])
+        raise ValidationError(f"zero innovation variance at {where}: the partial "
+                              f"sums there are identically 0, so no CLT verdict exists")
+
+
 def _pool_size(shards: int) -> int:
     """Worker threads for ``shards`` shards: one each, capped at the core count."""
     return min(shards, os.cpu_count() or 1)
@@ -116,7 +127,10 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
         raise ValueError("N must be >= 100")
     if shards < 1:
         raise ValueError(f"shards must be at least 1; got {shards}")
+    if not 0.0 < z_star < math.inf:
+        raise ValueError(f"z_star must be positive and finite; got {z_star}")
     spec.require_valid()
+    _require_nondegenerate(spec)
     plan = normalization_plan(spec, n)   # raises RegimeError on mixed regimes
     kern = limit_kernel(spec)
     table = partial_sum_weights(spec, n)
@@ -192,8 +206,8 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
 
     samples = np.asarray(samples, dtype=float)
     N, q = samples.shape
-    if N < 500:
-        raise ValueError("normality diagnostics need N >= 500")
+    if N < MIN_NORMALITY_N:
+        raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
     if variances is None:
         variances = samples.var(axis=0, ddof=1)
     variances = np.asarray(variances, dtype=float)
@@ -236,6 +250,7 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
     if any(n < 2 or (n & (n - 1)) for n in n_list):
         raise ValueError("horizons must be dyadic (powers of two, >= 2)")
     spec.require_valid()
+    _require_nondegenerate(spec)
     log_n = np.log(n_list)
     q = spec.grid.q
     slopes = np.empty(q)

@@ -1,0 +1,100 @@
+"""Pointwise covariance routes, kept as independent oracles for the tests.
+
+The library computes covariances as q x q kernels: ``cross_covariance_matrix``
+for lag covariances and ``sigma * (table.z @ table.z.T)`` for the truncated
+partial sums.  The routes here resolve one pair of grid points at a time,
+looked up by value, and the partial-sum ones sum lag covariances instead of
+contracting coefficient tables.
+"""
+
+import numpy as np
+
+from longmem.analytics import CertifiedValue, _lag_series, partial_sum_weights
+
+# route (a) / route (b) internal consistency tolerance for the partial-sum
+# covariance, and the work budget n*M above which that cross-check is skipped
+CROSS_CHECK_RTOL = 1e-9
+CROSS_CHECK_BUDGET = 2 ** 24
+
+
+def _grid_index(spec, s: float) -> int:
+    hits = np.nonzero(np.isclose(spec.grid.points, s, rtol=0.0, atol=1e-12))[0]
+    if len(hits) != 1:
+        raise ValueError(f"{s!r} is not a grid point of this spec")
+    return int(hits[0])
+
+
+def cross_covariance_exact(spec, s: float, t: float, h: int) -> CertifiedValue:
+    """E[X_0(s) X_h(t)] = sigma(s,t) sum_{j>=0} (j+1)^{-d(s)} (j+h+1)^{-d(t)}.
+
+    The pointwise form of ``cross_covariance_matrix``, by the same
+    arithmetic, so the two agree bit for bit; the error bound is certified.
+    """
+    spec.require_valid()
+    if h < 0:
+        raise ValueError("lag h must be nonnegative")
+    i, j = _grid_index(spec, s), _grid_index(spec, t)
+    sig = float(spec.innovations.sigma[i, j])
+    if sig == 0.0:
+        return CertifiedValue(0.0, 0.0)
+    d = spec.memory.values
+    value, err, partial = _lag_series(float(d[i]), float(d[j]), h)
+    return CertifiedValue(sig * value, abs(sig) * err + 1e-15 * abs(sig) * partial)
+
+
+def partial_sum_covariance_lagsum(spec, n: int, s: float, t: float,
+                                  window: int | None = None) -> float:
+    """Route (a): E[S_n(s) S_n(t)] = n r(0) + sum_{h=1}^{n-1} (n-h)[r_st(h) + r_ts(h)].
+
+    Lag covariances r are those of the window-M truncated model, so the
+    value agrees exactly with the coefficient-table route on the shared
+    window.
+    """
+    spec.require_valid()
+    i, j = _grid_index(spec, s), _grid_index(spec, t)
+    sig = float(spec.innovations.sigma[i, j])
+    if sig == 0.0:
+        return 0.0
+    d_s, d_t = float(spec.memory.values[i]), float(spec.memory.values[j])
+    M = spec.window if window is None else window
+    k = np.arange(M + 1, dtype=float)
+    c_s = (k + 1.0) ** (-d_s)
+    c_t = (k + 1.0) ** (-d_t)
+    r0 = float(np.dot(c_s, c_t))
+    total = n * r0
+    for h in range(1, n):
+        if h > M:
+            break
+        r_st = float(np.dot(c_s[: M - h + 1], c_t[h:]))
+        r_ts = float(np.dot(c_t[: M - h + 1], c_s[h:]))
+        total += (n - h) * (r_st + r_ts)
+    return sig * total
+
+
+def partial_sum_covariance_exact(spec, n: int, s: float, t: float,
+                                 window: int | None = None) -> float:
+    """E[S_n(s) S_n(t)] of the window-M truncated model (M = ``window``,
+    by default the spec's), computed two independent ways.
+
+    Route (b), sigma(s,t) sum_j z_{n,j}(s) z_{n,j}(t), is returned; route
+    (a), the triple-sum over lag covariances, is recomputed as a
+    consistency check whenever n * window is small enough to be cheap.
+    A disagreement beyond 1e-9 relative is an internal error and aborts.
+    At n = 1 the two routes coincide and route (a) is returned.
+    """
+    spec.require_valid()
+    if n == 1:
+        return partial_sum_covariance_lagsum(spec, 1, s, t, window=window)
+    i, j = _grid_index(spec, s), _grid_index(spec, t)
+    sig = float(spec.innovations.sigma[i, j])
+    table = partial_sum_weights(spec, n, window=window)
+    vb = sig * float(np.dot(table.z[i], table.z[j]))
+    if n * table.window <= CROSS_CHECK_BUDGET:
+        va = partial_sum_covariance_lagsum(spec, n, s, t, window=table.window)
+        scale = max(abs(va), abs(vb), 1e-300)
+        if abs(va - vb) > CROSS_CHECK_RTOL * scale:
+            raise RuntimeError(
+                f"partial-sum covariance routes disagree: lag-sum {va!r} vs "
+                f"coefficient route {vb!r} (relative {abs(va - vb) / scale:.3e}); "
+                f"this indicates an implementation bug")
+    return vb

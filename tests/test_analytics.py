@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import longmem as lm
-from longmem.analytics import _windowed_weights, partial_sum_covariance_lagsum
+from longmem.analytics import _windowed_weights
+from oracles import (cross_covariance_exact, partial_sum_covariance_exact,
+                     partial_sum_covariance_lagsum)
 
 
 class TestScaleIntegral:
@@ -55,12 +57,12 @@ class TestCrossCovariance:
             "innovations": {"kind": "white", "sigma2": 1.0},
             "tail_tol": 0.3,
         })
-        cv = lm.cross_covariance_exact(spec, 0.25, 0.5, 3)
+        cv = cross_covariance_exact(spec, 0.25, 0.5, 3)
         assert cv.value == 0.0 and cv.error_bound == 0.0
 
     def test_basel_series_at_d1(self, boundary_spec, rel):
         # [DERIVED] sum (j+1)^{-2} = pi^2/6
-        cv = lm.cross_covariance_exact(boundary_spec, 0.5, 0.5, 0)
+        cv = cross_covariance_exact(boundary_spec, 0.5, 0.5, 0)
         assert rel(cv.value, math.pi ** 2 / 6) < 1e-9
         assert abs(cv.value - math.pi ** 2 / 6) <= cv.error_bound * 10
 
@@ -70,19 +72,19 @@ class TestCrossCovariance:
             "memory": {"kind": "constant", "values": 0.75},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        cv = lm.cross_covariance_exact(spec, 0.5, 0.5, 0)
+        cv = cross_covariance_exact(spec, 0.5, 0.5, 0)
         # [DERIVED] zeta(1.5) = 2.612375...
         assert rel(cv.value, float(zeta(1.5))) < 1e-9
         assert cv.value == pytest.approx(2.612375, abs=1e-6)
 
     def test_symmetric_at_lag_zero(self, mixed_spec, rel):
-        a = lm.cross_covariance_exact(mixed_spec, 0.25, 1.0, 0).value
-        b = lm.cross_covariance_exact(mixed_spec, 1.0, 0.25, 0).value
+        a = cross_covariance_exact(mixed_spec, 0.25, 1.0, 0).value
+        b = cross_covariance_exact(mixed_spec, 1.0, 0.25, 0).value
         assert rel(a, b) < 1e-12
 
     def test_certified_error_bound_honest(self, mixed_spec):
         # brute force far beyond the internal cutoff as reference
-        cv = lm.cross_covariance_exact(mixed_spec, 0.25, 0.5, 7)
+        cv = cross_covariance_exact(mixed_spec, 0.25, 0.5, 7)
         j = np.arange(40_000_000, dtype=float)
         ref = 0.25 * float(np.sum((j + 1) ** (-0.6) * (j + 8) ** (-0.75)))
         # reference itself truncated; allow its own tail on top
@@ -124,7 +126,7 @@ class TestCrossCovarianceMatrix:
         assert values.shape == bounds.shape == (spec.q, spec.q)
         for i, s in enumerate(pts):
             for j, t in enumerate(pts):
-                cv = lm.cross_covariance_exact(spec, float(s), float(t), h)
+                cv = cross_covariance_exact(spec, float(s), float(t), h)
                 assert values[i, j] == cv.value
                 assert bounds[i, j] == cv.error_bound
         # the report cached on the spec is the one a fresh spec computes
@@ -170,9 +172,9 @@ class TestCrossCovarianceAsymptotic:
             "memory": {"kind": "constant", "values": 0.75},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        r4 = lm.cross_covariance_exact(spec, 0.5, 0.5, 10_000).value \
+        r4 = cross_covariance_exact(spec, 0.5, 0.5, 10_000).value \
             / lm.cross_covariance_asymptotic(0.75, 0.75, 1.0, 10_000)
-        r5 = lm.cross_covariance_exact(spec, 0.5, 0.5, 100_000).value \
+        r5 = cross_covariance_exact(spec, 0.5, 0.5, 100_000).value \
             / lm.cross_covariance_asymptotic(0.75, 0.75, 1.0, 100_000)
         assert r4 == pytest.approx(0.9343786, abs=2e-5)
         assert r5 == pytest.approx(0.9630981, abs=2e-5)
@@ -297,15 +299,15 @@ class TestPartialSumCovariance:
         # the untruncated series value
         M = long_spec.window
         assert M == 11
-        a = lm.partial_sum_covariance_exact(long_spec, 1, 0.5, 0.75)
+        a = partial_sum_covariance_exact(long_spec, 1, 0.5, 0.75)
         assert a == partial_sum_covariance_lagsum(long_spec, 1, 0.5, 0.75, window=M)
         truncated_lag0 = 0.5 * sum((k + 1.0) ** -1.4 for k in range(M + 1))
         assert rel(a, truncated_lag0) < 1e-12
-        assert a < lm.cross_covariance_exact(long_spec, 0.5, 0.75, 0).value
+        assert a < cross_covariance_exact(long_spec, 0.5, 0.75, 0).value
 
     def test_routes_agree(self, mixed_spec, rel):
         for n in (2, 7, 33):
-            vb = lm.partial_sum_covariance_exact(mixed_spec, n, 0.25, 1.0)
+            vb = partial_sum_covariance_exact(mixed_spec, n, 0.25, 1.0)
             va = partial_sum_covariance_lagsum(mixed_spec, n, 0.25, 1.0)
             assert rel(va, vb) < 1e-10
 
@@ -320,7 +322,7 @@ class TestPartialSumCovariance:
         })
         gaps = []
         for M in (10_000, 100_000, 400_000):
-            v = lm.partial_sum_covariance_exact(spec, 32, 0.5, 0.5, window=M)
+            v = partial_sum_covariance_exact(spec, 32, 0.5, 0.5, window=M)
             gap = ref.value - v
             assert 0 <= gap <= 2 * 32 ** 2 * M ** -0.5 / 0.5
             gaps.append(gap)

@@ -14,6 +14,7 @@ import scipy
 import longmem as lm
 from longmem import io
 from longmem.cli import main
+from oracles import cross_covariance_exact
 
 
 def _config_path(name: str) -> str:
@@ -216,7 +217,7 @@ class TestAnalyze:
             cov = list(csv.DictReader(fh))
         assert len(cov) == 7 * 7 * 3
         for row in cov:
-            cv = lm.cross_covariance_exact(spec, float(row["s"]), float(row["t"]),
+            cv = cross_covariance_exact(spec, float(row["s"]), float(row["t"]),
                                            int(row["h"]))
             assert row["exact"] == io.format_float(cv.value)
             assert row["exact_error_bound"] == io.format_float(cv.error_bound)
@@ -231,6 +232,40 @@ class TestAnalyze:
                 assert (row["c_quadrature"], row["note"]) == ("", str(exc))
             else:
                 assert row["c_quadrature"] == expected
+
+    def test_asymptotic_once_per_distinct_pair_and_lag(self, tmp_path, count_calls):
+        cfg = {
+            "grid": {"points": [0.125, 0.25, 0.375, 0.5, 0.625, 0.75]},
+            "memory": {"kind": "table", "values": [0.6, 1.0, 0.6, 1.5, 1.0, 0.6]},
+            "innovations": {"kind": "wiener"},
+            "tail_tol": 0.1,
+            "lags": [0, 2, 10, 100],
+        }
+        calls = count_calls(lm.analytics, "scale_integral_closed_form")
+        out = tmp_path / "asym"
+        assert main(["analyze", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        # of the 9 distinct pairs, the power law covers (0.6, d_t) only; (1, 1)
+        # takes the log form and the rest carry a RegimeError note
+        assert calls == [(0.6, d_t) for h in (2, 10, 100) for d_t in (0.6, 1.0, 1.5)]
+        spec = lm.spec_from_dict(cfg)
+        pts = spec.grid.points.tolist()
+        d, sigma = spec.memory.values, spec.innovations.sigma
+        # a note may hold a comma, so compare the text after the first 5 fields
+        lines = (out / "covariances.csv").read_text().splitlines()[1:]
+        assert len(lines) == 6 * 6 * 4
+        for line in lines:
+            s, t, h, _, _, tail = line.split(",", 5)
+            i, j, h = pts.index(float(s)), pts.index(float(t)), int(h)
+            if h < 2:
+                assert tail == ",lag too small for asymptotics"
+                continue
+            try:
+                law = lm.cross_covariance_asymptotic(float(d[i]), float(d[j]),
+                                                     float(sigma[i, j]), h)
+            except lm.RegimeError as exc:
+                assert tail == "," + str(exc)
+            else:
+                assert tail == io.format_float(law) + ","
 
 
 class TestThreads:
@@ -286,6 +321,37 @@ class TestVerifyClt:
         digests = [_manifest_without_timestamp(tmp_path / name)["outputs"]
                    for name, _ in runs]
         assert all(d == digests[0] for d in digests)
+
+    @pytest.mark.parametrize("z_star", [-1.0, float("nan")])
+    def test_bad_z_star_exits_2(self, tmp_path, capsys, z_star):
+        cfg = _write(tmp_path, dict(SMALL_LONG, z_star=z_star))
+        assert main(["verify-clt", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "z_star must be positive" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("N", 200, "normality diagnostics need N >= 500"),
+        ("n_list", [64, 128, 192, 256, 512], "horizons must be dyadic"),
+    ])
+    def test_bad_input_rejected_before_monte_carlo(self, tmp_path, capsys, monkeypatch,
+                                                   key, value, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Monte Carlo run started")
+
+        monkeypatch.setattr("longmem.cli.run_clt_experiment", refuse)
+        cfg = _write(tmp_path, dict(SMALL_LONG, **{key: value}))
+        assert main(["verify-clt", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_zero_variance_point_exits_2(self, tmp_path, capsys):
+        # sigma(0, 0) = 0 for Wiener innovations: S_n(0) is identically 0
+        cfg = _write(tmp_path, dict(SMALL_LONG, grid={"linspace": [0, 1, 5]},
+                                    memory={"kind": "constant", "values": 0.75}))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["verify-clt", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "zero innovation variance at t=0:" in err
 
     @pytest.mark.parametrize("law", ["gaussian", "pareto"])
     def test_manifest_records_window_and_draws(self, tmp_path, law):

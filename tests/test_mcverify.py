@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import longmem as lm
-from longmem.analytics import partial_sum_covariance_lagsum
 from longmem.mcverify import _past_factor, _replication_sampler
 from longmem.simulate import _standard_block, innovation_block
+from oracles import partial_sum_covariance_lagsum
 
 BOUNDARY = {
     "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
@@ -72,6 +72,13 @@ class TestRunCltExperiment:
     def test_rejects_fewer_than_one_shard(self, boundary_spec, shards):
         with pytest.raises(ValueError, match="shards must be at least 1"):
             lm.run_clt_experiment(boundary_spec, 64, 200, seed=1, shards=shards)
+
+    def test_zero_variance_point_refused(self):
+        spec = lm.spec_from_dict(dict(WIENER_07, grid={"points": [0.0, 0.5, 1.0]}))
+        with pytest.raises(lm.ValidationError, match="variance at t=0: "):
+            lm.run_clt_experiment(spec, 16, 200, seed=1)
+        with pytest.raises(lm.ValidationError, match="variance at t=0: "):
+            lm.fit_variance_exponent(spec, [2 ** k for k in range(4, 9)])
 
     def test_pool_capped_at_core_count(self, monkeypatch):
         # the pool size is computed, never tried out with many threads

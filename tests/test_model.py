@@ -121,7 +121,7 @@ class TestValidate:
         })
         first = lm.validate(spec)
         lm.cross_covariance_matrix(spec, 0)
-        lm.cross_covariance_exact(spec, 0.25, 0.5, 1)
+        lm.l2_membership(spec)
         lm.limit_kernel(spec)
         assert lm.validate(spec) is first
         assert calls == [spec]

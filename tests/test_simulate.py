@@ -4,6 +4,7 @@ import pytest
 import longmem as lm
 from longmem.model import tail_variance_bound
 from longmem.simulate import innovation_block
+from oracles import cross_covariance_exact
 
 
 def _rel_vec(a, b):
@@ -115,9 +116,9 @@ class TestGeneratePaths:
                 acc[h] += x_s[0] * x_t[h]
         for h in lags:
             emp = acc[h] / reps
-            exact = lm.cross_covariance_exact(spec, 0.5, 1.0, h).value
+            exact = cross_covariance_exact(spec, 0.5, 1.0, h).value
             # 4 MC standard errors with a rough variance proxy
-            se = 4 * np.sqrt(2.0) * abs(lm.cross_covariance_exact(
+            se = 4 * np.sqrt(2.0) * abs(cross_covariance_exact(
                 spec, 0.5, 0.5, 0).value) / np.sqrt(reps)
             assert abs(emp - exact) < se
 
