@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 FLOAT_FMT = "%.17g"
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def format_float(x: float) -> str:
@@ -26,12 +28,19 @@ def write_matrix_csv(path: Path, matrix: np.ndarray, labels, corner: str = "s\\t
 
 
 def write_table_csv(path: Path, header, rows) -> None:
-    """Generic table: header list plus iterable of row tuples."""
+    """Generic table: header list plus iterable of row tuples.
+
+    Python floats are written with FLOAT_FMT and other fields with ``str``;
+    a text field holding a comma, a quote or a line break is quoted as in
+    RFC 4180, so every row has the header's width.
+    """
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_float(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            fh.write(",".join([FLOAT_FMT % v if type(v) is float
+                               else '"' + v.replace('"', '""') + '"'
+                               if type(v) is str and _NEEDS_QUOTES.search(v)
+                               else str(v) for v in row]) + "\n")
 
 
 def write_paths_csv(path: Path, values: np.ndarray, points) -> None:

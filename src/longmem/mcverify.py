@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .model import ProcessSpec, ValidationError, _factor_psd
 from .analytics import (
@@ -23,11 +24,12 @@ from .analytics import (
     partial_sum_covariance_series,
     partial_sum_weights,
 )
-from .simulate import _standard_block, partial_sums_via_z
+from .simulate import _seek, _standardized_draws, _words_per_index, partial_sums_via_z
 
 DEFAULT_Z_STAR = 4.0
 BATCH_COUNT = 50  # batch-means shards for non-Gaussian standard errors
 MIN_NORMALITY_N = 500  # replications the normality bands are stated for
+REPLICATION_BLOCK = 16  # Gaussian replications drawn and contracted together
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,37 +67,50 @@ def _past_factor(model, table) -> np.ndarray:
 
 
 def _replication_sampler(spec: ProcessSpec, table, seed: int):
-    """``(rep -> S_n, rows)``: the partial-sum vector of one replication and
-    the innovation rows it draws.
+    """``((rep_start, count) -> (count, q) S_n, rows)``: the partial-sum
+    vectors of replications rep_start .. rep_start+count-1, and the
+    innovation rows one replication draws.
 
     Under the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
     N(0, sigma o Z_past Z_past^T), so a replication draws the standardized
     block at indices 0..n: rows 1..n times ``factor.T`` are eps_1..eps_n of
     ``innovation_block``, and row 0 drives the past through the factor of
-    that covariance.  Any other law keeps the full pathwise window.
+    that covariance.  Replications are drawn REPLICATION_BLOCK at a time from
+    one Philox generator per call, reset to each replication's counter, and
+    transformed and contracted as one block; each replication's arithmetic
+    is the same whatever its block.  Any other law keeps the full pathwise
+    window, one replication at a time.
     """
     model = spec.innovations
-    n, M = table.n, table.window
+    n, M, q = table.n, table.window, model.q
     if model.law != "gaussian":
-        return (lambda rep: partial_sums_via_z(spec, n, seed, rep=rep, table=table),
-                n + M)
+        def pathwise(rep_start: int, count: int) -> np.ndarray:
+            return np.array([partial_sums_via_z(spec, n, seed, rep=r, table=table)
+                             for r in range(rep_start, rep_start + count)])
+        return pathwise, n + M
     past_factor = _past_factor(model, table)
+    factor_t = model.factor.T
     z_in = np.ascontiguousarray(table.z[:, M:])
+    W = _words_per_index(q)
 
-    def sample(rep: int) -> np.ndarray:
-        g = _standard_block(model, seed, start=0, count=n + 1, rep=rep)
-        eps = g[1:] @ model.factor.T
-        return np.einsum("im,mi->i", z_in, eps) + past_factor @ g[0]
+    def sample(rep_start: int, count: int) -> np.ndarray:
+        gen = np.random.Generator(np.random.Philox(int(seed)))
+        u = np.empty((min(count, REPLICATION_BLOCK), n + 1, W))
+        out = np.empty((count, q))
+        for lo in range(0, count, REPLICATION_BLOCK):
+            k = min(REPLICATION_BLOCK, count - lo)
+            for r in range(k):
+                _seek(gen, seed, rep_start + lo + r, 0, W)
+                gen.random(out=u[r])
+            g = _standardized_draws(u[:k, :, :q], model.law, model.pareto_alpha)
+            eps = g[:, 1:] @ factor_t
+            # a stack of matrix-vector products, as per replication: a
+            # matrix-matrix product would sum the past term in another order
+            past = (past_factor @ g[:, 0, :, None])[:, :, 0]
+            out[lo:lo + k] = np.einsum("im,rmi->ri", z_in, eps) + past
+        return out
 
     return sample, n + 1
-
-
-def _shard_samples(sample, b, rep_start, rep_count):
-    """Normalized samples of replications rep_start .. rep_start+rep_count-1."""
-    out = np.empty((rep_count, b.shape[0]))
-    for r in range(rep_count):
-        out[r] = sample(rep_start + r) / b
-    return out
 
 
 def _require_nondegenerate(spec: ProcessSpec) -> None:
@@ -142,14 +157,14 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     sample, rows = _replication_sampler(spec, table, seed)
     shards = min(int(shards), N)
     bounds = [(N * s) // shards for s in range(shards + 1)]
-    jobs = [(bounds[s], bounds[s + 1] - bounds[s]) for s in range(shards)]
     if shards == 1:
-        samples = _shard_samples(sample, b, 0, N)
+        sums = sample(0, N)
     else:
         with ThreadPoolExecutor(max_workers=_pool_size(shards)) as pool:
-            futures = [pool.submit(_shard_samples, sample, b, lo, cnt)
-                       for lo, cnt in jobs]
-            samples = np.concatenate([f.result() for f in futures], axis=0)
+            futures = [pool.submit(sample, bounds[s], bounds[s + 1] - bounds[s])
+                       for s in range(shards)]
+            sums = np.concatenate([f.result() for f in futures], axis=0)
+    samples = sums / b
     empirical = samples.T @ samples / N
 
     if spec.innovations.law == "gaussian":
@@ -201,21 +216,35 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     Bands are Monte Carlo: +-skew_z sqrt(6/N) and +-kurt_z sqrt(24/N).
     The KS distance is taken against the zero-mean normal with the exact
     finite-n variance when ``variances`` is given, else the sample variance.
+    The statistics follow the arithmetic of ``scipy.stats.skew``,
+    ``kurtosis`` and ``kstest`` (biased moments; NaN where the second moment
+    vanishes against the mean), which the tests hold them to bit for bit.
     """
-    from scipy import stats   # deferred: costs about half of ``import longmem``
-
     samples = np.asarray(samples, dtype=float)
-    N, q = samples.shape
+    N, _ = samples.shape
     if N < MIN_NORMALITY_N:
         raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
     if variances is None:
         variances = samples.var(axis=0, ddof=1)
     variances = np.asarray(variances, dtype=float)
-    skew = stats.skew(samples, axis=0)
-    kurt = stats.kurtosis(samples, axis=0)
-    ks = np.array([stats.kstest(samples[:, i], "norm",
-                                args=(0.0, math.sqrt(variances[i]))).statistic
-                   for i in range(q)])
+
+    mean = samples.mean(axis=0, keepdims=True)
+    dev = samples - mean
+    s2 = dev ** 2
+    m2 = s2.mean(axis=0)
+    m3 = (s2 * dev).mean(axis=0)
+    m4 = (s2 ** 2).mean(axis=0)
+    with np.errstate(all="ignore"):
+        zero = m2 <= (np.finfo(float).eps * mean[0]) ** 2
+        skew = np.where(zero, np.nan, m3 / m2 ** 1.5)
+        kurt = np.where(zero, np.nan, m4 / m2 ** 2.0) - 3
+
+        # KS distance: the largest gap between the empirical CDF and F
+        scale = np.sqrt(variances)
+        cdf = np.where(scale > 0, ndtr(np.sort(samples, axis=0) / scale), np.nan)
+    upper = (np.arange(1.0, N + 1) / N)[:, None] - cdf
+    lower = cdf - (np.arange(0.0, N) / N)[:, None]
+    ks = np.maximum(upper.max(axis=0), lower.max(axis=0))
     return NormalityReport(n_samples=int(N), skewness=skew, excess_kurtosis=kurt,
                            ks_distance=ks,
                            skew_band=skew_z * math.sqrt(6.0 / N),

@@ -22,6 +22,7 @@ from .analytics import CoefficientTable, partial_sum_weights
 ORIGIN = 1 << 40
 
 _U_HALF_ULP = 2.0 ** -54  # centers uniform draws away from 0
+_WORD = (1 << 64) - 1
 
 
 def _words_per_index(q: int) -> int:
@@ -30,20 +31,36 @@ def _words_per_index(q: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _philox_key(seed: int) -> np.ndarray:
-    """Philox key of a master seed, hashed once: a Monte Carlo run draws one
-    block per replication under the same seed."""
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return key
+def _philox_key(seed: int) -> tuple:
+    """Philox key words of a master seed, hashed once: a Monte Carlo run
+    seeks one generator per replication under the same seed."""
+    return tuple(int(w) for w in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+
+def _seek(gen: np.random.Generator, seed: int, rep: int, start: int, W: int) -> None:
+    """Point ``gen`` (Philox) at time index ``start`` of replication ``rep``.
+
+    The one map from (seed, rep, index) to generator state: the key hashes
+    the seed, the counter's high words hold the replication, and each time
+    index owns W/4 consecutive 4-word counter blocks.  Philox is counter
+    based, so resetting its state is the same stream as a new generator.
+    """
+    counter = (int(rep) << 128) + (int(start) + ORIGIN) * (W // 4)
+    if not 0 <= counter < 1 << 256:
+        raise ValueError(f"replication {rep}, index {start}: counter must be "
+                         f"positive and less than 2**256")
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(counter >> s) & _WORD for s in (0, 64, 128, 192)],
+                  "key": _philox_key(int(seed))},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _uniform_block(seed: int, rep: int, start: int, count: int, q: int) -> np.ndarray:
     """(count, q) uniforms on [0, 1), one fixed counter block per time index."""
     W = _words_per_index(q)
-    key = _philox_key(int(seed))
-    counter = (int(rep) << 128) + (int(start) + ORIGIN) * (W // 4)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    gen = np.random.Generator(np.random.Philox(int(seed)))
+    _seek(gen, seed, rep, start, W)
     return gen.random((count, W))[:, :q]
 
 

@@ -250,22 +250,33 @@ class TestAnalyze:
         spec = lm.spec_from_dict(cfg)
         pts = spec.grid.points.tolist()
         d, sigma = spec.memory.values, spec.innovations.sigma
-        # a note may hold a comma, so compare the text after the first 5 fields
-        lines = (out / "covariances.csv").read_text().splitlines()[1:]
-        assert len(lines) == 6 * 6 * 4
-        for line in lines:
-            s, t, h, _, _, tail = line.split(",", 5)
+        with (out / "covariances.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 6 * 6 * 4
+        for s, t, h, _, _, asym, note in rows:
             i, j, h = pts.index(float(s)), pts.index(float(t)), int(h)
             if h < 2:
-                assert tail == ",lag too small for asymptotics"
+                assert (asym, note) == ("", "lag too small for asymptotics")
                 continue
             try:
                 law = lm.cross_covariance_asymptotic(float(d[i]), float(d[j]),
                                                      float(sigma[i, j]), h)
             except lm.RegimeError as exc:
-                assert tail == "," + str(exc)
+                assert (asym, note) == ("", str(exc))
             else:
-                assert tail == io.format_float(law) + ","
+                assert (asym, note) == (io.format_float(law), "")
+
+    def test_note_with_comma_keeps_the_header_width(self, tmp_path):
+        # fig1a pairs d = 2 with d = 0.6, whose note reads "(d_s=2, d_t=0.6)"
+        out = tmp_path / "fig1a"
+        assert main(["analyze", "--config", _config_path("fig1a.json"),
+                     "--out", str(out)]) == 0
+        with (out / "covariances.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 61 * 61 * 4
+        assert {len(row) for row in rows} == {len(header)}
+        notes = {row[-1] for row in rows}
+        assert "asymptotic law not stated in this regime (d_s=2, d_t=0.6)" in notes
 
 
 class TestThreads:
@@ -367,11 +378,31 @@ class TestVerifyClt:
         assert m["innovations_drawn"] == cfg["N"] * rows
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half of the import; only verify-clt needs it
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats costs about half of the import, and no command needs it:
+    # the normality statistics are computed with numpy and scipy.special
     src = str(Path(lm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, longmem.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=120).returncode == 0
+    code = ("import sys, longmem.cli\n"
+            "after_import = 'scipy.stats' in sys.modules\n"
+            "status = longmem.cli.main(sys.argv[1:])\n"
+            "print(after_import, 'scipy.stats' in sys.modules, status)\n")
+    cfg = _write(tmp_path, dict(SMALL_LONG, N=500))
+    run = subprocess.run([sys.executable, "-c", code, "verify-clt", "--config", cfg,
+                          "--out", str(tmp_path / "v")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    after_import, after_run, status = run.stdout.split()
+    assert (after_import, after_run) == ("False", "False")
+    assert status in ("0", "1")   # the whole run, verdicts either way
+    assert (tmp_path / "v" / "normality.csv").exists()
+
+
+def test_table_csv_quotes_only_text_that_needs_it(tmp_path):
+    rows = [(0.1, 3, True, "", "plain"), (2.0, -1, False, 'say "so", then', "a\nb")]
+    io.write_table_csv(tmp_path / "t.csv", ["x", "h", "ok", "note", "more"], rows)
+    text = (tmp_path / "t.csv").read_text()
+    assert text.startswith("x,h,ok,note,more\n0.10000000000000001,3,True,,plain\n")
+    with (tmp_path / "t.csv").open(newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [[io.format_float(r[0]), *map(str, r[1:])]
+                                            for r in rows]

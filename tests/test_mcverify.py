@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 import longmem as lm
-from longmem.mcverify import _past_factor, _replication_sampler
+from longmem.mcverify import REPLICATION_BLOCK, _past_factor, _replication_sampler
 from longmem.simulate import _standard_block, innovation_block
 from oracles import partial_sum_covariance_lagsum
 
@@ -97,6 +100,15 @@ def _lagsum_target(spec, n):
     return cov / np.outer(b, b)
 
 
+def _assembled(spec, table, seed, rep):
+    """S_n of one Gaussian replication, drawn and contracted on its own."""
+    model = spec.innovations
+    g = _standard_block(model, seed, start=0, count=table.n + 1, rep=rep)
+    eps = g[1:] @ model.factor.T
+    return np.einsum("im,mi->i", table.z[:, table.window:], eps) \
+        + _past_factor(model, table) @ g[0]
+
+
 class TestReplicationSampler:
     @pytest.mark.parametrize("cfg, n", [(BOUNDARY, 512), (WIENER_07, 64)])
     def test_gaussian_rows_are_the_innovation_block(self, cfg, n):
@@ -105,15 +117,25 @@ class TestReplicationSampler:
         table = lm.partial_sum_weights(spec, n)
         sample, rows = _replication_sampler(spec, table, seed=71)
         assert rows == n + 1
-        past = _past_factor(model, table)
+        sums = sample(0, 600)
         for rep in (0, 3, 599):
             g = _standard_block(model, 71, start=0, count=n + 1, rep=rep)
             eps = innovation_block(model, 71, start=1, count=n, rep=rep)
             assert np.array_equal(g[1:] @ model.factor.T, eps)
-            expected = np.einsum("im,mi->i", table.z[:, table.window:], eps) \
-                + past @ g[0]
-            assert np.max(np.abs(sample(rep) - expected)) \
-                <= 1e-13 * np.max(np.abs(expected))
+            assert np.array_equal(sums[rep], _assembled(spec, table, 71, rep))
+
+    def test_blocks_and_shards_change_no_bit(self):
+        # 1,000 replications end inside a block, and 2 or 3 shards cut
+        # through blocks; every replication equals its explicit assembly
+        spec = lm.spec_from_dict(WIENER_07)
+        n, N = 64, 1000
+        assert N % REPLICATION_BLOCK != 0 and (N // 3) % REPLICATION_BLOCK != 0
+        table = lm.partial_sum_weights(spec, n)
+        b = lm.normalization_plan(spec, n).b
+        expected = np.array([_assembled(spec, table, 9, rep) for rep in range(N)]) / b
+        for shards in (1, 2, 3):
+            report = lm.run_clt_experiment(spec, n, N, seed=9, shards=shards)
+            assert np.array_equal(report.samples, expected)
 
     @pytest.mark.parametrize("cfg, n", [(BOUNDARY, 512), (WIENER_07, 64)])
     def test_past_factor_reproduces_past_covariance(self, cfg, n):
@@ -176,6 +198,41 @@ class TestNormalityDiagnostics:
         x = rng.exponential(size=(5000, 2)) - 1.0
         rep = lm.normality_diagnostics(x)
         assert not rep.passed
+
+    @pytest.mark.parametrize("law", ["gaussian", "pareto", "exponential"])
+    @pytest.mark.parametrize("given_variances", [False, True])
+    def test_statistics_equal_scipy_stats(self, law, given_variances):
+        rng = np.random.default_rng(8)
+        shape = (2000, 3)
+        x = {"gaussian": lambda: rng.standard_normal(shape) * [0.5, 1.0, 3.0],
+             "pareto": lambda: rng.pareto(4.5, shape) * rng.choice([-1.0, 1.0], shape),
+             "exponential": lambda: rng.exponential(size=shape) - 0.8}[law]()
+        variances = rng.uniform(0.5, 2.0, 3) if given_variances else None
+        self._assert_equals_scipy(x, variances)
+
+    @pytest.mark.parametrize("given_variances", [False, True])
+    def test_constant_column_as_scipy_stats(self, given_variances):
+        x = np.random.default_rng(9).standard_normal((700, 3))
+        x[:, 1] = 2.5
+        variances = np.ones(3) if given_variances else None
+        rep = self._assert_equals_scipy(x, variances)
+        assert np.isnan(rep.skewness[1]) and np.isnan(rep.excess_kurtosis[1])
+        assert np.isnan(rep.ks_distance[1]) != given_variances
+
+    @staticmethod
+    def _assert_equals_scipy(x, variances):
+        rep = lm.normality_diagnostics(x, variances=variances)
+        sd = np.sqrt(x.var(axis=0, ddof=1) if variances is None else variances)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # scipy warns on a constant column
+            skew = stats.skew(x, axis=0)
+            kurt = stats.kurtosis(x, axis=0)
+            ks = [stats.kstest(x[:, i], "norm", args=(0.0, sd[i])).statistic
+                  for i in range(x.shape[1])]
+        assert np.array_equal(rep.skewness, skew, equal_nan=True)
+        assert np.array_equal(rep.excess_kurtosis, kurt, equal_nan=True)
+        assert np.array_equal(rep.ks_distance, ks, equal_nan=True)
+        return rep
 
     def test_needs_500(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 import longmem as lm
 from longmem.model import tail_variance_bound
-from longmem.simulate import innovation_block
+from longmem.simulate import ORIGIN, _philox_key, _seek, _uniform_block, innovation_block
 from oracles import cross_covariance_exact
 
 
@@ -29,6 +29,28 @@ class TestInnovations:
         big = innovation_block(model, seed=4, start=-100, count=150)
         small = innovation_block(model, seed=4, start=0, count=50)
         assert np.array_equal(big[100:], small)
+
+    @pytest.mark.parametrize("rep", [0, 1, 2 ** 64 + 3])
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_seek_reproduces_a_fresh_generator(self, rep, q):
+        # the counter a new Philox generator starts from, word by word; rep
+        # 2^64 + 3 sets both high words of the counter
+        W = 4 * ((q + 3) // 4)
+        key = np.array(_philox_key(7), dtype=np.uint64)
+        reused = np.random.Generator(np.random.Philox(1))
+        reused.integers(0, 2 ** 32, size=3, dtype=np.uint32)   # leave a half-used word
+        for start in (-5, 0, 17):
+            counter = (rep << 128) + (start + ORIGIN) * (W // 4)
+            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            expected = fresh.random((9, W))
+            assert np.array_equal(_uniform_block(7, rep, start, 9, q), expected[:, :q])
+            _seek(reused, 7, rep, start, W)
+            assert np.array_equal(reused.random((9, W)), expected)
+
+    def test_seek_refuses_a_negative_replication(self):
+        gen = np.random.Generator(np.random.Philox(1))
+        with pytest.raises(ValueError, match="counter must be positive"):
+            _seek(gen, 7, -1, 0, 4)
 
     def test_replication_index_splits_stream(self, long_spec):
         a = innovation_block(long_spec.innovations, seed=4, start=1, count=20, rep=0)
