@@ -34,8 +34,8 @@ from .analytics import (
     scale_integral_closed_form,
 )
 from .simulate import generate_paths
-from .mcverify import (MIN_NORMALITY_N, fit_variance_exponent, normality_diagnostics,
-                       run_clt_experiment)
+from .mcverify import (DEFAULT_Z_STAR, MIN_NORMALITY_N, fit_variance_exponent,
+                       normality_diagnostics, run_clt_experiment)
 from . import io
 
 ENV_PREFIX = "LONGMEM_"
@@ -91,9 +91,10 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
 
 def cmd_simulate(args) -> int:
     cfg, spec, seed, out, _ = _load(args)
-    n = int(cfg.get("horizon", spec.horizon))
-    ensemble = generate_paths(spec, n, seed)
-    io.write_paths_csv(out / "paths.csv", ensemble.values, spec.grid.points)
+    ensemble = generate_paths(spec, spec.horizon, seed)
+    steps = enumerate(ensemble.values.tolist(), start=1)
+    io.write_table_csv(out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
+                       ([k, *row] for k, row in steps))
     _manifest(out, "simulate", cfg, seed, ["paths.csv"],
               extra={"window": ensemble.window, "spec_hash": ensemble.spec_hash})
     return 0
@@ -151,7 +152,7 @@ def cmd_analyze(args) -> int:
             for h, (values, bounds, asym, notes) in zip(lags, covs):
                 note = notes[idx[i]][idx[j]]
                 cov_rows.append((s, t, h, float(values[i, j]), float(bounds[i, j]),
-                                 "" if note else io.format_float(asym[i, j]), note))
+                                 "" if note else float(asym[i, j]), note))
 
     io.write_table_csv(out / "c_matrix.csv",
                        ["s", "t", "c_quadrature", "c_closed_form",
@@ -173,9 +174,9 @@ def cmd_analyze(args) -> int:
 def cmd_verify_clt(args) -> int:
     cfg, spec, seed, out, threads = _load(args)
     n = int(cfg.get("n", spec.horizon))
-    N = int(cfg.get("N", 500))
+    N = int(cfg.get("N", MIN_NORMALITY_N))
     n_list = cfg.get("n_list", [256, 512, 1024, 2048, 4096])
-    z_star = float(cfg.get("z_star", 4.0))
+    z_star = float(cfg.get("z_star", DEFAULT_Z_STAR))
 
     # everything that can reject the input runs before the Monte Carlo run
     fit = fit_variance_exponent(spec, n_list)
@@ -186,12 +187,15 @@ def cmd_verify_clt(args) -> int:
                                  variances=np.diag(report.finite_n_exact))
 
     pts = spec.grid.points
-    io.write_matrix_csv(out / "covariance_empirical.csv", report.empirical, pts)
-    io.write_matrix_csv(out / "covariance_finite_exact.csv", report.finite_n_exact, pts)
-    io.write_matrix_csv(out / "covariance_limit.csv", report.limit.K, pts)
-    io.write_matrix_csv(out / "covariance_se.csv", report.se, pts)
-    io.write_matrix_csv(out / "verdicts.csv", report.verdicts.astype(float), pts)
-    io.write_matrix_csv(out / "gap_relative.csv", report.gap_rel, pts)
+    for name, matrix in (("covariance_empirical", report.empirical),
+                         ("covariance_finite_exact", report.finite_n_exact),
+                         ("covariance_limit", report.limit.K),
+                         ("covariance_se", report.se),
+                         ("verdicts", report.verdicts.astype(float)),
+                         ("gap_relative", report.gap_rel)):
+        # labelled on both axes by the grid points
+        io.write_table_csv(out / f"{name}.csv", ["s\\t", *map(io.format_float, pts)],
+                           ([s, *row] for s, row in zip(pts.tolist(), matrix.tolist())))
     io.write_table_csv(out / "normality.csv",
                        ["t", "skewness", "excess_kurtosis", "ks_distance",
                         "skew_ok", "kurt_ok"],

@@ -7,24 +7,12 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
-
 FLOAT_FMT = "%.17g"
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def format_float(x: float) -> str:
     return FLOAT_FMT % float(x)
-
-
-def write_matrix_csv(path: Path, matrix: np.ndarray, labels, corner: str = "s\\t") -> None:
-    """Square matrix with grid-point labels on both axes."""
-    matrix = np.atleast_2d(matrix)
-    labels = [format_float(x) for x in labels]
-    with Path(path).open("w", newline="") as fh:
-        fh.write(corner + "," + ",".join(labels) + "\n")
-        for lab, row in zip(labels, matrix):
-            fh.write(lab + "," + ",".join(format_float(v) for v in row) + "\n")
 
 
 def write_table_csv(path: Path, header, rows) -> None:
@@ -41,14 +29,6 @@ def write_table_csv(path: Path, header, rows) -> None:
                                else '"' + v.replace('"', '""') + '"'
                                if type(v) is str and _NEEDS_QUOTES.search(v)
                                else str(v) for v in row]) + "\n")
-
-
-def write_paths_csv(path: Path, values: np.ndarray, points) -> None:
-    """Paths as `k, t_1..t_q` with one row per time step."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write("k," + ",".join(format_float(t) for t in points) + "\n")
-        for k, row in enumerate(np.atleast_2d(values), start=1):
-            fh.write(str(k) + "," + ",".join(format_float(v) for v in row) + "\n")
 
 
 def sha256_file(path: Path) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .model import ProcessSpec, ValidationError, _factor_psd
+from .model import ProcessSpec, ValidationError
 from .analytics import (
     LimitKernel,
     limit_kernel,
@@ -24,12 +24,11 @@ from .analytics import (
     partial_sum_covariance_series,
     partial_sum_weights,
 )
-from .simulate import _seek, _standardized_draws, _words_per_index, partial_sums_via_z
+from .simulate import _replication_sampler
 
 DEFAULT_Z_STAR = 4.0
 BATCH_COUNT = 50  # batch-means shards for non-Gaussian standard errors
 MIN_NORMALITY_N = 500  # replications the normality bands are stated for
-REPLICATION_BLOCK = 16  # Gaussian replications drawn and contracted together
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,60 +56,6 @@ class CovarianceReport:
     @property
     def max_gap(self) -> float:
         return float(np.max(self.gap_rel))
-
-
-def _past_factor(model, table) -> np.ndarray:
-    """L with L L^T = sigma o Z_past Z_past^T, the covariance of the past
-    term sum_{m<=0} z_{n,m} eps_m of the truncated partial sum."""
-    z_past = table.z[:, :table.window]
-    return _factor_psd(model.sigma * (z_past @ z_past.T))
-
-
-def _replication_sampler(spec: ProcessSpec, table, seed: int):
-    """``((rep_start, count) -> (count, q) S_n, rows)``: the partial-sum
-    vectors of replications rep_start .. rep_start+count-1, and the
-    innovation rows one replication draws.
-
-    Under the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
-    N(0, sigma o Z_past Z_past^T), so a replication draws the standardized
-    block at indices 0..n: rows 1..n times ``factor.T`` are eps_1..eps_n of
-    ``innovation_block``, and row 0 drives the past through the factor of
-    that covariance.  Replications are drawn REPLICATION_BLOCK at a time from
-    one Philox generator per call, reset to each replication's counter, and
-    transformed and contracted as one block; each replication's arithmetic
-    is the same whatever its block.  Any other law keeps the full pathwise
-    window, one replication at a time.
-    """
-    model = spec.innovations
-    n, M, q = table.n, table.window, model.q
-    if model.law != "gaussian":
-        def pathwise(rep_start: int, count: int) -> np.ndarray:
-            return np.array([partial_sums_via_z(spec, n, seed, rep=r, table=table)
-                             for r in range(rep_start, rep_start + count)])
-        return pathwise, n + M
-    past_factor = _past_factor(model, table)
-    factor_t = model.factor.T
-    z_in = np.ascontiguousarray(table.z[:, M:])
-    W = _words_per_index(q)
-
-    def sample(rep_start: int, count: int) -> np.ndarray:
-        gen = np.random.Generator(np.random.Philox(int(seed)))
-        u = np.empty((min(count, REPLICATION_BLOCK), n + 1, W))
-        out = np.empty((count, q))
-        for lo in range(0, count, REPLICATION_BLOCK):
-            k = min(REPLICATION_BLOCK, count - lo)
-            for r in range(k):
-                _seek(gen, seed, rep_start + lo + r, 0, W)
-                gen.random(out=u[r])
-            g = _standardized_draws(u[:k, :, :q], model.law, model.pareto_alpha)
-            eps = g[:, 1:] @ factor_t
-            # a stack of matrix-vector products, as per replication: a
-            # matrix-matrix product would sum the past term in another order
-            past = (past_factor @ g[:, 0, :, None])[:, :, 0]
-            out[lo:lo + k] = np.einsum("im,rmi->ri", z_in, eps) + past
-        return out
-
-    return sample, n + 1
 
 
 def _require_nondegenerate(spec: ProcessSpec) -> None:

@@ -2,8 +2,10 @@
 
 Innovations are addressed by (seed, replication, time index) through a
 counter-based generator, so any consumer — the direct path filter, the
-coefficient-table partial sum, or a sharded Monte Carlo worker — sees the
-identical draw for a given index regardless of evaluation order.
+coefficient-table partial sum, or a shard of the Monte Carlo replication
+sampler — sees the identical draw for a given index regardless of
+evaluation order.  This module is the one map from (seed, replication) to
+a partial sum S_n.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import InnovationModel, ProcessSpec, ValidationError, tail_variance_bound
+from .model import (InnovationModel, ProcessSpec, ValidationError, _factor_psd,
+                    tail_variance_bound)
 from .analytics import CoefficientTable, partial_sum_weights
 
 # time indices are shifted by ORIGIN inside the counter so that past
@@ -23,6 +26,7 @@ ORIGIN = 1 << 40
 
 _U_HALF_ULP = 2.0 ** -54  # centers uniform draws away from 0
 _WORD = (1 << 64) - 1
+REPLICATION_BLOCK = 16  # Gaussian replications (n + 1 rows each) sampled together
 
 
 def _words_per_index(q: int) -> int:
@@ -56,14 +60,6 @@ def _seek(gen: np.random.Generator, seed: int, rep: int, start: int, W: int) -> 
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _uniform_block(seed: int, rep: int, start: int, count: int, q: int) -> np.ndarray:
-    """(count, q) uniforms on [0, 1), one fixed counter block per time index."""
-    W = _words_per_index(q)
-    gen = np.random.Generator(np.random.Philox(int(seed)))
-    _seek(gen, seed, rep, start, W)
-    return gen.random((count, W))[:, :q]
-
-
 def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndarray:
     """Map uniforms to i.i.d. mean-zero unit-variance draws of the given law."""
     if law == "gaussian":
@@ -75,20 +71,36 @@ def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndar
     return np.sign(v) * mag * scale
 
 
-def _standard_block(model: InnovationModel, seed: int, start: int, count: int,
-                    rep: int = 0) -> np.ndarray:
-    """Standardized draws g_m for m = start .. start+count-1, as (count, q).
+def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
+                    count: int, block: int):
+    """Yield the standardized draws g_m, m = start .. start+count-1, of the
+    replications in ``reps``, as (k, count, q) arrays of ``block``
+    replications (fewer in the last).
 
-    Entries are i.i.d. mean zero, unit variance, of the model's law;
-    ``innovation_block`` is this block times ``model.factor.T``.
+    Entries are i.i.d. mean zero, unit variance, of the model's law; one
+    Philox generator and one uniform buffer serve the whole call, reset to
+    each replication's counter, so a replication's draws do not depend on
+    the block it falls in.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    W = _words_per_index(model.q)
+    gen = np.random.Generator(np.random.Philox(int(seed)))
+    u = np.empty((min(block, len(reps)), count, W))
+    for lo in range(0, len(reps), block):
+        k = min(block, len(reps) - lo)
+        for r in range(k):
+            _seek(gen, seed, reps[lo + r], start, W)
+            gen.random(out=u[r])
+        yield _standardized_draws(u[:k, :, :model.q], model.law, model.pareto_alpha)
+
+
+def _factor_t(model: InnovationModel) -> np.ndarray:
+    """``model.factor.T``, or ValidationError when sigma has no factor."""
     if model.factor is None:
         raise ValidationError("innovation covariance could not be factorized "
                               "even with jitter; cannot sample")
-    u = _uniform_block(seed, rep, start, count, model.q)
-    return _standardized_draws(u, model.law, model.pareto_alpha)
+    return model.factor.T
 
 
 def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
@@ -98,7 +110,62 @@ def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
     Deterministic in (seed, rep, m): overlapping blocks agree entry for
     entry, which is what makes the two partial-sum routes comparable.
     """
-    return _standard_block(model, seed, start, count, rep) @ model.factor.T
+    factor_t = _factor_t(model)
+    g, = _standard_draws(model, seed, range(rep, rep + 1), start, count, 1)
+    return g[0] @ factor_t
+
+
+def _past_factor(model: InnovationModel, table: CoefficientTable) -> np.ndarray:
+    """L with L L^T = sigma o Z_past Z_past^T, the covariance of the past
+    term sum_{m<=0} z_{n,m} eps_m of the truncated partial sum."""
+    z_past = table.z[:, :table.window]
+    return _factor_psd(model.sigma * (z_past @ z_past.T))
+
+
+def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int,
+                         pathwise: bool = False):
+    """``((rep_start, count) -> (count, q) S_n, rows)``: the partial sums of
+    replications rep_start .. rep_start+count-1, and the innovation rows one
+    replication draws.
+
+    The pathwise route (``pathwise``, or any non-Gaussian law) draws the
+    window's indices 1-M..n and contracts them with the whole table.  Under
+    the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
+    N(0, sigma o Z_past Z_past^T), so a replication draws indices 0..n only:
+    rows 1..n times ``factor.T`` are eps_1..eps_n of ``innovation_block``
+    and meet ``z[:, M:]``, and row 0 drives the past through
+    ``_past_factor``.  Replications are drawn, transformed and contracted in
+    blocks that hold no more rows than REPLICATION_BLOCK Gaussian
+    replications, or than one replication; each replication's arithmetic is
+    the same whatever its block.
+    """
+    model = spec.innovations
+    n, M = table.n, table.window
+    factor_t = _factor_t(model)
+    if pathwise or model.law != "gaussian":
+        start, z, past_factor = 1 - M, table.z, None
+    else:
+        start, z = 0, np.ascontiguousarray(table.z[:, M:])
+        past_factor = _past_factor(model, table)
+    rows = n + 1 - start
+    block = max(1, REPLICATION_BLOCK * (n + 1) // rows)
+
+    def sample(rep_start: int, count: int) -> np.ndarray:
+        out = np.empty((count, model.q))
+        draws = _standard_draws(model, seed, range(rep_start, rep_start + count),
+                                start, rows, block)
+        for lo, g in zip(range(0, count, block), draws):
+            if past_factor is None:
+                sums = np.einsum("im,rmi->ri", z, g @ factor_t)
+            else:
+                # a stack of matrix-vector products, as per replication: a
+                # matrix-matrix product would sum the past term in another order
+                past = (past_factor @ g[:, 0, :, None])[:, :, 0]
+                sums = np.einsum("im,rmi->ri", z, g[:, 1:] @ factor_t) + past
+            out[lo:lo + len(g)] = sums
+        return out
+
+    return sample, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +210,7 @@ def partial_sums_direct(ensemble: PathEnsemble) -> np.ndarray:
     return ensemble.values.sum(axis=0)
 
 
-def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0,
-                       table: CoefficientTable | None = None) -> np.ndarray:
+def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np.ndarray:
     """S_n via the independent-summands identity S_n(t) = sum_j z_{n,j}(t) eps_j(t).
 
     Uses the same truncation window and the same addressable innovations as
@@ -153,13 +219,6 @@ def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0,
     """
     if n < 2:
         raise ValueError("the independent-summands identity is stated for n >= 2")
-    if table is None:
-        table = partial_sum_weights(spec, n)
-    elif table.n != n:
-        raise ValueError(f"coefficient table built for n={table.n}, not n={n}")
-    M = table.window
-    eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M, rep=rep)
-    if eps.shape[0] != table.z.shape[1]:
-        raise ValueError("innovation window does not match the coefficient table; "
-                         "refusing to compare different truncations")
-    return np.einsum("im,mi->i", table.z, eps)
+    sample, _ = _replication_sampler(spec, partial_sum_weights(spec, n), seed,
+                                     pathwise=True)
+    return sample(rep, 1)[0]

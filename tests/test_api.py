@@ -1,3 +1,7 @@
+from pathlib import Path
+
+import pytest
+
 import longmem as lm
 
 PUBLIC_NAMES = [
@@ -25,3 +29,10 @@ def test_public_names_are_pinned_and_resolve():
     assert [name for name in lm.__all__ if not hasattr(lm, name)] == []
     assert [name for name in REMOVED_NAMES
             if hasattr(lm, name) or hasattr(lm.analytics, name)] == []
+
+
+def test_pyproject_version_is_the_package_version():
+    # a release bumps both by hand
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == lm.__version__

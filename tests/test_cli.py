@@ -364,6 +364,18 @@ class TestVerifyClt:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "zero innovation variance at t=0:" in err
 
+    def test_unfactorizable_covariance_exits_2(self, tmp_path, capsys):
+        # sigma passes validate() but has no jittered Cholesky factor; the
+        # distinct exponents leave the past covariance factorizable
+        cfg = _write(tmp_path, dict(SMALL_LONG, grid={"points": [0.25, 0.5]},
+                                    memory={"kind": "table", "values": [0.7, 0.9]},
+                                    innovations={"kind": "custom", "sigma": [
+                                        [1.0, 1.0 + 1e-11], [1.0 + 1e-11, 1.0]]}))
+        for command in ("simulate", "verify-clt"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "could not be factorized" in err
+
     @pytest.mark.parametrize("law", ["gaussian", "pareto"])
     def test_manifest_records_window_and_draws(self, tmp_path, law):
         cfg = dict(SMALL_LONG, innovations={"kind": "white", "sigma2": 1.0, "law": law})

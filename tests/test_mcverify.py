@@ -5,16 +5,21 @@ import pytest
 from scipy import stats
 
 import longmem as lm
-from longmem.mcverify import REPLICATION_BLOCK, _past_factor, _replication_sampler
-from longmem.simulate import _standard_block, innovation_block
+from longmem.simulate import (REPLICATION_BLOCK, _past_factor, _replication_sampler,
+                              _standard_draws, innovation_block)
 from oracles import partial_sum_covariance_lagsum
 
+# passes the PSD tolerance of validate() but not a jittered Cholesky
+UNFACTORIZABLE = {"innovations": {"kind": "custom", "sigma": [
+    [1.0, 1.0 + 1e-11], [1.0 + 1e-11, 1.0]]}}
 BOUNDARY = {
     "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
     "memory": {"kind": "constant", "values": 1.0},
     "innovations": {"kind": "white", "sigma2": 1.0},
     "tail_tol": 0.001,
 }
+PARETO_BOUNDARY = dict(BOUNDARY, innovations={"kind": "white", "sigma2": 1.0,
+                                             "law": "pareto", "pareto_alpha": 4.5})
 WIENER_07 = {
     "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
     "memory": {"kind": "constant", "values": 0.7},
@@ -54,14 +59,15 @@ class TestRunCltExperiment:
         assert np.array_equal(sharded.empirical, boundary_report.empirical)
         assert np.array_equal(sharded.samples, boundary_report.samples)
 
-    def test_unfactorizable_covariance_fatal(self):
-        # passes the PSD tolerance of validate() but not a jittered Cholesky
-        spec = lm.spec_from_dict(dict(WIENER_07, grid={"points": [0.25, 0.5]},
-                                      innovations={"kind": "custom", "sigma": [
-                                          [1.0, 1.0 + 1e-11], [1.0 + 1e-11, 1.0]]}))
-        assert spec.innovations.factor is None
-        with pytest.raises(lm.ValidationError, match="factoriz"):
-            lm.run_clt_experiment(spec, 8, 100, seed=1)
+    def test_unfactorizable_covariance_fatal(self, monkeypatch):
+        # with distinct exponents the past covariance can still be factorized
+        monkeypatch.setattr(lm.simulate, "_standard_draws", None)   # no replication runs
+        for memory in (WIENER_07["memory"], {"kind": "table", "values": [0.7, 0.9]}):
+            spec = lm.spec_from_dict(dict(WIENER_07, grid={"points": [0.25, 0.5]},
+                                          memory=memory, **UNFACTORIZABLE))
+            assert spec.innovations.factor is None
+            with pytest.raises(lm.ValidationError, match="factoriz"):
+                lm.run_clt_experiment(spec, 8, 100, seed=1)
 
     def test_refuses_mixed_regime(self, mixed_spec):
         with pytest.raises(lm.RegimeError, match="mixed"):
@@ -101,12 +107,29 @@ def _lagsum_target(spec, n):
 
 
 def _assembled(spec, table, seed, rep):
-    """S_n of one Gaussian replication, drawn and contracted on its own."""
+    """S_n of one replication, drawn and contracted on its own."""
     model = spec.innovations
-    g = _standard_block(model, seed, start=0, count=table.n + 1, rep=rep)
-    eps = g[1:] @ model.factor.T
-    return np.einsum("im,mi->i", table.z[:, table.window:], eps) \
-        + _past_factor(model, table) @ g[0]
+    M = table.window
+    if model.law != "gaussian":
+        eps = innovation_block(model, seed, start=1 - M, count=table.n + M, rep=rep)
+        return np.einsum("im,mi->i", table.z, eps)
+    g, = _standard_draws(model, seed, range(rep, rep + 1), 0, table.n + 1, 1)
+    eps = g[0, 1:] @ model.factor.T
+    return np.einsum("im,mi->i", table.z[:, M:], eps) + _past_factor(model, table) @ g[0, 0]
+
+
+def _count_draw_blocks(monkeypatch):
+    """Record the replications of every block ``_standard_draws`` yields."""
+    blocks = []
+    draws = lm.simulate._standard_draws
+
+    def counted(*args):
+        for g in draws(*args):
+            blocks.append(len(g))
+            yield g
+
+    monkeypatch.setattr(lm.simulate, "_standard_draws", counted)
+    return blocks
 
 
 class TestReplicationSampler:
@@ -119,23 +142,28 @@ class TestReplicationSampler:
         assert rows == n + 1
         sums = sample(0, 600)
         for rep in (0, 3, 599):
-            g = _standard_block(model, 71, start=0, count=n + 1, rep=rep)
+            g, = _standard_draws(model, 71, range(rep, rep + 1), 0, n + 1, 1)
             eps = innovation_block(model, 71, start=1, count=n, rep=rep)
-            assert np.array_equal(g[1:] @ model.factor.T, eps)
+            assert np.array_equal(g[0, 1:] @ model.factor.T, eps)
             assert np.array_equal(sums[rep], _assembled(spec, table, 71, rep))
 
-    def test_blocks_and_shards_change_no_bit(self):
-        # 1,000 replications end inside a block, and 2 or 3 shards cut
-        # through blocks; every replication equals its explicit assembly
-        spec = lm.spec_from_dict(WIENER_07)
-        n, N = 64, 1000
-        assert N % REPLICATION_BLOCK != 0 and (N // 3) % REPLICATION_BLOCK != 0
-        table = lm.partial_sum_weights(spec, n)
-        b = lm.normalization_plan(spec, n).b
-        expected = np.array([_assembled(spec, table, 9, rep) for rep in range(N)]) / b
-        for shards in (1, 2, 3):
-            report = lm.run_clt_experiment(spec, n, N, seed=9, shards=shards)
-            assert np.array_equal(report.samples, expected)
+    def test_blocks_and_shards_change_no_bit(self, monkeypatch):
+        # N replications end inside a block, and 2 or 3 shards cut through
+        # blocks; every replication equals its explicit assembly.  A Pareto
+        # replication draws n + M rows, so its block holds fewer replications
+        blocks = _count_draw_blocks(monkeypatch)
+        for cfg, n, N, block in ((WIENER_07, 64, 1000, REPLICATION_BLOCK),
+                                 (PARETO_BOUNDARY, 512, 100, 7)):
+            spec = lm.spec_from_dict(cfg)
+            assert N % block != 0 and (N // 3) % block != 0
+            table = lm.partial_sum_weights(spec, n)
+            b = lm.normalization_plan(spec, n).b
+            expected = np.array([_assembled(spec, table, 9, rep) for rep in range(N)]) / b
+            blocks.clear()
+            for shards in (1, 2, 3):
+                report = lm.run_clt_experiment(spec, n, N, seed=9, shards=shards)
+                assert np.array_equal(report.samples, expected)
+            assert max(blocks) == block
 
     @pytest.mark.parametrize("cfg, n", [(BOUNDARY, 512), (WIENER_07, 64)])
     def test_past_factor_reproduces_past_covariance(self, cfg, n):
@@ -154,10 +182,22 @@ class TestReplicationSampler:
         report = lm.run_clt_experiment(spec, n, N, seed=13, shards=3)
         table = lm.partial_sum_weights(spec, n)
         b = lm.normalization_plan(spec, n).b
-        expected = np.array([lm.partial_sums_via_z(spec, n, 13, rep=r, table=table) / b
+        expected = np.array([lm.partial_sums_via_z(spec, n, 13, rep=r) / b
                              for r in range(N)])
         assert np.array_equal(report.samples, expected)
         assert report.innovations_drawn == N * (n + table.window)
+
+    def test_long_window_draws_one_replication_at_a_time(self, monkeypatch):
+        # n + M > REPLICATION_BLOCK (n + 1): no block holds more rows than one
+        # replication
+        spec = lm.spec_from_dict(dict(WIENER_07, innovations=PARETO_BOUNDARY["innovations"],
+                                      tail_tol=0.01))
+        n, N = 8, 100
+        assert n + spec.window > REPLICATION_BLOCK * (n + 1)
+        blocks = _count_draw_blocks(monkeypatch)
+        report = lm.run_clt_experiment(spec, n, N, seed=5)
+        assert blocks == [1] * N
+        assert report.innovations_drawn == N * (n + spec.window)
 
     @pytest.mark.parametrize("cfg, n, N", [(BOUNDARY, 512, 600), (WIENER_07, 64, 2000),
                                            (BOUNDARY, 8, 2000)])

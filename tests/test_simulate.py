@@ -3,7 +3,8 @@ import pytest
 
 import longmem as lm
 from longmem.model import tail_variance_bound
-from longmem.simulate import ORIGIN, _philox_key, _seek, _uniform_block, innovation_block
+from longmem.simulate import (ORIGIN, _philox_key, _seek, _standard_draws,
+                              _standardized_draws, innovation_block)
 from oracles import cross_covariance_exact
 
 
@@ -35,17 +36,24 @@ class TestInnovations:
     def test_seek_reproduces_a_fresh_generator(self, rep, q):
         # the counter a new Philox generator starts from, word by word; rep
         # 2^64 + 3 sets both high words of the counter
+        model = lm.InnovationModel.white(1.0, q=q)
         W = 4 * ((q + 3) // 4)
         key = np.array(_philox_key(7), dtype=np.uint64)
         reused = np.random.Generator(np.random.Philox(1))
         reused.integers(0, 2 ** 32, size=3, dtype=np.uint32)   # leave a half-used word
         for start in (-5, 0, 17):
-            counter = (rep << 128) + (start + ORIGIN) * (W // 4)
-            fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
-            expected = fresh.random((9, W))
-            assert np.array_equal(_uniform_block(7, rep, start, 9, q), expected[:, :q])
+            expected = []
+            for r in range(rep, rep + 3):
+                counter = (r << 128) + (start + ORIGIN) * (W // 4)
+                fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
+                expected.append(fresh.random((9, W)))
             _seek(reused, 7, rep, start, W)
-            assert np.array_equal(reused.random((9, W)), expected)
+            assert np.array_equal(reused.random((9, W)), expected[0])
+            # three replications in blocks of two: one generator, reset per replication
+            blocks = list(_standard_draws(model, 7, range(rep, rep + 3), start, 9, 2))
+            assert [len(g) for g in blocks] == [2, 1]
+            assert np.array_equal(np.concatenate(blocks), _standardized_draws(
+                np.array(expected)[:, :, :q], "gaussian", model.pareto_alpha))
 
     def test_seek_refuses_a_negative_replication(self):
         gen = np.random.Generator(np.random.Philox(1))
@@ -185,8 +193,3 @@ class TestPartialSums:
         eps[:] = 0.0
         eps[table.window + 1] = 1.0  # j = 2
         assert float(table.z[0] @ eps) == pytest.approx(1.0)
-
-    def test_window_mismatch_rejected(self, mixed_spec):
-        table = lm.partial_sum_weights(mixed_spec, 8)
-        with pytest.raises(ValueError, match="n=8"):
-            lm.partial_sums_via_z(mixed_spec, 16, seed=1, table=table)
