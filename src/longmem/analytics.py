@@ -216,7 +216,8 @@ class CoefficientTable:
 
     wherever the window does not bite.  ``tail_var`` certifies, per grid
     point, an upper bound on the variance the truncation discarded relative
-    to the untruncated model.
+    to the untruncated model: the untruncated series plus its certified
+    error, minus the table's variance.
     """
 
     n: int
@@ -253,16 +254,6 @@ def _window_integral(d: float, n: int, c: float):
     return lambda x: ((x + n + c) ** (1.0 - d) - (x + c) ** (1.0 - d)) / (1.0 - d)
 
 
-def _tail_weight_integral(d: float, n: int, J: float) -> float:
-    """Upper bound on sum_{m > J} w(m)^2, w(m) = sum_{k=1}^n (k+m)^{-d}.
-
-    Uses w(m) <= int_{m}^{n+m} x^{-d} dx and monotonicity of the bound.
-    """
-    w = _window_integral(d, n, 0.0)
-    val, _ = _improper_quad(lambda x: w(x) ** 2, float(J))
-    return val
-
-
 def partial_sum_weights(spec: ProcessSpec, n: int,
                         window: int | None = None) -> CoefficientTable:
     """Build the coefficient table of S_n for every grid point.
@@ -276,15 +267,8 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
     M = spec.window if window is None else window
     u, idx = spec.memory.distinct
     z = np.stack([_windowed_weights(float(d), n, M) for d in u])
-    # discarded variance vs. the untruncated model: if D = S - S_M then
-    # Var(S) - Var(S_M) <= Var(D) + 2 sqrt(Var(S_M) Var(D)).  D collects
-    # weight lost inside the kept indices (each term <= n (M+2)^{-d}, at
-    # most n terms) plus the full weights of innovations older than the
-    # window (bounded by the integral form w)
-    var_d = np.array([n ** 3 * (M + 2.0) ** (-2.0 * float(d))
-                      + _tail_weight_integral(float(d), n, max(M - 1.0, 0.5)) for d in u])
-    var_m = np.sum(z ** 2, axis=1)
-    tail_var = var_d + 2.0 * np.sqrt(np.maximum(var_m * var_d, 0.0))
+    series = [partial_sum_covariance_series(float(d), float(d), 1.0, n) for d in u]
+    tail_var = np.array([c.value + c.error_bound for c in series]) - np.sum(z ** 2, axis=1)
     return CoefficientTable(n=n, window=int(M), z=z[idx],
                             tail_var=spec.innovations.sigma2 * tail_var[idx])
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .model import TailBudgetError, ValidationError, spec_from_dict
+from .model import TailBudgetError, ValidationError, _config_value, spec_from_dict
 from .analytics import (
     RegimeError,
     classify_summability,
@@ -48,7 +48,7 @@ def _env(name: str):
 def _resolve(args, cfg):
     """Flag > environment > config file > default, for the shared knobs."""
     seed = args.seed if args.seed is not None else \
-        int(_env("SEED")) if _env("SEED") else int(cfg.get("seed", 0))
+        int(_env("SEED")) if _env("SEED") else _config_value(cfg, "seed", 0, int)
     out = Path(args.out if args.out is not None else _env("OUT") or ".")
     threads = args.threads if args.threads is not None else \
         int(_env("THREADS")) if _env("THREADS") else 1
@@ -59,10 +59,16 @@ def _resolve(args, cfg):
     return seed, out, threads, tail_tol
 
 
+def _int_list(values) -> list:
+    return [int(v) for v in values]
+
+
 def _load(args):
     cfg_path = Path(args.config)
     with cfg_path.open() as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValidationError("config: the top level must be a JSON object")
     seed, out, threads, tail_tol = _resolve(args, cfg)
     if tail_tol is not None:
         cfg = dict(cfg, tail_tol=tail_tol)
@@ -96,7 +102,8 @@ def cmd_simulate(args) -> int:
     io.write_table_csv(out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
                        ([k, *row] for k, row in steps))
     _manifest(out, "simulate", cfg, seed, ["paths.csv"],
-              extra={"window": ensemble.window, "spec_hash": ensemble.spec_hash})
+              extra={"window": ensemble.window, "spec_hash": ensemble.spec_hash,
+                     "truncation_tail_var": ensemble.truncation_tail_var.tolist()})
     return 0
 
 
@@ -137,7 +144,7 @@ def cmd_analyze(args) -> int:
     cfg, spec, seed, out, _ = _load(args)
     pts = spec.grid.points
     q = spec.grid.q
-    lags = [int(h) for h in cfg.get("lags", [0, 1, 10, 100])]
+    lags = _config_value(cfg, "lags", [0, 1, 10, 100], _int_list)
     covs = [cross_covariance_matrix(spec, h) + _asymptotic(spec, h) for h in lags]
     u, idx = spec.memory.distinct
     pair_rows = [[_pair_rows(float(a), float(b)) for b in u] for a in u]
@@ -173,10 +180,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_clt(args) -> int:
     cfg, spec, seed, out, threads = _load(args)
-    n = int(cfg.get("n", spec.horizon))
-    N = int(cfg.get("N", MIN_NORMALITY_N))
-    n_list = cfg.get("n_list", [256, 512, 1024, 2048, 4096])
-    z_star = float(cfg.get("z_star", DEFAULT_Z_STAR))
+    n = _config_value(cfg, "n", spec.horizon, int)
+    N = _config_value(cfg, "N", MIN_NORMALITY_N, int)
+    n_list = _config_value(cfg, "n_list", [256, 512, 1024, 2048, 4096], _int_list)
+    z_star = _config_value(cfg, "z_star", DEFAULT_Z_STAR, float)
 
     # everything that can reject the input runs before the Monte Carlo run
     fit = fit_variance_exponent(spec, n_list)
@@ -225,6 +232,7 @@ def cmd_verify_clt(args) -> int:
                "gap_relative.csv", "normality.csv", "exponent_fit.csv",
                "summary.json"],
               extra={"window": report.window,
+                     "truncation_tail_var": report.truncation_tail_var.tolist(),
                      "innovations_drawn": report.innovations_drawn})
     return 0 if passed else 1
 

@@ -47,6 +47,7 @@ class CovarianceReport:
     seed: int
     z_star: float
     window: int            # truncation length M of the target's model
+    truncation_tail_var: np.ndarray  # tail_var / b**2: certified truncation loss per point
     innovations_drawn: int  # innovation rows drawn over all replications
 
     @property
@@ -126,6 +127,7 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
                             finite_n_exact=finite, limit=kern, se=se,
                             verdicts=verdicts, gap_rel=gap_rel, samples=samples,
                             seed=int(seed), z_star=float(z_star), window=table.window,
+                            truncation_tail_var=table.tail_var / b ** 2,
                             innovations_drawn=N * rows)
 
 

@@ -353,13 +353,6 @@ def _check(spec: ProcessSpec) -> ValidationReport:
     return ValidationReport(regimes=regimes, clt_part=clt_part, fatal=tuple(fatal))
 
 
-def coefficient_variance_total(d: float) -> float:
-    """Sum of squared filter coefficients: sum_{j>=0} (j+1)^{-2d} = zeta(2d)."""
-    if d <= 0.5:
-        raise ValidationError(f"d={d:g} <= 1/2: coefficient variance diverges")
-    return float(zeta(2.0 * d))
-
-
 def tail_variance_bound(d: float, M: int) -> float:
     """Integral-comparison bound: sum_{j>M} (j+1)^{-2d} <= (M+1)^{1-2d} / (2d-1)."""
     return (M + 1.0) ** (1.0 - 2.0 * d) / (2.0 * d - 1.0)
@@ -374,27 +367,24 @@ def truncation_length(d: float, tail_tol: float) -> int:
     ``HARD_CAP`` satisfies the budget (d near 1/2 with a tight tolerance).
     """
     if d <= 0.5:
-        raise ValidationError(f"d={d:g} <= 1/2: truncation undefined (series diverges)")
+        raise ValidationError(f"d={float(d)!r} <= 1/2: truncation undefined (series diverges)")
     if not (0.0 < tail_tol <= 1.0):
         raise ValidationError("tail_tol must lie in (0, 1]")
-    budget = tail_tol * coefficient_variance_total(d)
+    budget = tail_tol * float(zeta(2.0 * d))
     if tail_variance_bound(d, 0) <= budget:
         return 0
-    # closed-form start, then fix up to the exact smallest M
-    M = int(math.ceil((budget * (2.0 * d - 1.0)) ** (1.0 / (1.0 - 2.0 * d)) - 1.0))
-    M = max(M, 1)
-    if M > 4 * HARD_CAP:
-        raise TailBudgetError(
-            f"tail budget unreachable: d={d:g}, tail_tol={tail_tol:g} needs M~{M:.3g} "
-            f"> hard cap {HARD_CAP}; increase tail_tol")
+    # closed-form start, taken in logs (the power overflows as d -> 1/2) and
+    # capped just past HARD_CAP; the loops fix it up to the exact smallest M
+    log_start = (math.log(budget) + math.log(2.0 * d - 1.0)) / (1.0 - 2.0 * d)
+    M = max(int(math.ceil(math.exp(min(log_start, math.log(HARD_CAP + 2.0))) - 1.0)), 1)
     while M > 1 and tail_variance_bound(d, M - 1) <= budget:
         M -= 1
     while tail_variance_bound(d, M) > budget and M <= HARD_CAP:
         M += 1
     if M > HARD_CAP:
         raise TailBudgetError(
-            f"tail budget unreachable: d={d:g}, tail_tol={tail_tol:g} needs M>{HARD_CAP}; "
-            f"increase tail_tol")
+            f"tail budget unreachable: d={float(d)!r}, tail_tol={tail_tol:g} needs "
+            f"M>{HARD_CAP}; increase tail_tol")
     return M
 
 
@@ -461,14 +451,29 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
 
 
 def _section(cfg: dict, name: str, build, *args):
-    """``build(cfg[name], *args)``; a missing key raises ``ValidationError``
-    naming it and its section."""
+    """``build(cfg[name], *args)``; a missing key, a section that is not a
+    JSON object or a value of the wrong type in it raises
+    ``ValidationError`` naming the section."""
     if name not in cfg:
         raise ValidationError(f"config: missing key {name!r}")
+    if not isinstance(cfg[name], dict):
+        raise ValidationError(f"config: {name!r} must be a JSON object")
     try:
         return build(cfg[name], *args)
     except KeyError as exc:
         raise ValidationError(f"{name}: missing key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
+def _config_value(cfg: dict, name: str, default, cast):
+    """``cast(cfg.get(name, default))``; a value ``cast`` cannot convert
+    raises ``ValidationError`` naming the key."""
+    value = cfg.get(name, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"config: invalid {name!r}: {value!r}") from None
 
 
 def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
@@ -480,8 +485,8 @@ def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
         grid=grid,
         memory=memory,
         innovations=innovations,
-        tail_tol=float(cfg.get("tail_tol", DEFAULT_TAIL_TOL)),
-        horizon=int(cfg.get("horizon", 1)),
+        tail_tol=_config_value(cfg, "tail_tol", DEFAULT_TAIL_TOL, float),
+        horizon=_config_value(cfg, "horizon", 1, int),
     )
 
 

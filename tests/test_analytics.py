@@ -273,13 +273,15 @@ class TestCoefficientTable:
                                                       count_calls):
         spec = request.getfixturevalue(fixture)
         weights = count_calls(lm.analytics, "_windowed_weights")
-        tails = count_calls(lm.analytics, "_tail_weight_integral")
+        series = count_calls(lm.analytics, "partial_sum_covariance_series")
         lm.partial_sum_weights(spec, 16)
         exponents = spec.memory.distinct[0].tolist()
         assert [args[0] for args in weights] == exponents
-        assert [args[0] for args in tails] == exponents
+        assert [args[:2] for args in series] == [(d, d) for d in exponents]
 
-    def test_tail_var_certifies_untruncated_gap(self, rel):
+    def test_tail_var_certifies_untruncated_gap(self):
+        # the lag-sum oracle at a window of 12,500 n: its loss against the
+        # table is a lower bound on the true loss, which tail_var certifies
         spec = lm.spec_from_dict({
             "grid": {"points": [0.5]},
             "memory": {"kind": "constant", "values": 0.8},
@@ -288,9 +290,19 @@ class TestCoefficientTable:
         })
         n = 16
         table = lm.partial_sum_weights(spec, n)
-        exact = lm.partial_sum_covariance_series(0.8, 0.8, 1.0, n).value
-        truncated = float(np.dot(table.z[0], table.z[0]))
-        assert 0 <= exact - truncated <= table.tail_var[0]
+        assert table.window == 8
+        wide = partial_sum_covariance_lagsum(spec, n, 0.5, 0.5, window=200_000)
+        loss = wide - float(np.dot(table.z[0], table.z[0]))
+        assert 0 < loss <= table.tail_var[0] <= 1.01 * loss
+
+    def test_tail_var_is_tight_on_long_reference(self):
+        # the loss actually incurred is 0.476 of sigma^2 b_n^2 at every point
+        spec = lm.load_spec("src/longmem/configs/clt_long_reference.json")
+        n = 4096
+        table = lm.partial_sum_weights(spec, n)
+        b = lm.normalization_plan(spec, n).b
+        normalized = table.tail_var / (spec.innovations.sigma2 * b ** 2)
+        assert np.all((0.476 <= normalized) & (normalized <= 0.6))
 
 
 class TestPartialSumCovariance:

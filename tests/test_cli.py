@@ -14,6 +14,7 @@ import scipy
 import longmem as lm
 from longmem import io
 from longmem.cli import main
+from longmem.model import tail_variance_bound
 from oracles import cross_covariance_exact
 
 
@@ -123,6 +124,27 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("simulate", [SMALL_LONG], "config: the top level must be a JSON object"),
+        ("simulate", dict(SMALL_LONG, grid=[0.25, 0.5]), "config: 'grid' must be a JSON object"),
+        ("analyze", dict(SMALL_LONG, memory="constant"),
+         "config: 'memory' must be a JSON object"),
+        ("simulate", dict(SMALL_LONG, grid={"linspace": 5}),
+         "grid: cannot unpack non-iterable int object"),
+        ("analyze", dict(SMALL_LONG, lags=None), "config: invalid 'lags': None"),
+        ("verify-clt", dict(SMALL_LONG, n_list=None), "config: invalid 'n_list': None"),
+        ("verify-clt", dict(SMALL_LONG, N=None), "config: invalid 'N': None"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "constant", "values": 0.501},
+                          tail_tol=1e-3), "tail budget unreachable: d=0.501,"),
+        ("verify-clt", dict(SMALL_LONG, memory={"kind": "constant", "values": 0.501},
+                            tail_tol=1e-3), "tail budget unreachable: d=0.501,"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
+        assert main([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
@@ -136,6 +158,10 @@ class TestSimulate:
         m1 = json.loads((tmp_path / "w1" / "manifest.json").read_text())
         m2 = json.loads((tmp_path / "w2" / "manifest.json").read_text())
         assert m1["window"] > m2["window"]
+        # the certified variance each path value X_k drops, per grid point
+        for m in (m1, m2):
+            assert m["truncation_tail_var"] == [
+                t * tail_variance_bound(0.7, m["window"]) for t in (0.25, 0.5, 0.75, 1.0)]
 
     def test_manifest_records_software_stack(self, tmp_path):
         cfg = _write(tmp_path, SMALL_LONG)
@@ -383,8 +409,12 @@ class TestVerifyClt:
         assert main(["verify-clt", "--config", _write(tmp_path, cfg),
                      "--out", str(out)]) in (0, 1)
         m = _manifest_without_timestamp(out)
-        window = lm.partial_sum_weights(lm.spec_from_dict(cfg), cfg["n"]).window
+        spec = lm.spec_from_dict(cfg)
+        table = lm.partial_sum_weights(spec, cfg["n"])
+        window = table.window
         assert m["window"] == window
+        b = lm.normalization_plan(spec, cfg["n"]).b
+        assert m["truncation_tail_var"] == (table.tail_var / b ** 2).tolist()
         # a Gaussian replication draws one q-vector for the whole past
         rows = cfg["n"] + (window if law == "pareto" else 1)
         assert m["innovations_drawn"] == cfg["N"] * rows

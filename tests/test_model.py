@@ -155,6 +155,12 @@ class TestTruncationLength:
         with pytest.raises(lm.TailBudgetError):
             lm.truncation_length(0.6, 1e-2)
 
+    @pytest.mark.parametrize("d", [0.5000001, 0.501, 0.504])
+    def test_budget_unreachable_near_one_half(self, d):
+        # the closed-form start alone would overflow a float here
+        with pytest.raises(lm.TailBudgetError, match=f"d={d!r}, tail_tol=0.001 needs"):
+            lm.truncation_length(d, 1e-3)
+
     def test_rejects_invalid_d(self):
         with pytest.raises(lm.ValidationError):
             lm.truncation_length(0.5, 0.1)
