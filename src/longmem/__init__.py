@@ -57,7 +57,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "CertifiedValue",

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .model import ProcessSpec, ValidationError
@@ -60,6 +59,7 @@ def scale_integral(d_s: float, d_t: float) -> float:
       a = d_s + d_t - 1.
     """
     _check_scale_regime(d_s, d_t)
+    from scipy.integrate import quad
     p = 1.0 - d_s
     head, _ = quad(lambda u: (1.0 + u ** (1.0 / p)) ** (-d_t), 0.0, 1.0, **QUAD_OPTS)
     a = d_s + d_t - 1.0
@@ -87,7 +87,7 @@ def scale_integral_upper_bound(d: float) -> float:
 def _improper_quad(f, a: float) -> tuple[float, float]:
     """int_a^inf f(x) dx with the tail mapped to (0, 1] via x = a/t."""
     import warnings
-    from scipy.integrate import IntegrationWarning
+    from scipy.integrate import IntegrationWarning, quad
     with warnings.catch_warnings():
         # tolerances tighter than roundoff on near-zero tails are reported
         # as non-convergence; the returned estimate and error are still valid
@@ -247,11 +247,52 @@ def _windowed_weights(d: float, n: int, M: int) -> np.ndarray:
     return P[hi] - P[lo]
 
 
-def _window_integral(d: float, n: int, c: float):
-    """x -> int_{x+c}^{x+c+n} y^{-d} dy, the integral form of a partial-sum weight."""
-    if d == 1.0:
-        return lambda x: np.log((x + n + c) / (x + c))
-    return lambda x: ((x + n + c) ** (1.0 - d) - (x + c) ** (1.0 - d)) / (1.0 - d)
+def _window_tail(d_s: float, d_t: float, n: int, A: float) -> tuple[float, float]:
+    """int_A^inf F_s(y) F_t(y) dy with F_d(y) = int_y^{y+n} u^{-d} du, as
+    (value, certified error), for r = n/A <= 1/4.
+
+    F_d(y) = sum_{k>=1} alpha_k(d) n^k y^{1-d-k} with alpha_1 = 1 and
+    alpha_k = alpha_{k-1} (2-d-k)/k (the log1p series at d = 1), so with
+    D = d_s + d_t and beta = alpha(d_s) * alpha(d_t)
+
+        tail = A^{3-D} sum_{m>=2} beta_m r^m / (D+m-3).
+
+    alpha_k(d) has sign (-1)^{k-1}, so |beta_m| convolves the magnitudes,
+    whose ratio |alpha_{i+1}/alpha_i| = (d+i-1)/(i+1); pairing the terms of
+    beta_{m+1} with those of beta_m bounds the term ratio past m by
+    rho = 2 r max(1, (d+i-1)/(i+1)) at i = m//2, the larger over d_s, d_t.
+    The error is the geometric remainder |t_m| rho/(1-rho) after the last
+    term plus roundoff in the terms, their sum and the prefactor.
+    """
+    r = n / A
+    D = d_s + d_t
+    # F_d(y) <= n y^{-d} bounds the tail by n^2 A^{1-D}/(D-1); below 1e-300
+    # it is returned as 0 with that bound
+    if 2.0 * math.log(r) + (3.0 - D) * math.log(A) - math.log(D - 1.0) < -700.0:
+        return 0.0, 1e-300
+    eps = np.finfo(float).eps
+    terms = 64
+    while True:
+        k = np.arange(2.0, terms + 1)
+        # c_k = alpha_k r^k, k = 1..terms; the convolution is exact up to m = terms + 1
+        c_s, c_t = (np.cumprod(np.concatenate(([r], (2.0 - d - k) / k * r)))
+                    for d in (d_s, d_t))
+        m = np.arange(2.0, terms + 2)
+        t = np.convolve(c_s, c_t)[:terms] / ((d_s - 1.0) + (d_t + (m - 2.0)))
+        i = (terms + 1) // 2
+        rho = 2.0 * r * max(1.0, (max(d_s, d_t) + i - 1.0) / (i + 1.0))
+        abs_t = np.abs(t)
+        remainder = abs_t[-1] * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        if remainder <= eps * abs_t.sum() or terms >= 4096:
+            break
+        terms *= 2
+    prefactor = A ** (1.0 - d_s) * A ** (1.0 - d_t) * A
+    # roundings per term t_m: 4m in its factors c_k c_{m-k}, m in the
+    # convolution, 8 in the divisor and prefactor, `terms` in the sum; 1 - d
+    # is exact for d in [1/2, 2] and elsewhere moves A^{1-d} by log(A) ulps
+    exponent_err = 0.5 * math.log(A) * (abs(1.0 - d_s) + abs(1.0 - d_t))
+    roundoff = eps * float(np.dot(5.0 * m + terms + 8.0 + exponent_err, abs_t))
+    return prefactor * float(t.sum()), prefactor * (remainder + roundoff)
 
 
 def partial_sum_weights(spec: ProcessSpec, n: int,
@@ -283,29 +324,36 @@ def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: in
 
     Writes the covariance through the independent-summands weights,
     sums the first ``past_terms`` past weights exactly via prefix sums,
-    and integrates the remainder with a midpoint-rule tail:
+    and replaces the remainder by its midpoint-rule integral, summed as a
+    power series in n/(past_terms+1) (``_window_tail``):
 
         E[S_n S_n]/sigma = sum_{m=1}^{n-1} P_s(m) P_t(m)
                          + sum_{i>=0} [P_s(n+i)-P_s(i)][P_t(n+i)-P_t(i)].
+
+    The certified error adds the midpoint-rule error, the series' own
+    error and roundoff in the prefix sums.  ``past_terms`` defaults to
+    max(4096, 8n) and must satisfy n/(past_terms+1) <= 1/4.
     """
     if d_s <= 0.5 or d_t <= 0.5:
         raise ValidationError("series variance requires d_s, d_t > 1/2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    J = past_terms if past_terms is not None else max(4096, 8 * n)
+    if 4 * n > J + 1:
+        raise ValueError(f"past_terms={J} too few for n={n}: the tail series "
+                         f"needs n/(past_terms+1) <= 1/4")
     if sigma_st == 0.0:
         return CertifiedValue(0.0, 0.0)
-    J = past_terms if past_terms is not None else max(4096, 8 * n)
     P_s = _prefix_powers(d_s, n + J)
     P_t = P_s if d_t == d_s else _prefix_powers(d_t, n + J)
     head = float(np.dot(P_s[1:n], P_t[1:n])) if n > 1 else 0.0
     w_s = P_s[n:n + J + 1] - P_s[: J + 1]
     w_t = P_t[n:n + J + 1] - P_t[: J + 1]
     mid = float(np.dot(w_s, w_t))
-    ws, wt = _window_integral(d_s, n, 0.5), _window_integral(d_t, n, 0.5)
-    tail, quad_err = _improper_quad(lambda x: ws(x) * wt(x), J + 0.5)
+    tail, tail_err = _window_tail(d_s, d_t, n, J + 1.0)
     value = sigma_st * (head + mid + tail)
     err = abs(sigma_st) * (abs(tail) * min(1.0, (n / (J + 0.5)) ** 2)
-                           + quad_err + 1e-14 * (head + mid))
+                           + tail_err + 1e-14 * (head + mid))
     return CertifiedValue(value, err)
 
 

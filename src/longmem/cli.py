@@ -23,7 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .model import TailBudgetError, ValidationError, _config_value, spec_from_dict
+from .model import (TailBudgetError, ValidationError, _config_value, _integer,
+                    spec_from_dict)
 from .analytics import (
     RegimeError,
     classify_summability,
@@ -48,7 +49,7 @@ def _env(name: str):
 def _resolve(args, cfg):
     """Flag > environment > config file > default, for the shared knobs."""
     seed = args.seed if args.seed is not None else \
-        int(_env("SEED")) if _env("SEED") else _config_value(cfg, "seed", 0, int)
+        int(_env("SEED")) if _env("SEED") else _config_value(cfg, "seed", 0, _integer)
     out = Path(args.out if args.out is not None else _env("OUT") or ".")
     threads = args.threads if args.threads is not None else \
         int(_env("THREADS")) if _env("THREADS") else 1
@@ -60,7 +61,7 @@ def _resolve(args, cfg):
 
 
 def _int_list(values) -> list:
-    return [int(v) for v in values]
+    return [_integer(v) for v in values]
 
 
 def _load(args):
@@ -180,8 +181,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_clt(args) -> int:
     cfg, spec, seed, out, threads = _load(args)
-    n = _config_value(cfg, "n", spec.horizon, int)
-    N = _config_value(cfg, "N", MIN_NORMALITY_N, int)
+    n = _config_value(cfg, "n", spec.horizon, _integer)
+    N = _config_value(cfg, "N", MIN_NORMALITY_N, _integer)
     n_list = _config_value(cfg, "n_list", [256, 512, 1024, 2048, 4096], _int_list)
     z_star = _config_value(cfg, "z_star", DEFAULT_Z_STAR, float)
 

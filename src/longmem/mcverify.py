@@ -175,12 +175,17 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
         variances = samples.var(axis=0, ddof=1)
     variances = np.asarray(variances, dtype=float)
 
+    # two (N, q) buffers at a time: the moments reuse dev and s2 in place,
+    # the KS distance sorts into one buffer and takes both gaps in another
     mean = samples.mean(axis=0, keepdims=True)
     dev = samples - mean
-    s2 = dev ** 2
+    s2 = np.square(dev)
     m2 = s2.mean(axis=0)
-    m3 = (s2 * dev).mean(axis=0)
-    m4 = (s2 ** 2).mean(axis=0)
+    dev *= s2
+    m3 = dev.mean(axis=0)
+    np.square(s2, out=s2)
+    m4 = s2.mean(axis=0)
+    del dev, s2
     with np.errstate(all="ignore"):
         zero = m2 <= (np.finfo(float).eps * mean[0]) ** 2
         skew = np.where(zero, np.nan, m3 / m2 ** 1.5)
@@ -188,10 +193,14 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
 
         # KS distance: the largest gap between the empirical CDF and F
         scale = np.sqrt(variances)
-        cdf = np.where(scale > 0, ndtr(np.sort(samples, axis=0) / scale), np.nan)
-    upper = (np.arange(1.0, N + 1) / N)[:, None] - cdf
-    lower = cdf - (np.arange(0.0, N) / N)[:, None]
-    ks = np.maximum(upper.max(axis=0), lower.max(axis=0))
+        cdf = np.sort(samples, axis=0)
+        cdf /= scale
+        ndtr(cdf, out=cdf)
+    np.copyto(cdf, np.nan, where=~(scale > 0))
+    gap = np.subtract((np.arange(1.0, N + 1) / N)[:, None], cdf)
+    upper = gap.max(axis=0)
+    np.subtract(cdf, (np.arange(0.0, N) / N)[:, None], out=gap)
+    ks = np.maximum(upper, gap.max(axis=0))
     return NormalityReport(n_samples=int(N), skewness=skew, excess_kurtosis=kurt,
                            ks_distance=ks,
                            skew_band=skew_z * math.sqrt(6.0 / N),

@@ -318,8 +318,9 @@ def _check(spec: ProcessSpec) -> ValidationReport:
     regimes = tuple(_classify_exponent(float(x)) for x in d[:q])
     for i, reg in enumerate(regimes):
         if reg == REGIME_INVALID:
-            fatal.append(f"d(t)={d[i]:g} <= 1/2 at grid point t={spec.grid.points[i]:g} "
-                         f"(index {i}): defining series does not converge")
+            fatal.append(f"d(t)={float(d[i])!r} <= 1/2 at grid point "
+                         f"t={spec.grid.points[i]:g} (index {i}): defining series "
+                         f"does not converge")
 
     sigma = spec.innovations.sigma
     if sigma.shape[0] == q:
@@ -421,6 +422,19 @@ def _memory_from_dict(cfg: dict, grid: SpaceGrid) -> MemoryFunction:
     raise ValidationError(f"unknown memory kind {kind!r}")
 
 
+def _finite_array(cfg: dict, key: str) -> np.ndarray:
+    """``cfg[key]`` as a float array; null, non-numeric or non-finite
+    entries raise ``ValidationError`` naming ``innovations.<key>``."""
+    try:
+        values = np.asarray(cfg[key], dtype=float)
+        finite = bool(np.all(np.isfinite(values)))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ValidationError(f"config: invalid 'innovations.{key}': {cfg[key]!r}")
+    return values
+
+
 def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> InnovationModel:
     kind = cfg["kind"]
     kw = {}
@@ -430,9 +444,9 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
         kw["pareto_alpha"] = float(cfg["pareto_alpha"])
     if kind == "white":
         if "sigma2" in cfg:
-            sigma2 = cfg["sigma2"]
+            sigma2 = _finite_array(cfg, "sigma2")
         elif "sigma" in cfg:
-            sigma = np.atleast_2d(np.asarray(cfg["sigma"], dtype=float))
+            sigma = np.atleast_2d(_finite_array(cfg, "sigma"))
             sigma2 = np.diagonal(sigma)
             if sigma.shape != (sigma2.size,) * 2 or np.any(sigma != np.diag(sigma2)):
                 raise ValidationError("white innovations need a square diagonal sigma")
@@ -445,7 +459,7 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
         if "sigma_file" in cfg:
             sigma = np.loadtxt(base_dir / cfg["sigma_file"], delimiter=",")
         else:
-            sigma = np.asarray(cfg["sigma"], dtype=float)
+            sigma = _finite_array(cfg, "sigma")
         return InnovationModel.custom(sigma, **kw)
     raise ValidationError(f"unknown innovation kind {kind!r}")
 
@@ -476,6 +490,13 @@ def _config_value(cfg: dict, name: str, default, cast):
         raise ValidationError(f"config: invalid {name!r}: {value!r}") from None
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a non-integral float instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
     """Build a ProcessSpec from a parsed JSON config dictionary."""
     grid = _section(cfg, "grid", _grid_from_dict)
@@ -486,7 +507,7 @@ def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
         memory=memory,
         innovations=innovations,
         tail_tol=_config_value(cfg, "tail_tol", DEFAULT_TAIL_TOL, float),
-        horizon=_config_value(cfg, "horizon", 1, int),
+        horizon=_config_value(cfg, "horizon", 1, _integer),
     )
 
 

@@ -4,12 +4,14 @@ The library computes covariances as q x q kernels: ``cross_covariance_matrix``
 for lag covariances and ``sigma * (table.z @ table.z.T)`` for the truncated
 partial sums.  The routes here resolve one pair of grid points at a time,
 looked up by value, and the partial-sum ones sum lag covariances instead of
-contracting coefficient tables.
+contracting coefficient tables.  ``window_tail_quad`` is the QUADPACK
+route to the tail of the untruncated partial-sum variance series.
 """
 
 import numpy as np
 
-from longmem.analytics import CertifiedValue, _lag_series, partial_sum_weights
+from longmem.analytics import (CertifiedValue, _improper_quad, _lag_series,
+                               partial_sum_weights)
 
 # route (a) / route (b) internal consistency tolerance for the partial-sum
 # covariance, and the work budget n*M above which that cross-check is skipped
@@ -98,3 +100,19 @@ def partial_sum_covariance_exact(spec, n: int, s: float, t: float,
                 f"coefficient route {vb!r} (relative {abs(va - vb) / scale:.3e}); "
                 f"this indicates an implementation bug")
     return vb
+
+
+def window_tail_quad(d_s: float, d_t: float, n: int, A: float) -> tuple[float, float]:
+    """int_A^inf F_s(y) F_t(y) dy, F_d(y) = int_y^{y+n} u^{-d} du, by QUADPACK.
+
+    F_d is taken in closed form, so it cancels for y >> n, and QUADPACK's
+    estimate is not a bound: it is a fair oracle only where the integrand
+    decays fast, d_s + d_t >= 1.4.  Returns (value, QUADPACK's estimate).
+    """
+    def window(d):
+        if d == 1.0:
+            return lambda y: np.log((y + n) / y)
+        return lambda y: ((y + n) ** (1.0 - d) - y ** (1.0 - d)) / (1.0 - d)
+
+    f_s, f_t = window(d_s), window(d_t)
+    return _improper_quad(lambda y: f_s(y) * f_t(y), A)

@@ -138,6 +138,19 @@ class TestSimulate:
                           tail_tol=1e-3), "tail budget unreachable: d=0.501,"),
         ("verify-clt", dict(SMALL_LONG, memory={"kind": "constant", "values": 0.501},
                             tail_tol=1e-3), "tail budget unreachable: d=0.501,"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "constant", "values": 0.4999999}),
+         "d(t)=0.4999999 <= 1/2 at grid point t=0.25"),
+        ("simulate", dict(SMALL_LONG, innovations={"kind": "white", "sigma2": None}),
+         "config: invalid 'innovations.sigma2': None"),
+        ("analyze", dict(SMALL_LONG, innovations={"kind": "white", "sigma2": [1, "a", 1, 1]}),
+         "config: invalid 'innovations.sigma2': [1, 'a', 1, 1]"),
+        ("verify-clt", dict(SMALL_LONG, n=32.9), "config: invalid 'n': 32.9"),
+        ("verify-clt", dict(SMALL_LONG, N=600.5), "config: invalid 'N': 600.5"),
+        ("simulate", dict(SMALL_LONG, seed=5.5), "config: invalid 'seed': 5.5"),
+        ("simulate", dict(SMALL_LONG, horizon=32.5), "config: invalid 'horizon': 32.5"),
+        ("analyze", dict(SMALL_LONG, lags=[0, 1.5]), "config: invalid 'lags': [0, 1.5]"),
+        ("verify-clt", dict(SMALL_LONG, n_list=[64, 128, 256, 512, 1024.5]),
+         "config: invalid 'n_list': [64, 128, 256, 512, 1024.5]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
@@ -438,6 +451,32 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert (after_import, after_run) == ("False", "False")
     assert status in ("0", "1")   # the whole run, verdicts either way
     assert (tmp_path / "v" / "normality.csv").exists()
+
+
+def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
+    # QUADPACK serves only the analyze routes; it costs each other process
+    # about 27 MB and 0.3 s, so it is imported where those routes run
+    src = str(Path(lm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, longmem.cli\n"
+            "def run(command, config, out):\n"
+            "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
+            "    print(command, status, 'scipy.integrate' in sys.modules)\n"
+            "print('import', 0, 'scipy.integrate' in sys.modules)\n"
+            "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
+            "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n"
+            "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n")
+    run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
+                          _config_path("clt_boundary_reference.json"), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.stdout.splitlines() == ["import 0 False", "simulate 0 False",
+                                       "verify-clt 0 False", "analyze 0 True"]
+    # loaded lazily, QUADPACK gives analyze the same bytes as in this process
+    assert main(["analyze", "--config", _config_path("fig1a.json"),
+                 "--out", str(tmp_path / "here")]) == 0
+    for name in ("c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 def test_table_csv_quotes_only_text_that_needs_it(tmp_path):
