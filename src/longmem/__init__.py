@@ -39,13 +39,11 @@ from .analytics import (
     partial_sum_weights,
     scale_integral,
     scale_integral_closed_form,
-    scale_integral_upper_bound,
 )
 from .simulate import (
     PathEnsemble,
     generate_paths,
     innovation_block,
-    partial_sums_direct,
     partial_sums_via_z,
 )
 from .mcverify import (
@@ -57,7 +55,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "CertifiedValue",
@@ -91,12 +89,10 @@ __all__ = [
     "partial_sum_covariance_asymptotic",
     "partial_sum_covariance_series",
     "partial_sum_weights",
-    "partial_sums_direct",
     "partial_sums_via_z",
     "run_clt_experiment",
     "scale_integral",
     "scale_integral_closed_form",
-    "scale_integral_upper_bound",
     "spec_from_dict",
     "truncation_length",
     "validate",

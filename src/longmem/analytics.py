@@ -73,47 +73,83 @@ def scale_integral_closed_form(d_s: float, d_t: float) -> float:
     return float(math.exp(gammaln(1.0 - d_s) + gammaln(d_s + d_t - 1.0) - gammaln(d_t)))
 
 
-def scale_integral_upper_bound(d: float) -> float:
-    """Splitting bound c(d, d) <= 1/(1-d) + 1/(2d-1) for 1/2 < d < 1."""
-    if not (0.5 < d < 1.0):
-        raise RegimeError(f"upper bound stated for 1/2 < d < 1; got d={d:g}")
-    return 1.0 / (1.0 - d) + 1.0 / (2.0 * d - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # exact and asymptotic cross-covariances
 # ---------------------------------------------------------------------------
 
-def _improper_quad(f, a: float) -> tuple[float, float]:
-    """int_a^inf f(x) dx with the tail mapped to (0, 1] via x = a/t."""
-    import warnings
-    from scipy.integrate import IntegrationWarning, quad
-    with warnings.catch_warnings():
-        # tolerances tighter than roundoff on near-zero tails are reported
-        # as non-convergence; the returned estimate and error are still valid
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(lambda t: f(a / t) * a / (t * t), 0.0, 1.0, **QUAD_OPTS)
-    return val, err
+MAX_LAG = 1_250_000  # J = max(4096, 4h) past terms keep h/(J+1.5) <= 1/4
+
+
+def _binomial_tail(side_s, side_t, A: float) -> tuple[float, float]:
+    """int_A^inf G_s(y) G_t(y) dy as (value, certified error), for x/A <= 1/4.
+
+    A side (a, k0, x) is G(y) = sum_{k>=k0} binom(a,k) x^k y^{a-k} / binom(a,k0):
+    (1-d, 1, n) is F_d(y) = int_y^{y+n} u^{-d} du (the log1p series at
+    d = 1), (-d, 0, 0) is y^{-d} and (-d, 0, h) is (y+h)^{-d}.  With
+    c_k = binom(a,k) (x/A)^k / binom(a,k0), beta = c_s * c_t and
+    p = -(a_s + a_t),  tail = A^{1-p} sum_{m>=k0_s+k0_t} beta_m / (p+m-1).
+
+    Past k0 the c_k alternate in sign, so |beta_m| convolves magnitudes with
+    ratio x/A |a-k|/(k+1); pairing the terms of beta_{m+1} with those of
+    beta_m bounds the term ratio past m by rho = 2 x/A max(1, (i-a)/(i+1))
+    at i = m//2, the larger over the sides.  The error is the geometric
+    remainder |t_m| rho/(1-rho) after the last term plus roundoff in the
+    terms, their sum and the prefactor.
+    """
+    sides = (side_s, side_t)
+    (a_s, k0_s, _), (a_t, k0_t, _) = sides
+    m0 = k0_s + k0_t
+    # |G(y)| <= x^k0 y^{a-k0} bounds the tail by prod (x/A)^k0 A^{1-p}/(p+m0-1);
+    # below 1e-300 it is returned as 0 with that bound
+    if (sum(k0 * math.log(x / A) for _, k0, x in sides if k0)
+            + (1.0 + a_s + a_t) * math.log(A) - math.log(m0 - 1.0 - a_s - a_t) < -700.0):
+        return 0.0, 1e-300
+
+    def coefficients(a, k0, x, count):  # c_k, k = k0 .. k0+count-1
+        k = np.arange(k0 + 1.0, k0 + count)
+        return np.cumprod(np.concatenate(([(x / A) ** k0], (a + 1.0 - k) / k * (x / A))))
+
+    eps = np.finfo(float).eps
+    terms = 64
+    while True:
+        c_s, c_t = (coefficients(*side, terms) for side in sides)
+        # the convolution is exact up to m = m0 + terms - 1
+        m = np.arange(m0, m0 + terms, dtype=float)
+        t = np.convolve(c_s, c_t)[:terms] / ((-a_s) + ((m - 1.0) - a_t))
+        i = (m0 + terms - 1) // 2
+        # i - a, rounded as d + i - 1 with d = 1 - a on a window side
+        rho = 2.0 * max(x / A * max(1.0, ((1.0 - a) + i - 1.0) / (i + 1.0))
+                        for a, _, x in sides)
+        abs_t = np.abs(t)
+        remainder = abs_t[-1] * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        if remainder <= eps * abs_t.sum() or terms >= 4096:
+            break
+        terms *= 2
+    prefactor = A ** a_s * A ** a_t * A
+    # roundings per term t_m: 4m in its factors c_k c_{m-k}, m in the
+    # convolution, 8 in the divisor and prefactor, `terms` in the sum; a is
+    # exact for d in [1/2, 2] and elsewhere moves A^a by log(A) ulps
+    exponent_err = 0.5 * math.log(A) * (abs(a_s) + abs(a_t))
+    roundoff = eps * float(np.dot(5.0 * m + terms + 8.0 + exponent_err, abs_t))
+    return prefactor * float(t.sum()), prefactor * (remainder + roundoff)
 
 
 def _lag_series(d_s: float, d_t: float, h: int) -> tuple[float, float, float]:
     """sum_{j>=0} (j+1)^{-d_s} (j+h+1)^{-d_t} as (value, error, partial sum).
 
-    Sums the series directly up to an index J, then adds a midpoint-rule
-    tail integral; the error covers the midpoint error and the quadrature
-    tolerance, before the roundoff term proportional to the partial sum.
+    Sums the series directly up to J = max(4096, 4h), then adds the
+    midpoint-rule tail integral, a binomial series in h/(J+1.5); the error
+    covers the midpoint error and the series' own error, before the
+    roundoff term proportional to the partial sum.
     """
-    J = int(min(5_000_000, max(4096, 4 * h)))
+    J = max(4096, 4 * h)
     jj = np.arange(J + 1, dtype=float)
     partial = float(np.sum((jj + 1.0) ** (-d_s) * (jj + h + 1.0) ** (-d_t)))
-
-    def f(x):
-        return (x + 1.0) ** (-d_s) * (x + h + 1.0) ** (-d_t)
-
-    tail, quad_err = _improper_quad(f, J + 0.5)
+    # int_{J+1/2}^inf (x+1)^{-d_s} (x+h+1)^{-d_t} dx, with y = x + 1
+    tail, tail_err = _binomial_tail((-d_s, 0, 0), (-d_t, 0, h), J + 1.5)
     a_tot = d_s + d_t
     midpoint_err = (a_tot / 24.0) * (J + 1.5) ** (-a_tot - 1.0)
-    return partial + tail, midpoint_err + quad_err, partial
+    return partial + tail, midpoint_err + tail_err, partial
 
 
 def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,6 +164,8 @@ def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.n
     spec.require_valid()
     if h < 0:
         raise ValueError("lag h must be nonnegative")
+    if h > MAX_LAG:
+        raise ValueError(f"lag h={h} exceeds MAX_LAG={MAX_LAG}, the largest certified lag")
     sigma = spec.innovations.sigma
     u, idx = spec.memory.distinct
     rows, cols = np.nonzero(sigma)
@@ -249,50 +287,8 @@ def _windowed_weights(d: float, n: int, M: int) -> np.ndarray:
 
 def _window_tail(d_s: float, d_t: float, n: int, A: float) -> tuple[float, float]:
     """int_A^inf F_s(y) F_t(y) dy with F_d(y) = int_y^{y+n} u^{-d} du, as
-    (value, certified error), for r = n/A <= 1/4.
-
-    F_d(y) = sum_{k>=1} alpha_k(d) n^k y^{1-d-k} with alpha_1 = 1 and
-    alpha_k = alpha_{k-1} (2-d-k)/k (the log1p series at d = 1), so with
-    D = d_s + d_t and beta = alpha(d_s) * alpha(d_t)
-
-        tail = A^{3-D} sum_{m>=2} beta_m r^m / (D+m-3).
-
-    alpha_k(d) has sign (-1)^{k-1}, so |beta_m| convolves the magnitudes,
-    whose ratio |alpha_{i+1}/alpha_i| = (d+i-1)/(i+1); pairing the terms of
-    beta_{m+1} with those of beta_m bounds the term ratio past m by
-    rho = 2 r max(1, (d+i-1)/(i+1)) at i = m//2, the larger over d_s, d_t.
-    The error is the geometric remainder |t_m| rho/(1-rho) after the last
-    term plus roundoff in the terms, their sum and the prefactor.
-    """
-    r = n / A
-    D = d_s + d_t
-    # F_d(y) <= n y^{-d} bounds the tail by n^2 A^{1-D}/(D-1); below 1e-300
-    # it is returned as 0 with that bound
-    if 2.0 * math.log(r) + (3.0 - D) * math.log(A) - math.log(D - 1.0) < -700.0:
-        return 0.0, 1e-300
-    eps = np.finfo(float).eps
-    terms = 64
-    while True:
-        k = np.arange(2.0, terms + 1)
-        # c_k = alpha_k r^k, k = 1..terms; the convolution is exact up to m = terms + 1
-        c_s, c_t = (np.cumprod(np.concatenate(([r], (2.0 - d - k) / k * r)))
-                    for d in (d_s, d_t))
-        m = np.arange(2.0, terms + 2)
-        t = np.convolve(c_s, c_t)[:terms] / ((d_s - 1.0) + (d_t + (m - 2.0)))
-        i = (terms + 1) // 2
-        rho = 2.0 * r * max(1.0, (max(d_s, d_t) + i - 1.0) / (i + 1.0))
-        abs_t = np.abs(t)
-        remainder = abs_t[-1] * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        if remainder <= eps * abs_t.sum() or terms >= 4096:
-            break
-        terms *= 2
-    prefactor = A ** (1.0 - d_s) * A ** (1.0 - d_t) * A
-    # roundings per term t_m: 4m in its factors c_k c_{m-k}, m in the
-    # convolution, 8 in the divisor and prefactor, `terms` in the sum; 1 - d
-    # is exact for d in [1/2, 2] and elsewhere moves A^{1-d} by log(A) ulps
-    exponent_err = 0.5 * math.log(A) * (abs(1.0 - d_s) + abs(1.0 - d_t))
-    roundoff = eps * float(np.dot(5.0 * m + terms + 8.0 + exponent_err, abs_t))
-    return prefactor * float(t.sum()), prefactor * (remainder + roundoff)
+    (value, certified error), for n/A <= 1/4."""
+    return _binomial_tail((1.0 - d_s, 1, n), (1.0 - d_t, 1, n), A)
 
 
 def partial_sum_weights(spec: ProcessSpec, n: int,

@@ -42,22 +42,31 @@ from . import io
 ENV_PREFIX = "LONGMEM_"
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name)
+def _override(flag: str, value, name: str, cast):
+    """``value`` if the flag was given, else ``cast`` of the environment
+    variable (None if unset); a value that fails names both."""
+    raw = os.environ.get(ENV_PREFIX + name)
+    if value is not None or not raw:
+        return value
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValidationError(f"{flag} / {ENV_PREFIX}{name}: invalid value {raw!r}") from None
 
 
 def _resolve(args, cfg):
     """Flag > environment > config file > default, for the shared knobs."""
-    seed = args.seed if args.seed is not None else \
-        int(_env("SEED")) if _env("SEED") else _config_value(cfg, "seed", 0, _integer)
-    out = Path(args.out if args.out is not None else _env("OUT") or ".")
-    threads = args.threads if args.threads is not None else \
-        int(_env("THREADS")) if _env("THREADS") else 1
+    seed = _override("--seed", args.seed, "SEED", _integer)
+    seed = _config_value(cfg, "seed", 0, _integer) if seed is None else seed
+    if seed < 0:
+        raise ValueError(f"--seed / {ENV_PREFIX}SEED / config 'seed' must be non-negative; "
+                         f"got {seed}")
+    out = Path(_override("--out", args.out, "OUT", str) or ".")
+    threads = _override("--threads", args.threads, "THREADS", _integer)
+    threads = 1 if threads is None else threads
     if threads < 1:
         raise ValueError(f"--threads / {ENV_PREFIX}THREADS must be at least 1; got {threads}")
-    tail_tol = args.tail_tol if args.tail_tol is not None else \
-        float(_env("TAIL_TOL")) if _env("TAIL_TOL") else None
-    return seed, out, threads, tail_tol
+    return seed, out, threads, _override("--tail-tol", args.tail_tol, "TAIL_TOL", float)
 
 
 def _int_list(values) -> list:

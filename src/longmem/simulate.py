@@ -205,16 +205,11 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
                         truncation_tail_var=spec.innovations.sigma2 * tail[idx])
 
 
-def partial_sums_direct(ensemble: PathEnsemble) -> np.ndarray:
-    """S_n(t_i) = sum_{k=1}^n X_k(t_i), summed over the stored paths."""
-    return ensemble.values.sum(axis=0)
-
-
 def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np.ndarray:
     """S_n via the independent-summands identity S_n(t) = sum_j z_{n,j}(t) eps_j(t).
 
     Uses the same truncation window and the same addressable innovations as
-    ``generate_paths``, so the result matches ``partial_sums_direct`` to
+    ``generate_paths``, so the result matches the sum of the paths over k to
     floating-point reassociation error (<= 1e-12 relative).
     """
     if n < 2:

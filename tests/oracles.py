@@ -5,12 +5,18 @@ for lag covariances and ``sigma * (table.z @ table.z.T)`` for the truncated
 partial sums.  The routes here resolve one pair of grid points at a time,
 looked up by value, and the partial-sum ones sum lag covariances instead of
 contracting coefficient tables.  ``window_tail_quad`` is the QUADPACK
-route to the tail of the untruncated partial-sum variance series.
+route to the tail of the untruncated partial-sum variance series, which the
+library sums as a binomial series.  ``scale_integral_upper_bound`` and
+``partial_sums_direct`` are closed-form and direct routes that only the
+tests call.
 """
 
-import numpy as np
+import warnings
 
-from longmem.analytics import (CertifiedValue, _improper_quad, _lag_series,
+import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+
+from longmem.analytics import (QUAD_OPTS, CertifiedValue, RegimeError, _lag_series,
                                partial_sum_weights)
 
 # route (a) / route (b) internal consistency tolerance for the partial-sum
@@ -115,4 +121,21 @@ def window_tail_quad(d_s: float, d_t: float, n: int, A: float) -> tuple[float, f
         return lambda y: ((y + n) ** (1.0 - d) - y ** (1.0 - d)) / (1.0 - d)
 
     f_s, f_t = window(d_s), window(d_t)
-    return _improper_quad(lambda y: f_s(y) * f_t(y), A)
+    with warnings.catch_warnings():
+        # tolerances tighter than roundoff on near-zero tails are reported
+        # as non-convergence; the returned estimate is still usable
+        warnings.simplefilter("ignore", IntegrationWarning)
+        # the tail mapped to (0, 1] via y = A/u
+        return quad(lambda u: f_s(A / u) * f_t(A / u) * A / (u * u), 0.0, 1.0, **QUAD_OPTS)
+
+
+def scale_integral_upper_bound(d: float) -> float:
+    """Splitting bound c(d, d) <= 1/(1-d) + 1/(2d-1) for 1/2 < d < 1."""
+    if not (0.5 < d < 1.0):
+        raise RegimeError(f"upper bound stated for 1/2 < d < 1; got d={d:g}")
+    return 1.0 / (1.0 - d) + 1.0 / (2.0 * d - 1.0)
+
+
+def partial_sums_direct(ensemble) -> np.ndarray:
+    """S_n(t_i) = sum_{k=1}^n X_k(t_i), summed over the stored paths."""
+    return ensemble.values.sum(axis=0)

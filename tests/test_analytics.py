@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import longmem as lm
-from longmem.analytics import _window_tail, _windowed_weights
+from longmem.analytics import MAX_LAG, _binomial_tail, _window_tail, _windowed_weights
 from oracles import (cross_covariance_exact, partial_sum_covariance_exact,
-                     partial_sum_covariance_lagsum, window_tail_quad)
+                     partial_sum_covariance_lagsum, scale_integral_upper_bound,
+                     window_tail_quad)
 
 
 class TestScaleIntegral:
@@ -43,10 +44,10 @@ class TestScaleIntegral:
         assert abs(a - b) / abs(b) < 1e-8
 
     def test_upper_bound(self, rel):
-        assert lm.scale_integral_upper_bound(0.75) == pytest.approx(6.0)
-        assert lm.scale_integral_upper_bound(0.6) == pytest.approx(7.5)
+        assert scale_integral_upper_bound(0.75) == pytest.approx(6.0)
+        assert scale_integral_upper_bound(0.6) == pytest.approx(7.5)
         assert lm.scale_integral_closed_form(0.75, 0.75) <= 6.0
-        assert lm.scale_integral_upper_bound(1 - 1e-9) > 1e8
+        assert scale_integral_upper_bound(1 - 1e-9) > 1e8
 
 
 class TestCrossCovariance:
@@ -440,6 +441,89 @@ class TestWindowTail:
         value = lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 8, past_terms=31)
         default = lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 8)
         assert abs(value.value - default.value) <= value.error_bound + default.error_bound
+
+
+# int_A^inf y^{-d_s} (y+h)^{-d_t} dy, the tail of the lag-h series at
+# A = max(4096, 4h) + 1.5, to 40 digits.  Computed with mpmath 1.3.0 at 60
+# digits as A^{1-D}/(D-1) 2F1(d_t, D-1; D; -h/A), D = d_s + d_t, which
+# tanh-sinh quadrature of A^{1-D}/(D-1) int_0^1 (1 + h w^{1/(D-1)}/A)^{-d_t} dw
+# matches to 1e-45 relative.  The exponents are the binary doubles.
+LAG_TAIL_REFERENCES = [
+    ((0.51, 0.51), 0, "4.233695558863164517941890775580511225039e+1"),
+    ((0.51, 0.51), 1, "4.23368522743740933037962938248722138349e+1"),
+    ((0.51, 0.51), 10, "4.233592330996527042018751086390623612043e+1"),
+    ((0.51, 0.51), 100, "4.23267180435506071095652302217585489487e+1"),
+    ((0.51, 0.51), 1000, "4.224211198456679125483373872955376749987e+1"),
+    ((0.51, 0.51), 100000, "3.854188271480644635691705372484385054561e+1"),
+    ((0.51, 0.51), 1250000, "3.664331466841360515271542674429415953749e+1"),
+    ((0.6, 0.7), 0, "2.748672874586787935154615503591408982751e-1"),
+    ((0.6, 0.7), 1, "2.748564524535740894453448295340937781975e-1"),
+    ((0.6, 0.7), 10, "2.747590515658958100043520432023819313384e-1"),
+    ((0.6, 0.7), 100, "2.737961743237178242201938846160896150458e-1"),
+    ((0.6, 0.7), 1000, "2.65135511639010458605050588009176467067e-1"),
+    ((0.6, 0.7), 100000, "6.70279143102078181751992177644073316925e-2"),
+    ((0.6, 0.7), 1250000, "3.141833027745396662227178165209877327279e-2"),
+    ((0.6, 2.0), 0, "1.037169358502176209302079946509698644985e-6"),
+    ((0.6, 2.0), 1, "1.036857905488673266296892227491102047305e-6"),
+    ((0.6, 2.0), 10, "1.034062220636573801436062449734716645511e-6"),
+    ((0.6, 2.0), 100, "1.006819024622436899208995004775981734078e-6"),
+    ((0.6, 2.0), 1000, "7.91234049144857631668507296504650615579e-7"),
+    ((0.6, 2.0), 100000, "5.15763929914827857075651880905237580784e-10"),
+    ((0.6, 2.0), 1250000, "9.065608681377153723178052997668895197239e-12"),
+    ((2.0, 0.6), 0, "1.037169358502176209302079946509698644985e-6"),
+    ((2.0, 0.6), 1, "1.037075911070928605991908715032495588029e-6"),
+    ((2.0, 0.6), 10, "1.036236068111240929898141786602311094886e-6"),
+    ((2.0, 0.6), 100, "1.027952941253250627555806494435640962702e-6"),
+    ((2.0, 0.6), 1000, "9.550368616291738423444486880571697843952e-7"),
+    ((2.0, 0.6), 100000, "6.251025855912145259291852387191530760623e-10"),
+    ((2.0, 0.6), 1250000, "1.098746629579973623226508922336377345959e-11"),
+    ((1.0, 1.0), 0, "2.440512507626601586333129957291031116534e-4"),
+    ((1.0, 1.0), 1, "2.440214751005872834547370876299377912181e-4"),
+    ((1.0, 1.0), 10, "2.437539293438395019261610502165193132125e-4"),
+    ((1.0, 1.0), 100, "2.411207833371113484448983617948890166934e-4"),
+    ((1.0, 1.0), 1000, "2.183731918306254907916308347717793630311e-4"),
+    ((1.0, 1.0), 100000, "2.231428013167409971881992786866819156716e-6"),
+    ((1.0, 1.0), 1250000, "1.785147930513807646095224732043153413017e-7"),
+    ((0.55, 0.95), 0, "3.124427952522894445200364349502965852105e-2"),
+    ((0.55, 0.95), 1, "3.12418652215016887105217044448790310978e-2"),
+    ((0.55, 0.95), 10, "3.122016745610141200742192490853842530648e-2"),
+    ((0.55, 0.95), 100, "3.100620406964154158241669682308918906701e-2"),
+    ((0.55, 0.95), 1000, "2.912453427800603022283462822127267879323e-2"),
+    ((0.55, 0.95), 100000, "2.943137696244339151816944111396013341801e-3"),
+    ((0.55, 0.95), 1250000, "8.32446297346784814587838590613529953787e-4"),
+    ((2.0, 2.0), 0, "4.845313239684265256129117271869407746946e-12"),
+    ((2.0, 2.0), 1, "4.843540001873893718602690991459517474586e-12"),
+    ((2.0, 2.0), 10, "4.82762747435973930639666119263073840319e-12"),
+    ((2.0, 2.0), 100, "4.672994906878991504694515897963455011862e-12"),
+    ((2.0, 2.0), 1000, "3.479462491306185387471630256167239931538e-12"),
+    ((2.0, 2.0), 100000, "3.712859871833612040073330869205222572874e-18"),
+    ((2.0, 2.0), 1250000, "1.90100191825003953493965807501459455662e-21"),
+]
+
+
+class TestLagTail:
+    @pytest.mark.parametrize("d, h, reference", LAG_TAIL_REFERENCES)
+    def test_series_matches_40_digit_reference(self, d, h, reference):
+        d_s, d_t = d
+        value, err = _binomial_tail((-d_s, 0, 0), (-d_t, 0, h), max(4096, 4 * h) + 1.5)
+        miss = abs(Decimal(value) - Decimal(reference))
+        assert miss <= Decimal("2e-15") * Decimal(reference)
+        assert miss <= Decimal(err)
+
+    def test_lags_up_to_max_lag_are_certified(self):
+        spec = lm.spec_from_dict({
+            "grid": {"points": [0.5]},
+            "memory": {"kind": "constant", "values": 0.75},
+            "innovations": {"kind": "white", "sigma2": 1.0},
+        })
+        values, bounds = lm.cross_covariance_matrix(spec, MAX_LAG)
+        # the leading term c(d, d) h^{1-2d} of the asymptotic law, which
+        # the exact value approaches from below (2.0% short at MAX_LAG)
+        asymptotic = lm.cross_covariance_asymptotic(0.75, 0.75, 1.0, MAX_LAG)
+        assert 0.97 < values[0, 0] / asymptotic < 0.99
+        assert 0.0 < bounds[0, 0] < 1e-12 * values[0, 0]
+        with pytest.raises(ValueError, match=f"lag h={MAX_LAG + 1} exceeds MAX_LAG"):
+            lm.cross_covariance_matrix(spec, MAX_LAG + 1)
 
 
 class TestLimitKernelAndPlan:

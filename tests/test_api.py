@@ -14,13 +14,15 @@ PUBLIC_NAMES = [
     "innovation_block", "l2_membership", "limit_kernel", "load_spec",
     "normality_diagnostics", "normalization_plan",
     "partial_sum_covariance_asymptotic", "partial_sum_covariance_series",
-    "partial_sum_weights", "partial_sums_direct", "partial_sums_via_z",
+    "partial_sum_weights", "partial_sums_via_z",
     "run_clt_experiment", "scale_integral", "scale_integral_closed_form",
-    "scale_integral_upper_bound", "spec_from_dict", "truncation_length", "validate",
+    "spec_from_dict", "truncation_length", "validate",
 ]
 
-# removed in 0.4.0: the pointwise routes live on as test oracles (tests/oracles.py)
-REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact"]
+# removed in 0.4.0 (the pointwise routes) and in 0.9.0 (two routes with no
+# library caller); they live on as test oracles (tests/oracles.py)
+REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact",
+                 "partial_sums_direct", "scale_integral_upper_bound"]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -28,7 +30,8 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(lm.__all__) == PUBLIC_NAMES
     assert [name for name in lm.__all__ if not hasattr(lm, name)] == []
     assert [name for name in REMOVED_NAMES
-            if hasattr(lm, name) or hasattr(lm.analytics, name)] == []
+            if any(hasattr(module, name)
+                   for module in (lm, lm.analytics, lm.simulate))] == []
 
 
 def test_pyproject_version_is_the_package_version():

@@ -317,6 +317,14 @@ class TestAnalyze:
         notes = {row[-1] for row in rows}
         assert "asymptotic law not stated in this regime (d_s=2, d_t=0.6)" in notes
 
+    def test_lag_beyond_max_lag_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = _write(tmp_path, dict(SMALL_LONG, lags=[0, lm.analytics.MAX_LAG + 1]))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "lag h=1250001 exceeds MAX_LAG=1250000" in err
+        assert not (tmp_path / "a" / "covariances.csv").exists()
+
 
 class TestThreads:
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -333,6 +341,27 @@ class TestThreads:
         monkeypatch.setenv("LONGMEM_THREADS", "0")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
         assert "LONGMEM_THREADS" in capsys.readouterr().err
+
+
+class TestSharedKnobs:
+    @pytest.mark.parametrize("env, argv, names", [
+        ({"LONGMEM_SEED": "1.5"}, [], ["LONGMEM_SEED", "'1.5'"]),
+        ({"LONGMEM_THREADS": "two"}, [], ["--threads", "LONGMEM_THREADS", "'two'"]),
+        ({"LONGMEM_TAIL_TOL": "tight"}, [], ["--tail-tol", "LONGMEM_TAIL_TOL", "'tight'"]),
+        ({}, ["--seed", "-3"], ["--seed", "non-negative", "-3"]),
+        ({"LONGMEM_SEED": "-3"}, [], ["LONGMEM_SEED", "non-negative", "-3"]),
+    ], ids=["env-seed-fraction", "env-threads-word", "env-tail-tol-word",
+            "flag-seed-negative", "env-seed-negative"])
+    def test_bad_value_exits_2_naming_its_source(self, tmp_path, capsys, monkeypatch,
+                                                  env, argv, names):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg = _write(tmp_path, SMALL_LONG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # single-line diagnostic
+        assert all(name in err for name in names), err
+        assert not (tmp_path / "s").exists()
 
 
 class TestVerifyClt:
@@ -454,8 +483,9 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
-    # QUADPACK serves only the analyze routes; it costs each other process
-    # about 27 MB and 0.3 s, so it is imported where those routes run
+    # QUADPACK serves only analyze's scale integral; it costs each other
+    # process about 27 MB and 0.3 s, so it is imported where that route runs.
+    # The lag covariances sum their tails as series and load none of it.
     src = str(Path(lm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -466,12 +496,17 @@ def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
             "print('import', 0, 'scipy.integrate' in sys.modules)\n"
             "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
             "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n"
+            "spec = longmem.load_spec(sys.argv[1])\n"
+            "for h in (0, 1, 10, 100):\n"
+            "    longmem.cross_covariance_matrix(spec, h)\n"
+            "print('lags', 0, 'scipy.integrate' in sys.modules)\n"
             "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n")
     run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
                           _config_path("clt_boundary_reference.json"), str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.stdout.splitlines() == ["import 0 False", "simulate 0 False",
-                                       "verify-clt 0 False", "analyze 0 True"]
+                                       "verify-clt 0 False", "lags 0 False",
+                                       "analyze 0 True"]
     # loaded lazily, QUADPACK gives analyze the same bytes as in this process
     assert main(["analyze", "--config", _config_path("fig1a.json"),
                  "--out", str(tmp_path / "here")]) == 0
