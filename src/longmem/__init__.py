@@ -55,7 +55,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "CertifiedValue",

@@ -6,7 +6,9 @@ partial sums.  The routes here resolve one pair of grid points at a time,
 looked up by value, and the partial-sum ones sum lag covariances instead of
 contracting coefficient tables.  ``window_tail_quad`` is the QUADPACK
 route to the tail of the untruncated partial-sum variance series, which the
-library sums as a binomial series.  ``scale_integral_upper_bound`` and
+library sums as a binomial series, and ``scale_integral_quad`` the QUADPACK
+route to the scale integral, which the library evaluates on a fixed
+tanh-sinh rule.  ``scale_integral_upper_bound`` and
 ``partial_sums_direct`` are closed-form and direct routes that only the
 tests call.
 """
@@ -16,8 +18,10 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from longmem.analytics import (QUAD_OPTS, CertifiedValue, RegimeError, _lag_series,
-                               partial_sum_weights)
+from longmem.analytics import (CertifiedValue, RegimeError, _check_scale_regime,
+                               _lag_series, partial_sum_weights)
+
+QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
 # route (a) / route (b) internal consistency tolerance for the partial-sum
 # covariance, and the work budget n*M above which that cross-check is skipped
@@ -127,6 +131,24 @@ def window_tail_quad(d_s: float, d_t: float, n: int, A: float) -> tuple[float, f
         warnings.simplefilter("ignore", IntegrationWarning)
         # the tail mapped to (0, 1] via y = A/u
         return quad(lambda u: f_s(A / u) * f_t(A / u) * A / (u * u), 0.0, 1.0, **QUAD_OPTS)
+
+
+def scale_integral_quad(d_s: float, d_t: float) -> float:
+    """int_0^inf x^{-d_s} (x+1)^{-d_t} dx by adaptive quadrature.
+
+    The integrand has a power singularity at 0 and a slow power tail, so
+    each half is transformed to a smooth integrand on [0, 1] first:
+
+    * on [0, 1], substitute x = u^{1/(1-d_s)};
+    * on [1, inf), substitute x = 1/v followed by v = w^{1/a} with
+      a = d_s + d_t - 1.
+    """
+    _check_scale_regime(d_s, d_t)
+    p = 1.0 - d_s
+    head, _ = quad(lambda u: (1.0 + u ** (1.0 / p)) ** (-d_t), 0.0, 1.0, **QUAD_OPTS)
+    a = d_s + d_t - 1.0
+    tail, _ = quad(lambda w: (1.0 + w ** (1.0 / a)) ** (-d_t), 0.0, 1.0, **QUAD_OPTS)
+    return head / p + tail / a
 
 
 def scale_integral_upper_bound(d: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -7,17 +8,43 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import longmem as lm
-from longmem.analytics import MAX_LAG, _binomial_tail, _window_tail, _windowed_weights
+from longmem.analytics import (LAG_BLOCK, MAX_LAG, _binomial_tail, _lag_series,
+                               _tanh_sinh_rule, _window_tail, _windowed_weights)
 from oracles import (cross_covariance_exact, partial_sum_covariance_exact,
-                     partial_sum_covariance_lagsum, scale_integral_upper_bound,
-                     window_tail_quad)
+                     partial_sum_covariance_lagsum, scale_integral_quad,
+                     scale_integral_upper_bound, window_tail_quad)
+
+
+# 40-digit Gamma(1-d_s) Gamma(d_s+d_t-1) / Gamma(d_t) (mpmath) at exponents
+# where the closed form's exp(gammaln) loses digits (d_t = 50, 200) or the
+# integrand turns sharp (d_s -> 1, d_s + d_t -> 1)
+SCALE_INTEGRAL_REFERENCES = [
+    ((0.999999, 2.0), "999998.9999728892679065789884491270173663"),
+    ((0.5000001, 0.5000001), "5000001.388926497034945159827541777681359"),
+    ((0.55, 50.0), "0.3406987454690329088376557945550249218553"),
+    ((0.6, 50.0), "0.4664998526830206805167147347657340870298"),
+    ((0.75, 50.0), "1.367736882577794741993103783841922823921"),
+    ((0.75, 200.0), "0.964857758178197030477544558538289637083"),
+    ((0.9, 200.0), "5.602182142843328576010542551618367945812"),
+]
+
+# d_s from near 1/2 to near 1, d_t from d_s + d_t = 1.01 to 5, and the edges
+# of the regime, where QUADPACK misses by 1.2e-6, 3.1e-7 and 7.5e-8
+SCALE_INTEGRAL_SWEEP = [
+    (float(d_s), float(d_t)) for d_s in np.linspace(0.505, 0.995, 50)
+    for d_t in np.linspace(1.01 - d_s, 5.0, 40)
+] + [(0.999999, 2.0), (0.6, 0.400001), (0.5000001, 0.5000001)]
+
+# acceptance criterion A1's grid
+A1_GRID = [(float(d_s), float(d_t)) for d_s in np.arange(0.55, 0.9501, 0.05)
+           for d_t in np.linspace(0.55, 3.0, 12)]
 
 
 class TestScaleIntegral:
     def test_against_gamma_oracle_at_075(self, rel):
         # [DERIVED] Gamma(0.25) Gamma(0.5) / Gamma(0.75) = 5.244115...
         oracle = (math.gamma(0.25) * math.gamma(0.5) / math.gamma(0.75))
-        assert rel(lm.scale_integral(0.75, 0.75), oracle) < 1e-10
+        assert rel(lm.scale_integral(0.75, 0.75), oracle) < 1e-14
         assert rel(lm.scale_integral_closed_form(0.75, 0.75), oracle) < 1e-14
         assert oracle == pytest.approx(5.2441, abs=1e-4)
 
@@ -36,12 +63,40 @@ class TestScaleIntegral:
         with pytest.raises(lm.RegimeError, match="d_s \\+ d_t > 1"):
             lm.scale_integral(0.55, 0.40)
 
+    def test_rejection_prints_the_exponents_in_full(self):
+        with pytest.raises(lm.RegimeError, match="got d_s=0.4999999$"):
+            lm.scale_integral(0.4999999, 0.75)
+        with pytest.raises(lm.RegimeError, match="got d_s=0.6, d_t=0.3999999$"):
+            lm.scale_integral_closed_form(0.6, 0.3999999)
+
     @given(d_s=st.floats(0.55, 0.95), d_t=st.floats(0.55, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_quadrature_matches_closed_form(self, d_s, d_t):
         a = lm.scale_integral(d_s, d_t)
         b = lm.scale_integral_closed_form(d_s, d_t)
-        assert abs(a - b) / abs(b) < 1e-8
+        assert abs(a - b) / abs(b) < 1e-14
+
+    def test_rule_matches_closed_form_to_the_edges_of_the_regime(self, rel):
+        worst = max(rel(lm.scale_integral(d_s, d_t), lm.scale_integral_closed_form(d_s, d_t))
+                    for d_s, d_t in SCALE_INTEGRAL_SWEEP)
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("d, reference", SCALE_INTEGRAL_REFERENCES)
+    def test_rule_matches_40_digit_reference(self, d, reference):
+        miss = abs(Decimal(lm.scale_integral(*d)) - Decimal(reference))
+        assert miss <= Decimal("1e-14") * Decimal(reference)
+
+    def test_rule_matches_quadpack_oracle_on_the_A1_grid(self, rel):
+        assert max(rel(lm.scale_integral(d_s, d_t), scale_integral_quad(d_s, d_t))
+                   for d_s, d_t in A1_GRID) <= 1e-10
+
+    def test_rule_is_built_once_and_read_only(self):
+        log_u, w = _tanh_sinh_rule()
+        assert _tanh_sinh_rule()[0] is log_u and len(log_u) == len(w) == 207
+        assert not (log_u.flags.writeable or w.flags.writeable)
+        # near u = 0, log u = pi sinh t to full relative precision
+        assert log_u[0] == pytest.approx(-math.pi * math.sinh(103 / 32), rel=1e-15)
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-15)
 
     def test_upper_bound(self, rel):
         assert scale_integral_upper_bound(0.75) == pytest.approx(6.0)
@@ -524,6 +579,35 @@ class TestLagTail:
         assert 0.0 < bounds[0, 0] < 1e-12 * values[0, 0]
         with pytest.raises(ValueError, match=f"lag h={MAX_LAG + 1} exceeds MAX_LAG"):
             lm.cross_covariance_matrix(spec, MAX_LAG + 1)
+
+    @pytest.mark.parametrize("h", [0, 100, 16_383])
+    def test_one_block_head_is_the_one_shot_sum(self, h):
+        # up to h = 16,383 the J + 1 head terms fit one block, so the sum
+        # keeps the bits of the single numpy expression it replaced
+        d_s, d_t = 0.6, 0.85
+        J = max(4096, 4 * h)
+        assert J + 1 <= LAG_BLOCK
+        jj = np.arange(J + 1, dtype=float)
+        one_shot = float(np.sum((jj + 1.0) ** (-d_s) * (jj + h + 1.0) ** (-d_t)))
+        tail, _ = _binomial_tail((-d_s, 0, 0), (-d_t, 0, h), J + 1.5)
+        value, _, partial = _lag_series(d_s, d_t, h)
+        assert (partial, value) == (one_shot, one_shot + tail)
+
+    def test_max_lag_head_is_summed_in_bounded_memory(self):
+        # one numpy expression over the 5,000,001 head terms held four
+        # 40 MB temporaries; blocks of LAG_BLOCK terms hold 2 MB
+        spec = lm.spec_from_dict({
+            "grid": {"points": [0.5]},
+            "memory": {"kind": "constant", "values": 0.75},
+            "innovations": {"kind": "white", "sigma2": 1.0},
+        })
+        tracemalloc.start()
+        try:
+            lm.cross_covariance_matrix(spec, MAX_LAG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestLimitKernelAndPlan:

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,37 @@ def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
     with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == lm.__version__
+
+
+def _scipy_integrate_imports(source: str) -> list[int]:
+    """Line numbers of the statements in ``source`` that import scipy.integrate."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.integrate", "import scipy.integrate as si",
+    "from scipy.integrate import quad", "from scipy import integrate",
+    "def f():\n    from scipy.integrate import quad",
+])
+def test_guard_sees_every_form_of_the_import(source):
+    assert _scipy_integrate_imports(source) == [source.count("\n") + 1]
+
+
+def test_library_never_imports_scipy_integrate():
+    # QUADPACK routes live in tests/oracles.py; the library's quadratures
+    # are series and a fixed numpy rule, so no command pays for scipy.integrate
+    package = Path(lm.__file__).resolve().parent
+    found = {path.name: _scipy_integrate_imports(path.read_text())
+             for path in package.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -483,9 +483,9 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
 
 def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
-    # QUADPACK serves only analyze's scale integral; it costs each other
-    # process about 27 MB and 0.3 s, so it is imported where that route runs.
-    # The lag covariances sum their tails as series and load none of it.
+    # scipy.integrate costs a process about 25 MB and 0.3 s, and no command
+    # needs it: the lag covariances sum their tails as series and the scale
+    # integral runs on a fixed numpy tanh-sinh rule.
     src = str(Path(lm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -506,8 +506,9 @@ def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.stdout.splitlines() == ["import 0 False", "simulate 0 False",
                                        "verify-clt 0 False", "lags 0 False",
-                                       "analyze 0 True"]
-    # loaded lazily, QUADPACK gives analyze the same bytes as in this process
+                                       "analyze 0 False"]
+    # a fresh process writes the same bytes as this one, where the test
+    # oracles have loaded scipy.integrate
     assert main(["analyze", "--config", _config_path("fig1a.json"),
                  "--out", str(tmp_path / "here")]) == 0
     for name in ("c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"):
