@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import ProcessSpec, ValidationError
 
@@ -97,7 +96,7 @@ def scale_integral(d_s: float, d_t: float) -> float:
 def scale_integral_closed_form(d_s: float, d_t: float) -> float:
     """Gamma-function closed form Gamma(1-d_s) Gamma(d_s+d_t-1) / Gamma(d_t)."""
     _check_scale_regime(d_s, d_t)
-    return float(math.exp(gammaln(1.0 - d_s) + gammaln(d_s + d_t - 1.0) - gammaln(d_t)))
+    return math.exp(math.lgamma(1.0 - d_s) + math.lgamma(d_s + d_t - 1.0) - math.lgamma(d_t))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import ProcessSpec, ValidationError
 from .analytics import (
@@ -167,6 +166,8 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     ``kurtosis`` and ``kstest`` (biased moments; NaN where the second moment
     vanishes against the mean), which the tests hold them to bit for bit.
     """
+    from scipy.special import ndtr   # loaded on first use: `import longmem` stays light
+
     samples = np.asarray(samples, dtype=float)
     N, _ = samples.shape
     if N < MIN_NORMALITY_N:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import zeta
 
 DEFAULT_TAIL_TOL = 1e-3
 HARD_CAP = 10_000_000
@@ -371,6 +370,8 @@ def truncation_length(d: float, tail_tol: float) -> int:
         raise ValidationError(f"d={float(d)!r} <= 1/2: truncation undefined (series diverges)")
     if not (0.0 < tail_tol <= 1.0):
         raise ValidationError("tail_tol must lie in (0, 1]")
+    from scipy.special import zeta   # loaded on first use: `import longmem` stays light
+
     budget = tail_tol * float(zeta(2.0 * d))
     if tail_variance_bound(d, 0) <= budget:
         return 0

@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import (InnovationModel, ProcessSpec, ValidationError, _factor_psd,
                     tail_variance_bound)
@@ -60,10 +59,16 @@ def _seek(gen: np.random.Generator, seed: int, rep: int, start: int, W: int) -> 
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndarray:
-    """Map uniforms to i.i.d. mean-zero unit-variance draws of the given law."""
+def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float,
+                        ndtri) -> np.ndarray:
+    """Map uniforms to i.i.d. mean-zero unit-variance draws of the given law.
+
+    Gaussian draws overwrite ``u`` and are returned in it; ``ndtri`` is
+    ``scipy.special.ndtri``, which the caller imports.
+    """
     if law == "gaussian":
-        return ndtri(u + _U_HALF_ULP)
+        u += _U_HALF_ULP
+        return ndtri(u, out=u)
     # symmetrized Pareto via inverse CDF: sign and magnitude from one uniform
     v = 2.0 * u - 1.0 + 2.0 ** -53
     mag = (1.0 - np.abs(v)) ** (-1.0 / pareto_alpha)
@@ -80,8 +85,11 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
     Entries are i.i.d. mean zero, unit variance, of the model's law; one
     Philox generator and one uniform buffer serve the whole call, reset to
     each replication's counter, so a replication's draws do not depend on
-    the block it falls in.
+    the block it falls in.  A Gaussian block is that buffer, transformed in
+    place: use it before asking for the next one.
     """
+    from scipy.special import ndtri   # loaded on first draw: `import longmem` stays light
+
     if count < 1:
         raise ValueError("count must be >= 1")
     W = _words_per_index(model.q)
@@ -92,7 +100,7 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
         for r in range(k):
             _seek(gen, seed, reps[lo + r], start, W)
             gen.random(out=u[r])
-        yield _standardized_draws(u[:k, :, :model.q], model.law, model.pareto_alpha)
+        yield _standardized_draws(u[:k, :, :model.q], model.law, model.pareto_alpha, ndtri)
 
 
 def _factor_t(model: InnovationModel) -> np.ndarray:

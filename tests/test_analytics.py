@@ -86,6 +86,14 @@ class TestScaleIntegral:
         miss = abs(Decimal(lm.scale_integral(*d)) - Decimal(reference))
         assert miss <= Decimal("1e-14") * Decimal(reference)
 
+    @pytest.mark.parametrize("d, reference", SCALE_INTEGRAL_REFERENCES)
+    def test_closed_form_matches_40_digit_reference(self, d, reference):
+        # exp of a difference of lgammas loses relative accuracy as lgamma(d_t)
+        # grows: 2.4e-15 for d_t <= 2, 1.8e-13 at d_t = 50 and 200
+        miss = abs(Decimal(lm.scale_integral_closed_form(*d)) - Decimal(reference))
+        bound = Decimal("1e-14") if d[1] <= 2.0 else Decimal("5e-13")
+        assert miss <= bound * Decimal(reference)
+
     def test_rule_matches_quadpack_oracle_on_the_A1_grid(self, rel):
         assert max(rel(lm.scale_integral(d_s, d_t), scale_integral_quad(d_s, d_t))
                    for d_s, d_t in A1_GRID) <= 1e-10

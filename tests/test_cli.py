@@ -462,12 +462,17 @@ class TestVerifyClt:
         assert m["innovations_drawn"] == cfg["N"] * rows
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this longmem."""
+    src = str(Path(lm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats costs about half of the import, and no command needs it:
     # the normality statistics are computed with numpy and scipy.special
-    src = str(Path(lm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_env()
     code = ("import sys, longmem.cli\n"
             "after_import = 'scipy.stats' in sys.modules\n"
             "status = longmem.cli.main(sys.argv[1:])\n"
@@ -486,9 +491,7 @@ def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
     # scipy.integrate costs a process about 25 MB and 0.3 s, and no command
     # needs it: the lag covariances sum their tails as series and the scale
     # integral runs on a fixed numpy tanh-sinh rule.
-    src = str(Path(lm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _fresh_env()
     code = ("import sys, longmem.cli\n"
             "def run(command, config, out):\n"
             "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
@@ -513,6 +516,55 @@ def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
                  "--out", str(tmp_path / "here")]) == 0
     for name in ("c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_analyze_leaves_scipy_special_unloaded(tmp_path):
+    # scipy.special costs a process about 25 MB and 0.3 s, and analyze needs
+    # none of it: its one special function, log Gamma, comes from math.  The
+    # truncation window, the sampler and the normality statistics import it
+    # on first use.
+    code = ("import sys, longmem.cli\n"
+            "def run(command, config, out):\n"
+            "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
+            "    print(command, status, 'scipy.special' in sys.modules)\n"
+            "print('import', 0, 'scipy.special' in sys.modules)\n"
+            "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n"
+            "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n")
+    run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
+                          _config_path("clt_boundary_reference.json"), str(tmp_path)],
+                         env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    lines = run.stdout.splitlines()
+    assert lines[:2] == ["import 0 False", "analyze 0 False"]
+    assert lines[2:] in (["verify-clt 0 True"], ["verify-clt 1 True"])
+    assert (tmp_path / "v" / "normality.csv").exists()
+
+
+def test_fresh_processes_write_the_same_bytes_at_any_thread_count(tmp_path):
+    # scipy.special loads lazily.  In a fresh process the truncation window
+    # loads it on the main thread, before any shard thread draws; the output
+    # bytes do not depend on the thread count either way.
+    code = ("import sys, threading\n"
+            "class FirstImport:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.special':\n"
+            "            print(threading.current_thread().name)\n"
+            "sys.meta_path.insert(0, FirstImport())\n"
+            "import longmem.cli\n"
+            "sys.exit(longmem.cli.main(sys.argv[1:]))\n")
+    cfg = _write(tmp_path, SMALL_LONG)
+    for threads in ("1", "2"):
+        run = subprocess.run([sys.executable, "-c", code, "verify-clt", "--config", cfg,
+                              "--out", str(tmp_path / threads), "--threads", threads],
+                             env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout) == (0, "MainThread\n"), run.stderr
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert len(names) == 10
+    for name in names:
+        if name != "manifest.json":   # it holds a timestamp
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    assert (_manifest_without_timestamp(tmp_path / "1")
+            == _manifest_without_timestamp(tmp_path / "2"))
 
 
 def test_table_csv_quotes_only_text_that_needs_it(tmp_path):

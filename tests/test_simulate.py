@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import longmem as lm
 from longmem.model import tail_variance_bound
@@ -49,11 +50,13 @@ class TestInnovations:
                 expected.append(fresh.random((9, W)))
             _seek(reused, 7, rep, start, W)
             assert np.array_equal(reused.random((9, W)), expected[0])
-            # three replications in blocks of two: one generator, reset per replication
-            blocks = list(_standard_draws(model, 7, range(rep, rep + 3), start, 9, 2))
+            # three replications in blocks of two: one generator, reset per
+            # replication; a block lives in the buffer the next one refills
+            blocks = [g.copy() for g in _standard_draws(model, 7, range(rep, rep + 3),
+                                                        start, 9, 2)]
             assert [len(g) for g in blocks] == [2, 1]
             assert np.array_equal(np.concatenate(blocks), _standardized_draws(
-                np.array(expected)[:, :, :q], "gaussian", model.pareto_alpha))
+                np.array(expected)[:, :, :q], "gaussian", model.pareto_alpha, ndtri))
 
     def test_seek_refuses_a_negative_replication(self):
         gen = np.random.Generator(np.random.Philox(1))
