@@ -24,8 +24,6 @@ from .model import (
 from .analytics import (
     CertifiedValue,
     CoefficientTable,
-    LimitKernel,
-    NormalizationPlan,
     RegimeError,
     classify_summability,
     cross_covariance_asymptotic,
@@ -34,7 +32,6 @@ from .analytics import (
     l2_membership,
     limit_kernel,
     normalization_plan,
-    partial_sum_covariance_asymptotic,
     partial_sum_covariance_series,
     partial_sum_weights,
     scale_integral,
@@ -55,7 +52,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "CertifiedValue",
@@ -63,10 +60,8 @@ __all__ = [
     "CovarianceReport",
     "ExponentFit",
     "InnovationModel",
-    "LimitKernel",
     "MemoryFunction",
     "NormalityReport",
-    "NormalizationPlan",
     "PathEnsemble",
     "ProcessSpec",
     "RegimeError",
@@ -86,7 +81,6 @@ __all__ = [
     "load_spec",
     "normality_diagnostics",
     "normalization_plan",
-    "partial_sum_covariance_asymptotic",
     "partial_sum_covariance_series",
     "partial_sum_weights",
     "partial_sums_via_z",

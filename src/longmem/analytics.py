@@ -385,44 +385,9 @@ def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: in
     return CertifiedValue(value, err)
 
 
-def partial_sum_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float,
-                                      n: int) -> float:
-    """Leading-order E[S_n(s) S_n(t)] in the two covered regimes.
-
-    Power regime (both exponents in (1/2, 1)):
-    [c(s,t)+c(t,s)] sigma / ((2-D)(3-D)) * n^{3-D} with D = d_s + d_t.
-    Boundary regime (both equal 1): sigma n ln^2 n.
-    """
-    if d_s == 1.0 and d_t == 1.0:
-        return sigma_st * n * math.log(n) ** 2
-    if 0.5 < d_s < 1.0 and 0.5 < d_t < 1.0:
-        D = d_s + d_t
-        c_sum = scale_integral_closed_form(d_s, d_t) + scale_integral_closed_form(d_t, d_s)
-        return c_sum * sigma_st / ((2.0 - D) * (3.0 - D)) * n ** (3.0 - D)
-    raise RegimeError(f"partial-sum asymptotics stated only for both exponents in "
-                      f"(1/2, 1) or both equal to 1 (d_s={d_s:g}, d_t={d_t:g})")
-
-
 # ---------------------------------------------------------------------------
 # limit kernel, normalization, bounds
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class LimitKernel:
-    """Covariance of the Gaussian limit of the normalized partial sums."""
-
-    regime: str  # "long" or "boundary"
-    K: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizationPlan:
-    """Per-point normalizers b_n(t): n^{3/2-d(t)} (long) or sqrt(n) ln n (boundary)."""
-
-    regime: str
-    n: int
-    b: np.ndarray
-
 
 def _clt_regime(spec: ProcessSpec) -> str:
     report = spec.require_valid()
@@ -434,35 +399,37 @@ def _clt_regime(spec: ProcessSpec) -> str:
                       "(need 1/2 < d(t) < 1 everywhere, or d(t) = 1 everywhere)")
 
 
-def limit_kernel(spec: ProcessSpec) -> LimitKernel:
-    """Limit covariance kernel at the grid points, per regime."""
+def limit_kernel(spec: ProcessSpec) -> np.ndarray:
+    """Limit covariance K of S_n / b_n at the grid points, as a q x q array.
+
+    Boundary regime: K = sigma.  Long regime: the n^{3-D} coefficient of
+    E[S_n(s) S_n(t)], [c(s,t) + c(t,s)] sigma / ((2-D)(3-D)), D = d(s) + d(t).
+    """
     regime = _clt_regime(spec)
     sigma = spec.innovations.sigma
     if regime == "boundary":
         K = sigma
     else:
-        # [c(s,t) + c(t,s)] sigma / ((2-D)(3-D)), D = d(s) + d(t); sigma is
-        # symmetric only to roundoff, so its upper triangle decides both halves
+        # sigma is symmetric only to roundoff, so its upper triangle decides
+        # both halves
         u, idx = spec.memory.distinct
         c = np.array([[scale_integral_closed_form(a, b) for b in u] for a in u])
         D = u[:, None] + u
         pair = np.ix_(idx, idx)
         K = np.where(sigma == 0.0, 0.0, (c + c.T)[pair] * sigma / ((2.0 - D) * (3.0 - D))[pair])
         K = np.triu(K) + np.triu(K, 1).T
-    K = (K + K.T) / 2.0
-    return LimitKernel(regime=regime, K=K)
+    return (K + K.T) / 2.0
 
 
-def normalization_plan(spec: ProcessSpec, n: int) -> NormalizationPlan:
-    """Per-point normalizers for the partial sums at horizon n."""
+def normalization_plan(spec: ProcessSpec, n: int) -> np.ndarray:
+    """Per-point normalizers b_n(t) of the partial sums at horizon n, as a
+    q-vector: n^{3/2-d(t)} (long) or sqrt(n) ln n (boundary)."""
     regime = _clt_regime(spec)
     if regime == "boundary":
         if n < 2:
             raise ValueError("boundary normalization sqrt(n) ln n needs n >= 2")
-        b = np.full(spec.grid.q, math.sqrt(n) * math.log(n))
-    else:
-        b = n ** (1.5 - spec.memory.values)
-    return NormalizationPlan(regime=regime, n=int(n), b=b)
+        return np.full(spec.grid.q, math.sqrt(n) * math.log(n))
+    return n ** (1.5 - spec.memory.values)
 
 
 @functools.lru_cache(maxsize=1)

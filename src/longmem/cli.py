@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
     io.write_table_csv(out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
                        ([k, *row] for k, row in steps))
     _manifest(out, "simulate", cfg, seed, ["paths.csv"],
-              extra={"window": ensemble.window, "spec_hash": ensemble.spec_hash,
+              extra={"window": spec.window, "spec_hash": spec.spec_hash,
                      "truncation_tail_var": ensemble.truncation_tail_var.tolist()})
     return 0
 
@@ -206,7 +206,7 @@ def cmd_verify_clt(args) -> int:
     pts = spec.grid.points
     for name, matrix in (("covariance_empirical", report.empirical),
                          ("covariance_finite_exact", report.finite_n_exact),
-                         ("covariance_limit", report.limit.K),
+                         ("covariance_limit", report.limit),
                          ("covariance_se", report.se),
                          ("verdicts", report.verdicts.astype(float)),
                          ("gap_relative", report.gap_rel)):
@@ -227,7 +227,7 @@ def cmd_verify_clt(args) -> int:
                         for i in range(spec.grid.q)])
     passed = report.passed and norm.passed
     summary = {
-        "regime": report.limit.regime,
+        "regime": report.regime,
         "n": n, "N": N, "z_star": z_star,
         "covariance_verdicts_pass": report.passed,
         "normality_pass": norm.passed,
@@ -241,7 +241,7 @@ def cmd_verify_clt(args) -> int:
                "covariance_limit.csv", "covariance_se.csv", "verdicts.csv",
                "gap_relative.csv", "normality.csv", "exponent_fit.csv",
                "summary.json"],
-              extra={"window": report.window,
+              extra={"window": spec.window,
                      "truncation_tail_var": report.truncation_tail_var.tolist(),
                      "innovations_drawn": report.innovations_drawn})
     return 0 if passed else 1

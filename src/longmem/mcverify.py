@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ProcessSpec, ValidationError
 from .analytics import (
-    LimitKernel,
+    _clt_regime,
     limit_kernel,
     normalization_plan,
     partial_sum_covariance_series,
@@ -34,18 +34,14 @@ MIN_NORMALITY_N = 500  # replications the normality bands are stated for
 class CovarianceReport:
     """Empirical vs. exact finite-n vs. limit covariance, with verdicts."""
 
-    n: int
-    replications: int
+    regime: str            # "long" or "boundary"
     empirical: np.ndarray
     finite_n_exact: np.ndarray
-    limit: LimitKernel
+    limit: np.ndarray      # limit kernel K
     se: np.ndarray
     verdicts: np.ndarray   # bool per entry: |empirical - finite_n_exact| <= z* se
     gap_rel: np.ndarray    # |finite_n_exact - limit| / |limit| (0 where limit = 0)
     samples: np.ndarray    # (N, q) normalized partial sums
-    seed: int
-    z_star: float
-    window: int            # truncation length M of the target's model
     truncation_tail_var: np.ndarray  # tail_var / b**2: certified truncation loss per point
     innovations_drawn: int  # innovation rows drawn over all replications
 
@@ -91,10 +87,10 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
         raise ValueError(f"z_star must be positive and finite; got {z_star}")
     spec.require_valid()
     _require_nondegenerate(spec)
-    plan = normalization_plan(spec, n)   # raises RegimeError on mixed regimes
-    kern = limit_kernel(spec)
+    regime = _clt_regime(spec)   # raises RegimeError on mixed regimes
+    b = normalization_plan(spec, n)
+    K = limit_kernel(spec)
     table = partial_sum_weights(spec, n)
-    b = plan.b
     sigma = np.asarray(spec.innovations.sigma)
 
     finite = sigma * (table.z @ table.z.T) / np.outer(b, b)
@@ -120,12 +116,11 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
         se = batch_cov.std(axis=0, ddof=1) / math.sqrt(len(batches))
 
     verdicts = np.abs(empirical - finite) <= z_star * se
-    denom = np.where(np.abs(kern.K) > 0, np.abs(kern.K), 1.0)
-    gap_rel = np.abs(finite - kern.K) / denom
-    return CovarianceReport(n=int(n), replications=int(N), empirical=empirical,
-                            finite_n_exact=finite, limit=kern, se=se,
+    denom = np.where(np.abs(K) > 0, np.abs(K), 1.0)
+    gap_rel = np.abs(finite - K) / denom
+    return CovarianceReport(regime=regime, empirical=empirical,
+                            finite_n_exact=finite, limit=K, se=se,
                             verdicts=verdicts, gap_rel=gap_rel, samples=samples,
-                            seed=int(seed), z_star=float(z_star), window=table.window,
                             truncation_tail_var=table.tail_var / b ** 2,
                             innovations_drawn=N * rows)
 
@@ -134,7 +129,6 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
 class NormalityReport:
     """Per-coordinate Gaussianity diagnostics of a sample matrix."""
 
-    n_samples: int
     skewness: np.ndarray
     excess_kurtosis: np.ndarray
     ks_distance: np.ndarray
@@ -202,7 +196,7 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     upper = gap.max(axis=0)
     np.subtract(cdf, (np.arange(0.0, N) / N)[:, None], out=gap)
     ks = np.maximum(upper, gap.max(axis=0))
-    return NormalityReport(n_samples=int(N), skewness=skew, excess_kurtosis=kurt,
+    return NormalityReport(skewness=skew, excess_kurtosis=kurt,
                            ks_distance=ks,
                            skew_band=skew_z * math.sqrt(6.0 / N),
                            kurt_band=kurt_z * math.sqrt(24.0 / N))
@@ -212,15 +206,10 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
 class ExponentFit:
     """Log-log fit of the exact variance growth of the partial sums."""
 
-    n_list: tuple
     slopes: np.ndarray
     theoretical: np.ndarray
     corrected: np.ndarray    # True where the ln^2-corrected model was fitted (d = 1)
     max_residual: np.ndarray
-
-    @property
-    def deviations(self) -> np.ndarray:
-        return np.abs(self.slopes - self.theoretical)
 
 
 def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
@@ -231,8 +220,8 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
     ln^2 n correction divided out; their theoretical slope is 3 - 2d = 1.
     """
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 5:
-        raise ValueError("need at least 5 horizons")
+    if len(set(n_list)) < 5:
+        raise ValueError(f"need at least 5 distinct horizons; got {sorted(set(n_list))}")
     if any(n < 2 or (n & (n - 1)) for n in n_list):
         raise ValueError("horizons must be dyadic (powers of two, >= 2)")
     spec.require_valid()
@@ -255,6 +244,6 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
         coef = np.polyfit(log_n, y, 1)
         slopes[i] = coef[0]
         max_resid[i] = float(np.max(np.abs(y - np.polyval(coef, log_n))))
-    return ExponentFit(n_list=tuple(n_list), slopes=slopes,
+    return ExponentFit(slopes=slopes,
                        theoretical=3.0 - 2.0 * spec.memory.values.copy(),
                        corrected=corrected, max_residual=max_resid)

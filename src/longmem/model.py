@@ -73,10 +73,6 @@ class SpaceGrid:
     def q(self) -> int:
         return len(self.points)
 
-    @property
-    def total_measure(self) -> float:
-        return float(np.sum(self.weights))
-
     def quadrature(self, values) -> float:
         """Weighted sum approximating the integral of a function over the grid."""
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
@@ -397,7 +393,7 @@ def truncation_length(d: float, tail_tol: float) -> int:
 def _grid_from_dict(cfg: dict) -> SpaceGrid:
     if "linspace" in cfg:
         a, b, q = cfg["linspace"]
-        points = np.linspace(float(a), float(b), int(q))
+        points = np.linspace(float(a), float(b), _integer(q))
     else:
         points = np.asarray(cfg["points"], dtype=float)
     if "weights" in cfg and cfg["weights"] is not None:
@@ -459,6 +455,9 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
     if kind == "custom":
         if "sigma_file" in cfg:
             sigma = np.loadtxt(base_dir / cfg["sigma_file"], delimiter=",")
+            if not np.all(np.isfinite(sigma)):
+                raise ValidationError(f"config: invalid 'innovations.sigma_file': "
+                                      f"{cfg['sigma_file']!r} holds non-finite entries")
         else:
             sigma = _finite_array(cfg, "sigma")
         return InnovationModel.custom(sigma, **kw)
@@ -467,8 +466,8 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
 
 def _section(cfg: dict, name: str, build, *args):
     """``build(cfg[name], *args)``; a missing key, a section that is not a
-    JSON object or a value of the wrong type in it raises
-    ``ValidationError`` naming the section."""
+    JSON object or a value of the wrong type in it, or one that does not
+    convert, raises ``ValidationError`` naming the section."""
     if name not in cfg:
         raise ValidationError(f"config: missing key {name!r}")
     if not isinstance(cfg[name], dict):
@@ -477,7 +476,9 @@ def _section(cfg: dict, name: str, build, *args):
         return build(cfg[name], *args)
     except KeyError as exc:
         raise ValidationError(f"{name}: missing key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: {exc}") from None
 
 

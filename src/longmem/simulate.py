@@ -178,14 +178,10 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int,
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Simulated paths X_k(t_i) for k = 1..n on the spec's grid."""
+    """Simulated paths X_k(t_i) for k = 1..n on the spec's grid, truncated at
+    the spec's window."""
 
-    spec_hash: str
-    n: int
     values: np.ndarray          # (n, q)
-    window: int                 # truncation length M actually used
-    seed: int
-    rep: int
     truncation_tail_var: np.ndarray  # per-point bound on the variance dropped per X_k
 
 
@@ -208,9 +204,7 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
         windows = np.lib.stride_tricks.sliding_window_view(eps[:, i], M + 1)
         values[:, i] = windows[:n] @ coefs[idx[i]]
     tail = np.array([tail_variance_bound(float(d), M) for d in u])
-    return PathEnsemble(spec_hash=spec.spec_hash, n=int(n), values=values,
-                        window=M, seed=int(seed), rep=int(rep),
-                        truncation_tail_var=spec.innovations.sigma2 * tail[idx])
+    return PathEnsemble(values=values, truncation_tail_var=spec.innovations.sigma2 * tail[idx])
 
 
 def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np.ndarray:

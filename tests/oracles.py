@@ -10,16 +10,19 @@ library sums as a binomial series, and ``scale_integral_quad`` the QUADPACK
 route to the scale integral, which the library evaluates on a fixed
 tanh-sinh rule.  ``scale_integral_upper_bound`` and
 ``partial_sums_direct`` are closed-form and direct routes that only the
-tests call.
+tests call.  ``partial_sum_covariance_asymptotic`` is the pointwise form of
+the library's limit law ``limit_kernel(spec) * np.outer(b, b)``.
 """
 
+import math
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from longmem.analytics import (CertifiedValue, RegimeError, _check_scale_regime,
-                               _lag_series, partial_sum_weights)
+                               _lag_series, partial_sum_weights,
+                               scale_integral_closed_form)
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
@@ -161,3 +164,21 @@ def scale_integral_upper_bound(d: float) -> float:
 def partial_sums_direct(ensemble) -> np.ndarray:
     """S_n(t_i) = sum_{k=1}^n X_k(t_i), summed over the stored paths."""
     return ensemble.values.sum(axis=0)
+
+
+def partial_sum_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float,
+                                      n: int) -> float:
+    """Leading-order E[S_n(s) S_n(t)] in the two covered regimes.
+
+    Power regime (both exponents in (1/2, 1)):
+    [c(s,t)+c(t,s)] sigma / ((2-D)(3-D)) * n^{3-D} with D = d_s + d_t.
+    Boundary regime (both equal 1): sigma n ln^2 n.
+    """
+    if d_s == 1.0 and d_t == 1.0:
+        return sigma_st * n * math.log(n) ** 2
+    if 0.5 < d_s < 1.0 and 0.5 < d_t < 1.0:
+        D = d_s + d_t
+        c_sum = scale_integral_closed_form(d_s, d_t) + scale_integral_closed_form(d_t, d_s)
+        return c_sum * sigma_st / ((2.0 - D) * (3.0 - D)) * n ** (3.0 - D)
+    raise RegimeError(f"partial-sum asymptotics stated only for both exponents in "
+                      f"(1/2, 1) or both equal to 1 (d_s={d_s:g}, d_t={d_t:g})")

@@ -10,9 +10,9 @@ from scipy.special import zeta
 import longmem as lm
 from longmem.analytics import (LAG_BLOCK, MAX_LAG, _binomial_tail, _lag_series,
                                _tanh_sinh_rule, _window_tail, _windowed_weights)
-from oracles import (cross_covariance_exact, partial_sum_covariance_exact,
-                     partial_sum_covariance_lagsum, scale_integral_quad,
-                     scale_integral_upper_bound, window_tail_quad)
+from oracles import (cross_covariance_exact, partial_sum_covariance_asymptotic,
+                     partial_sum_covariance_exact, partial_sum_covariance_lagsum,
+                     scale_integral_quad, scale_integral_upper_bound, window_tail_quad)
 
 
 # 40-digit Gamma(1-d_s) Gamma(d_s+d_t-1) / Gamma(d_t) (mpmath) at exponents
@@ -365,7 +365,7 @@ class TestCoefficientTable:
         spec = lm.load_spec("src/longmem/configs/clt_long_reference.json")
         n = 4096
         table = lm.partial_sum_weights(spec, n)
-        b = lm.normalization_plan(spec, n).b
+        b = lm.normalization_plan(spec, n)
         normalized = table.tail_var / (spec.innovations.sigma2 * b ** 2)
         assert np.all((0.476 <= normalized) & (normalized <= 0.6))
 
@@ -421,22 +421,22 @@ class TestPartialSumCovariance:
 
     def test_asymptotic_constant(self, rel):
         # [DERIVED] 2 c(0.75,0.75) / (0.5 * 1.5) = 13.984...
-        v = lm.partial_sum_covariance_asymptotic(0.75, 0.75, 1.0, 1000)
+        v = partial_sum_covariance_asymptotic(0.75, 0.75, 1.0, 1000)
         c = lm.scale_integral_closed_form(0.75, 0.75)
         assert rel(v, 2 * c / 0.75 * 1000 ** 1.5) < 1e-14
         assert 2 * c / 0.75 == pytest.approx(13.9843, abs=1e-3)
 
     def test_asymptotic_boundary(self, rel):
-        assert rel(lm.partial_sum_covariance_asymptotic(1.0, 1.0, 1.0, 64),
+        assert rel(partial_sum_covariance_asymptotic(1.0, 1.0, 1.0, 64),
                    64 * math.log(64) ** 2) < 1e-14
 
     def test_asymptotic_rejects_mixed(self):
         with pytest.raises(lm.RegimeError):
-            lm.partial_sum_covariance_asymptotic(0.75, 1.0, 1.0, 64)
+            partial_sum_covariance_asymptotic(0.75, 1.0, 1.0, 64)
 
     def test_exact_over_asymptotic_trend(self):
         ratios = [lm.partial_sum_covariance_series(0.75, 0.75, 1.0, 2 ** k).value
-                  / lm.partial_sum_covariance_asymptotic(0.75, 0.75, 1.0, 2 ** k)
+                  / partial_sum_covariance_asymptotic(0.75, 0.75, 1.0, 2 ** k)
                   for k in range(6, 13)]
         assert all(np.diff(ratios) > 0)
         assert ratios[-1] < 1.0
@@ -620,9 +620,9 @@ class TestLagTail:
 
 class TestLimitKernelAndPlan:
     def test_boundary_kernel_is_sigma(self, boundary_spec):
-        kern = lm.limit_kernel(boundary_spec)
-        assert kern.regime == "boundary"
-        assert np.allclose(kern.K, boundary_spec.innovations.sigma)
+        K = lm.limit_kernel(boundary_spec)
+        assert lm.analytics._clt_regime(boundary_spec) == "boundary"
+        assert np.allclose(K, boundary_spec.innovations.sigma)
 
     def test_long_kernel_diagonal_constant(self, rel):
         spec = lm.spec_from_dict({
@@ -630,8 +630,8 @@ class TestLimitKernelAndPlan:
             "memory": {"kind": "constant", "values": 0.75},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        kern = lm.limit_kernel(spec)
-        assert kern.K[0, 0] == pytest.approx(13.9843, abs=1e-3)
+        K = lm.limit_kernel(spec)
+        assert K[0, 0] == pytest.approx(13.9843, abs=1e-3)
 
     def test_kernel_zero_where_sigma_zero(self):
         spec = lm.spec_from_dict({
@@ -639,14 +639,14 @@ class TestLimitKernelAndPlan:
             "memory": {"kind": "constant", "values": 0.7},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        assert lm.limit_kernel(spec).K[0, 1] == 0.0
+        assert lm.limit_kernel(spec)[0, 1] == 0.0
 
     def test_long_kernel_entries_are_asymptotic_constants(self, repeated_spec):
         # K(s, t) is the n^{3-D} coefficient of E[S_n(s) S_n(t)]
         d, sigma = repeated_spec.memory.values, repeated_spec.innovations.sigma
-        expected = [[lm.partial_sum_covariance_asymptotic(d[i], d[j], sigma[i, j], 1)
+        expected = [[partial_sum_covariance_asymptotic(d[i], d[j], sigma[i, j], 1)
                      for j in range(4)] for i in range(4)]
-        assert np.array_equal(lm.limit_kernel(repeated_spec).K, expected)
+        assert np.array_equal(lm.limit_kernel(repeated_spec), expected)
 
     @pytest.mark.parametrize("fixture", ["constant8_spec", "repeated_spec"])
     def test_kernel_constants_once_per_distinct_pair(self, fixture, request,
@@ -658,7 +658,7 @@ class TestLimitKernelAndPlan:
         assert calls == [(a, b) for a in exponents for b in exponents]
 
     def test_kernel_psd(self, long_spec):
-        eig = np.linalg.eigvalsh(lm.limit_kernel(long_spec).K)
+        eig = np.linalg.eigvalsh(lm.limit_kernel(long_spec))
         assert eig.min() >= -1e-10 * eig.max()
 
     def test_mixed_regime_rejected(self, mixed_spec):
@@ -668,10 +668,10 @@ class TestLimitKernelAndPlan:
             lm.normalization_plan(mixed_spec, 64)
 
     def test_plan_values(self, long_spec, boundary_spec, rel):
-        plan = lm.normalization_plan(long_spec, 100)
-        assert np.allclose(plan.b, 100 ** 0.8)
-        planb = lm.normalization_plan(boundary_spec, 64)
-        assert np.allclose(planb.b, math.sqrt(64) * math.log(64))
+        b = lm.normalization_plan(long_spec, 100)
+        assert np.allclose(b, 100 ** 0.8)
+        b_boundary = lm.normalization_plan(boundary_spec, 64)
+        assert np.allclose(b_boundary, math.sqrt(64) * math.log(64))
 
     def test_plan_d06(self, rel):
         spec = lm.spec_from_dict({
@@ -679,7 +679,7 @@ class TestLimitKernelAndPlan:
             "memory": {"kind": "constant", "values": 0.6},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        assert lm.normalization_plan(spec, 100).b[0] == pytest.approx(100 ** 0.9)
+        assert lm.normalization_plan(spec, 100)[0] == pytest.approx(100 ** 0.9)
 
     def test_boundary_plan_needs_n2(self, boundary_spec):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -7,23 +9,25 @@ import longmem as lm
 
 PUBLIC_NAMES = [
     "CertifiedValue", "CoefficientTable", "CovarianceReport", "ExponentFit",
-    "InnovationModel", "LimitKernel", "MemoryFunction", "NormalityReport",
-    "NormalizationPlan", "PathEnsemble", "ProcessSpec", "RegimeError", "SpaceGrid",
+    "InnovationModel", "MemoryFunction", "NormalityReport",
+    "PathEnsemble", "ProcessSpec", "RegimeError", "SpaceGrid",
     "TailBudgetError", "ValidationError", "ValidationReport", "__version__",
     "classify_summability", "cross_covariance_asymptotic", "cross_covariance_matrix",
     "dominating_bound", "fit_variance_exponent", "generate_paths",
     "innovation_block", "l2_membership", "limit_kernel", "load_spec",
-    "normality_diagnostics", "normalization_plan",
-    "partial_sum_covariance_asymptotic", "partial_sum_covariance_series",
+    "normality_diagnostics", "normalization_plan", "partial_sum_covariance_series",
     "partial_sum_weights", "partial_sums_via_z",
     "run_clt_experiment", "scale_integral", "scale_integral_closed_form",
     "spec_from_dict", "truncation_length", "validate",
 ]
 
-# removed in 0.4.0 (the pointwise routes) and in 0.9.0 (two routes with no
-# library caller); they live on as test oracles (tests/oracles.py)
+# removed in 0.4.0 (the pointwise routes), in 0.9.0 (two routes with no
+# library caller) and in 0.12.0 (the pointwise limit law, which lives on as
+# a test oracle like the others in tests/oracles.py, and the two wrappers
+# whose arrays limit_kernel and normalization_plan now return)
 REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact",
-                 "partial_sums_direct", "scale_integral_upper_bound"]
+                 "partial_sums_direct", "scale_integral_upper_bound",
+                 "partial_sum_covariance_asymptotic", "LimitKernel", "NormalizationPlan"]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -32,7 +36,60 @@ def test_public_names_are_pinned_and_resolve():
     assert [name for name in lm.__all__ if not hasattr(lm, name)] == []
     assert [name for name in REMOVED_NAMES
             if any(hasattr(module, name)
-                   for module in (lm, lm.analytics, lm.simulate))] == []
+                   for module in (lm, lm.analytics, lm.simulate, lm.mcverify))] == []
+
+
+def test_result_records_hold_only_what_their_call_computed():
+    # a record does not echo its inputs (spec hash, n, seed, window, ...):
+    # the caller has them already
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (lm.PathEnsemble, lm.CovarianceReport, lm.NormalityReport,
+                          lm.ExponentFit)}
+    assert fields == {
+        "PathEnsemble": ["values", "truncation_tail_var"],
+        "CovarianceReport": ["regime", "empirical", "finite_n_exact", "limit", "se",
+                             "verdicts", "gap_rel", "samples", "truncation_tail_var",
+                             "innovations_drawn"],
+        "NormalityReport": ["skewness", "excess_kurtosis", "ks_distance",
+                            "skew_band", "kurt_band"],
+        "ExponentFit": ["slopes", "theoretical", "corrected", "max_residual"],
+    }
+
+
+def _called_names(source: str) -> set[str]:
+    """Names called anywhere in ``source``, as ``f(...)`` or ``obj.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+def test_guard_sees_plain_and_attribute_calls():
+    assert _called_names("f(g)\nm.h()\nx = k\ndef j(): pass") == {"f", "h"}
+
+
+def test_public_functions_without_a_library_caller_are_the_listed_ones():
+    # a public function that nothing in the library calls is either an entry
+    # point kept on purpose, listed here with its reason, or a test oracle
+    # that belongs in tests/oracles.py
+    package = Path(lm.__file__).resolve().parent
+    called = set().union(*(_called_names(path.read_text())
+                           for path in package.glob("*.py")))
+    uncalled = {name for name in lm.__all__
+                if inspect.isfunction(getattr(lm, name)) and name not in called}
+    assert uncalled == {
+        # the trace-class bound sum_i w_i dominating_bound(d_i, sigma2_i) of a
+        # planned L2(mu) verdict takes it as an input
+        "dominating_bound",
+        # the benchmark harness loads and validates its configs with these
+        "load_spec", "validate",
+        # the benchmark checks the simulated paths against this route
+        "partial_sums_via_z",
+    }
 
 
 def test_pyproject_version_is_the_package_version():

@@ -151,12 +151,32 @@ class TestSimulate:
         ("analyze", dict(SMALL_LONG, lags=[0, 1.5]), "config: invalid 'lags': [0, 1.5]"),
         ("verify-clt", dict(SMALL_LONG, n_list=[64, 128, 256, 512, 1024.5]),
          "config: invalid 'n_list': [64, 128, 256, 512, 1024.5]"),
+        ("simulate", dict(SMALL_LONG, grid={"linspace": [0.25, 1.0, 4.7]}),
+         "grid: 4.7 is not an integer"),
+        ("simulate", dict(SMALL_LONG, grid={"linspace": [0.25, 1.0]}),
+         "grid: not enough values to unpack (expected 3, got 2)"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [0.5],
+                                              "levels": [0.6, "x"]}),
+         "memory: could not convert string to float: 'x'"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, "a"]}),
+         "grid: could not convert string to float: 'a'"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5], "weights": [0.5, "a"]}),
+         "grid: could not convert string to float: 'a'"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+    def test_non_finite_sigma_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "sigma.csv").write_text("1.0,nan\nnan,1.0\n")
+        cfg = dict(SMALL_LONG, grid={"points": [0.25, 0.5]},
+                   innovations={"kind": "custom", "sigma_file": "sigma.csv"})
+        assert main(["simulate", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: config: invalid 'innovations.sigma_file': "
+                                           "'sigma.csv' holds non-finite entries\n")
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -411,6 +431,7 @@ class TestVerifyClt:
     @pytest.mark.parametrize("key, value, message", [
         ("N", 200, "normality diagnostics need N >= 500"),
         ("n_list", [64, 128, 192, 256, 512], "horizons must be dyadic"),
+        ("n_list", [256] * 5, "need at least 5 distinct horizons"),
     ])
     def test_bad_input_rejected_before_monte_carlo(self, tmp_path, capsys, monkeypatch,
                                                    key, value, message):
@@ -455,7 +476,7 @@ class TestVerifyClt:
         table = lm.partial_sum_weights(spec, cfg["n"])
         window = table.window
         assert m["window"] == window
-        b = lm.normalization_plan(spec, cfg["n"]).b
+        b = lm.normalization_plan(spec, cfg["n"])
         assert m["truncation_tail_var"] == (table.tail_var / b ** 2).tolist()
         # a Gaussian replication draws one q-vector for the whole past
         rows = cfg["n"] + (window if law == "pareto" else 1)

@@ -36,8 +36,8 @@ def boundary_report():
 class TestRunCltExperiment:
     def test_boundary_reference(self, boundary_report):
         rep = boundary_report
-        assert rep.limit.regime == "boundary"
-        assert np.allclose(rep.limit.K, np.eye(4))
+        assert rep.regime == "boundary"
+        assert np.allclose(rep.limit, np.eye(4))
         # empirical diagonal near 1 within 4 se; finite-n/limit gap documented
         assert rep.passed
         assert 0 < rep.max_gap < 0.10
@@ -51,7 +51,7 @@ class TestRunCltExperiment:
     def test_empirical_symmetric_and_se_positive(self, boundary_report):
         rep = boundary_report
         assert np.allclose(rep.empirical, rep.empirical.T)
-        assert np.all(rep.se[np.abs(rep.limit.K) > 0] > 0)
+        assert np.all(rep.se[np.abs(rep.limit) > 0] > 0)
 
     def test_sharded_equals_unsharded(self, boundary_report):
         spec = lm.spec_from_dict(BOUNDARY)
@@ -102,7 +102,7 @@ def _lagsum_target(spec, n):
     pts = spec.grid.points
     cov = np.array([[partial_sum_covariance_lagsum(spec, n, s, t) for t in pts]
                     for s in pts])
-    b = lm.normalization_plan(spec, n).b
+    b = lm.normalization_plan(spec, n)
     return cov / np.outer(b, b)
 
 
@@ -157,7 +157,7 @@ class TestReplicationSampler:
             spec = lm.spec_from_dict(cfg)
             assert N % block != 0 and (N // 3) % block != 0
             table = lm.partial_sum_weights(spec, n)
-            b = lm.normalization_plan(spec, n).b
+            b = lm.normalization_plan(spec, n)
             expected = np.array([_assembled(spec, table, 9, rep) for rep in range(N)]) / b
             blocks.clear()
             for shards in (1, 2, 3):
@@ -181,7 +181,7 @@ class TestReplicationSampler:
         n, N = 64, 200
         report = lm.run_clt_experiment(spec, n, N, seed=13, shards=3)
         table = lm.partial_sum_weights(spec, n)
-        b = lm.normalization_plan(spec, n).b
+        b = lm.normalization_plan(spec, n)
         expected = np.array([lm.partial_sums_via_z(spec, n, 13, rep=r) / b
                              for r in range(N)])
         assert np.array_equal(report.samples, expected)
@@ -208,7 +208,7 @@ class TestReplicationSampler:
         spec = lm.spec_from_dict(cfg)
         report = lm.run_clt_experiment(spec, n, N, seed=71)
         target = _lagsum_target(spec, n)
-        assert np.all(np.abs(report.empirical - target) <= report.z_star * report.se)
+        assert np.all(np.abs(report.empirical - target) <= lm.mcverify.DEFAULT_Z_STAR * report.se)
 
 
 class TestNormalityDiagnostics:
@@ -301,7 +301,8 @@ class TestFitVarianceExponent:
         })
         small = lm.fit_variance_exponent(spec, [2 ** k for k in range(6, 13)])
         large = lm.fit_variance_exponent(spec, [2 ** k for k in range(14, 21)])
-        assert large.deviations[0] < small.deviations[0]
+        assert (abs(large.slopes[0] - large.theoretical[0])
+                < abs(small.slopes[0] - small.theoretical[0]))
 
     def test_d09_strong_corrections(self):
         spec = lm.spec_from_dict({
@@ -312,7 +313,7 @@ class TestFitVarianceExponent:
         fit = lm.fit_variance_exponent(spec, [2 ** k for k in range(10, 17)])
         assert fit.theoretical[0] == pytest.approx(1.2)
         # corrections decay like n^{-0.1}: deviation is large and frozen
-        assert fit.deviations[0] == pytest.approx(0.13064, abs=2e-3)
+        assert abs(fit.slopes[0] - fit.theoretical[0]) == pytest.approx(0.13064, abs=2e-3)
 
     def test_boundary_ln_corrected(self):
         spec = lm.spec_from_dict({
@@ -323,7 +324,7 @@ class TestFitVarianceExponent:
         fit = lm.fit_variance_exponent(spec, [2 ** k for k in range(14, 21)])
         assert fit.corrected[0]
         assert fit.theoretical[0] == pytest.approx(1.0)
-        assert fit.deviations[0] < 0.01
+        assert abs(fit.slopes[0] - fit.theoretical[0]) < 0.01
 
     def test_series_summed_once_per_distinct_exponent(self, count_calls):
         calls = count_calls(lm.mcverify, "partial_sum_covariance_series")
@@ -338,5 +339,9 @@ class TestFitVarianceExponent:
     def test_rejects_bad_horizons(self, long_spec):
         with pytest.raises(ValueError):
             lm.fit_variance_exponent(long_spec, [4, 8, 16, 32])   # too few
+        with pytest.raises(ValueError, match="5 distinct horizons"):
+            lm.fit_variance_exponent(long_spec, [256] * 5)       # repeated
+        with pytest.raises(ValueError, match="5 distinct horizons"):
+            lm.fit_variance_exponent(long_spec, [4, 8, 16, 32, 32, 16])
         with pytest.raises(ValueError):
             lm.fit_variance_exponent(long_spec, [4, 8, 12, 16, 32])  # not dyadic
