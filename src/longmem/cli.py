@@ -108,16 +108,16 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
 def cmd_simulate(args) -> int:
     cfg, spec, seed, out, _ = _load(args)
     ensemble = generate_paths(spec, spec.horizon, seed)
-    steps = enumerate(ensemble.values.tolist(), start=1)
+    values = ensemble.values
     io.write_table_csv(out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
-                       ([k, *row] for k, row in steps))
+                       [np.arange(1, len(values) + 1), *values.T])
     _manifest(out, "simulate", cfg, seed, ["paths.csv"],
               extra={"window": spec.window, "spec_hash": spec.spec_hash,
                      "truncation_tail_var": ensemble.truncation_tail_var.tolist()})
     return 0
 
 
-def _pair_rows(ds: float, dt: float):
+def _pair_rows(ds: float, dt: float) -> tuple:
     """c_matrix.csv fields and summability class of one exponent pair."""
     try:
         cq = scale_integral(ds, dt)
@@ -125,28 +125,28 @@ def _pair_rows(ds: float, dt: float):
         c_fields = (cq, cc, abs(cq - cc) / abs(cc), "")
     except RegimeError as exc:
         c_fields = ("", "", "", str(exc))
-    return c_fields, classify_summability(ds, dt)
+    return (*c_fields, classify_summability(ds, dt))
 
 
 def _asymptotic(spec, h: int):
     """Lag-h asymptotic covariance of every grid pair, and the note of each
-    distinct exponent pair ("" where the law applies); the closed form runs
-    once per distinct pair, on its whole sigma block."""
+    distinct exponent pair as a (nu, nu) object array ("" where the law
+    applies); the closed form runs once per distinct pair, on its whole
+    sigma block."""
     sigma = spec.innovations.sigma
     u, idx = spec.memory.distinct
     values = np.zeros_like(sigma)
-    notes = [["lag too small for asymptotics"] * len(u) for _ in u]
+    notes = np.full((len(u), len(u)), "lag too small for asymptotics", dtype=object)
     if h < 2:
         return values, notes
-    for a in range(len(u)):
-        for b in range(len(u)):
-            block = np.ix_(idx == a, idx == b)
-            try:
-                values[block] = cross_covariance_asymptotic(float(u[a]), float(u[b]),
-                                                            sigma[block], h)
-                notes[a][b] = ""
-            except RegimeError as exc:
-                notes[a][b] = str(exc)
+    for a, b in np.ndindex(notes.shape):
+        block = np.ix_(idx == a, idx == b)
+        try:
+            values[block] = cross_covariance_asymptotic(float(u[a]), float(u[b]),
+                                                        sigma[block], h)
+            notes[a, b] = ""
+        except RegimeError as exc:
+            notes[a, b] = str(exc)
     return values, notes
 
 
@@ -155,29 +155,39 @@ def cmd_analyze(args) -> int:
     pts = spec.grid.points
     q = spec.grid.q
     lags = _config_value(cfg, "lags", [0, 1, 10, 100], _int_list)
-    covs = [cross_covariance_matrix(spec, h) + _asymptotic(spec, h) for h in lags]
     u, idx = spec.memory.distinct
-    pair_rows = [[_pair_rows(float(a), float(b)) for b in u] for a in u]
+    # one row per grid pair (i, j), j fastest; per-pair fields are looked up
+    # by the pair's distinct exponents
+    i, j = divmod(np.arange(q * q), q)
+    pair = (idx[i], idx[j])
+    fields = np.empty((len(u), len(u), 5), dtype=object)
+    for a, b in np.ndindex(len(u), len(u)):
+        fields[a, b] = _pair_rows(float(u[a]), float(u[b]))
+    c_quad, c_closed, delta, c_note, summability = fields[pair].T
 
-    c_rows, cov_rows, sum_rows = [], [], []
-    for i in range(q):
-        for j in range(q):
-            s, t = float(pts[i]), float(pts[j])
-            c_fields, summability = pair_rows[idx[i]][idx[j]]
-            c_rows.append((s, t, *c_fields))
-            sum_rows.append((s, t, summability))
-            for h, (values, bounds, asym, notes) in zip(lags, covs):
-                note = notes[idx[i]][idx[j]]
-                cov_rows.append((s, t, h, float(values[i, j]), float(bounds[i, j]),
-                                 "" if note else float(asym[i, j]), note))
+    # covariances.csv: one row per (i, j, lag), lag fastest
+    exact, bound, asym = (np.empty((q * q, len(lags))) for _ in range(3))
+    note = np.empty((q * q, len(lags)), dtype=object)
+    for k, h in enumerate(lags):
+        values, bounds = cross_covariance_matrix(spec, h)
+        asymptotic, notes = _asymptotic(spec, h)
+        exact[:, k], bound[:, k], asym[:, k] = values.ravel(), bounds.ravel(), asymptotic.ravel()
+        note[:, k] = notes[pair]
+    asym = asym.astype(object)
+    asym[note != ""] = ""
+    s, t = np.repeat(pts[i], len(lags)), np.repeat(pts[j], len(lags))
 
     io.write_table_csv(out / "c_matrix.csv",
                        ["s", "t", "c_quadrature", "c_closed_form",
-                        "relative_delta", "note"], c_rows)
+                        "relative_delta", "note"],
+                       [pts[i], pts[j], c_quad, c_closed, delta, c_note])
     io.write_table_csv(out / "covariances.csv",
                        ["s", "t", "h", "exact", "exact_error_bound",
-                        "asymptotic", "note"], cov_rows)
-    io.write_table_csv(out / "summability.csv", ["s", "t", "classification"], sum_rows)
+                        "asymptotic", "note"],
+                       [s, t, np.tile(lags, q * q),
+                        exact.ravel(), bound.ravel(), asym.ravel(), note.ravel()])
+    io.write_table_csv(out / "summability.csv", ["s", "t", "classification"],
+                       [pts[i], pts[j], summability])
     l2 = l2_membership(spec)
     io.write_json(out / "l2_report.json",
                   {"verdict": l2.verdict,
@@ -212,19 +222,15 @@ def cmd_verify_clt(args) -> int:
                          ("gap_relative", report.gap_rel)):
         # labelled on both axes by the grid points
         io.write_table_csv(out / f"{name}.csv", ["s\\t", *map(io.format_float, pts)],
-                           ([s, *row] for s, row in zip(pts.tolist(), matrix.tolist())))
+                           [pts, *matrix.T])
     io.write_table_csv(out / "normality.csv",
                        ["t", "skewness", "excess_kurtosis", "ks_distance",
                         "skew_ok", "kurt_ok"],
-                       [(float(pts[i]), float(norm.skewness[i]),
-                         float(norm.excess_kurtosis[i]), float(norm.ks_distance[i]),
-                         bool(norm.skew_ok[i]), bool(norm.kurt_ok[i]))
-                        for i in range(spec.grid.q)])
+                       [pts, norm.skewness, norm.excess_kurtosis, norm.ks_distance,
+                        norm.skew_ok, norm.kurt_ok])
     io.write_table_csv(out / "exponent_fit.csv",
                        ["t", "slope", "theoretical", "ln_corrected", "max_residual"],
-                       [(float(pts[i]), float(fit.slopes[i]), float(fit.theoretical[i]),
-                         bool(fit.corrected[i]), float(fit.max_residual[i]))
-                        for i in range(spec.grid.q)])
+                       [pts, fit.slopes, fit.theoretical, fit.corrected, fit.max_residual])
     passed = report.passed and norm.passed
     summary = {
         "regime": report.regime,

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 FLOAT_FMT = "%.17g"
+TABLE_BLOCK = 1024  # rows formatted and written at a time
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -15,20 +19,61 @@ def format_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def write_table_csv(path: Path, header, rows) -> None:
-    """Generic table: header list plus iterable of row tuples.
+def _format_field(v) -> str:
+    """Python floats with FLOAT_FMT, other values with ``str``; text holding
+    a comma, a quote or a line break is quoted as in RFC 4180."""
+    if type(v) is float:
+        return FLOAT_FMT % v
+    if type(v) is str and _NEEDS_QUOTES.search(v):
+        return '"' + v.replace('"', '""') + '"'
+    return str(v)
 
-    Python floats are written with FLOAT_FMT and other fields with ``str``;
-    a text field holding a comma, a quote or a line break is quoted as in
-    RFC 4180, so every row has the header's width.
+
+def _format_column(values) -> list[str]:
+    """The fields of one block of a column, each distinct value formatted once.
+
+    A bool, int or float array is deduplicated by bit pattern, so 0.0 and
+    -0.0 keep their own text; any other column follows ``_format_field``
+    value by value, formatting each distinct text, and each Python float
+    distinct in value or sign, once.
     """
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+    if kind in ("b", "i", "u") or kind == "f" and values.itemsize <= 8:
+        bits = values.view(f"i{values.itemsize}") if kind == "f" else values
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = [_format_field(v) for v in distinct.view(values.dtype).tolist()]
+        return [texts[k] for k in inverse.tolist()]
+    if kind is not None:
+        values = values.tolist()
+    memo = {}
+    fields = []
+    for v in values:
+        if type(v) is str or type(v) is float:
+            key = (v, math.copysign(1.0, v)) if type(v) is float else v
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = _format_field(v)
+        else:
+            text = _format_field(v)
+        fields.append(text)
+    return fields
+
+
+def write_table_csv(path: Path, header, columns) -> None:
+    """Generic table: header list plus equal-length columns, one per field.
+
+    A column is a numpy array or a sequence; fields are written as
+    ``_format_field`` gives them, ``TABLE_BLOCK`` rows at a time, so every
+    row has the header's width.
+    """
+    rows = len(columns[0]) if len(columns) else 0
+    if any(len(column) != rows for column in columns):
+        raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join([FLOAT_FMT % v if type(v) is float
-                               else '"' + v.replace('"', '""') + '"'
-                               if type(v) is str and _NEEDS_QUOTES.search(v)
-                               else str(v) for v in row]) + "\n")
+        for start in range(0, rows, TABLE_BLOCK):
+            fields = [_format_column(column[start:start + TABLE_BLOCK]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def sha256_file(path: Path) -> str:

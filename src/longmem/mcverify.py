@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +100,10 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     if shards == 1:
         sums = sample(0, N)
     else:
+        # loaded on first use: concurrent.futures brings in logging, which a
+        # serial run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=_pool_size(shards)) as pool:
             futures = [pool.submit(sample, bounds[s], bounds[s + 1] - bounds[s])
                        for s in range(shards)]

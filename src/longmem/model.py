@@ -493,8 +493,9 @@ def _config_value(cfg: dict, name: str, default, cast):
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a non-integral float instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, refusing a non-integral float instead of truncating it,
+    and a bool (JSON ``true``/``false``) instead of reading it as 1 or 0."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -12,10 +12,15 @@ tanh-sinh rule.  ``scale_integral_upper_bound`` and
 ``partial_sums_direct`` are closed-form and direct routes that only the
 tests call.  ``partial_sum_covariance_asymptotic`` is the pointwise form of
 the library's limit law ``limit_kernel(spec) * np.outer(b, b)``.
+``write_table_csv_rows`` writes a table row by row, formatting every field,
+where ``io.write_table_csv`` takes columns and formats each distinct value
+once.
 """
 
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -23,6 +28,7 @@ from scipy.integrate import IntegrationWarning, quad
 from longmem.analytics import (CertifiedValue, RegimeError, _check_scale_regime,
                                _lag_series, partial_sum_weights,
                                scale_integral_closed_form)
+from longmem.io import FLOAT_FMT
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
@@ -182,3 +188,22 @@ def partial_sum_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float,
         return c_sum * sigma_st / ((2.0 - D) * (3.0 - D)) * n ** (3.0 - D)
     raise RegimeError(f"partial-sum asymptotics stated only for both exponents in "
                       f"(1/2, 1) or both equal to 1 (d_s={d_s:g}, d_t={d_t:g})")
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def write_table_csv_rows(path: Path, header, rows) -> None:
+    """Generic table: header list plus iterable of row tuples.
+
+    Python floats are written with FLOAT_FMT and other fields with ``str``;
+    a text field holding a comma, a quote or a line break is quoted as in
+    RFC 4180, so every row has the header's width.
+    """
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join([FLOAT_FMT % v if type(v) is float
+                               else '"' + v.replace('"', '""') + '"'
+                               if type(v) is str and _NEEDS_QUOTES.search(v)
+                               else str(v) for v in row]) + "\n")

@@ -99,9 +99,9 @@ def test_pyproject_version_is_the_package_version():
         assert tomllib.load(fh)["project"]["version"] == lm.__version__
 
 
-def _scipy_imports(source: str, module: str, on_import: bool = False) -> list[int]:
+def _module_imports(source: str, module: str, on_import: bool = False) -> list[int]:
     """Line numbers of the statements in ``source`` that import ``module``
-    (a scipy submodule); with ``on_import``, only those that run when the
+    (a dotted module name); with ``on_import``, only those that run when the
     source is imported, outside every function body."""
     lines = []
     nodes = [ast.parse(source)]
@@ -127,14 +127,14 @@ def _scipy_imports(source: str, module: str, on_import: bool = False) -> list[in
     "def f():\n    from scipy.integrate import quad",
 ])
 def test_guard_sees_every_form_of_the_import(source):
-    assert _scipy_imports(source, "scipy.integrate") == [source.count("\n") + 1]
+    assert _module_imports(source, "scipy.integrate") == [source.count("\n") + 1]
 
 
 def test_library_never_imports_scipy_integrate():
     # QUADPACK routes live in tests/oracles.py; the library's quadratures
     # are series and a fixed numpy rule, so no command pays for scipy.integrate
     package = Path(lm.__file__).resolve().parent
-    found = {path.name: _scipy_imports(path.read_text(), "scipy.integrate")
+    found = {path.name: _module_imports(path.read_text(), "scipy.integrate")
              for path in package.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -148,7 +148,7 @@ def test_library_never_imports_scipy_integrate():
     ("class A:\n    def f(self):\n        from scipy.special import ndtri", []),
 ])
 def test_guard_sees_the_imports_that_run_on_import(source, lines):
-    assert _scipy_imports(source, "scipy.special", on_import=True) == lines
+    assert _module_imports(source, "scipy.special", on_import=True) == lines
 
 
 def test_library_loads_scipy_special_on_first_use_only():
@@ -156,6 +156,26 @@ def test_library_loads_scipy_special_on_first_use_only():
     # the normality statistics and the truncation window need it, so they
     # import it inside the function that uses it, and analyze never does
     package = Path(lm.__file__).resolve().parent
-    found = {path.name: _scipy_imports(path.read_text(), "scipy.special", on_import=True)
+    found = {path.name: _module_imports(path.read_text(), "scipy.special", on_import=True)
+             for path in package.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import concurrent.futures", [1]), ("from concurrent import futures", [1]),
+    ("from concurrent.futures import ThreadPoolExecutor", [1]),
+    ("def f():\n    from concurrent.futures import ThreadPoolExecutor", []),
+])
+def test_guard_sees_concurrent_futures_imports(source, lines):
+    assert _module_imports(source, "concurrent.futures", on_import=True) == lines
+
+
+def test_library_loads_concurrent_futures_on_first_use_only():
+    # concurrent.futures brings in logging (about 8 ms); only a sharded
+    # Monte Carlo run needs its thread pool, so analyze and a serial
+    # verify-clt never load it
+    package = Path(lm.__file__).resolve().parent
+    found = {path.name: _module_imports(path.read_text(), "concurrent.futures",
+                                        on_import=True)
              for path in package.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,21 +1,24 @@
 import csv
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 import longmem as lm
 from longmem import io
 from longmem.cli import main
 from longmem.model import tail_variance_bound
-from oracles import cross_covariance_exact
+from oracles import cross_covariance_exact, write_table_csv_rows
 
 
 def _config_path(name: str) -> str:
@@ -162,6 +165,12 @@ class TestSimulate:
          "grid: could not convert string to float: 'a'"),
         ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5], "weights": [0.5, "a"]}),
          "grid: could not convert string to float: 'a'"),
+        ("simulate", dict(SMALL_LONG, seed=True), "config: invalid 'seed': True"),
+        ("simulate", dict(SMALL_LONG, horizon=True), "config: invalid 'horizon': True"),
+        ("verify-clt", dict(SMALL_LONG, N=False), "config: invalid 'N': False"),
+        ("analyze", dict(SMALL_LONG, lags=[True]), "config: invalid 'lags': [True]"),
+        ("simulate", dict(SMALL_LONG, grid={"linspace": [0, 1, True]}),
+         "grid: True is not an integer"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
@@ -590,9 +599,57 @@ def test_fresh_processes_write_the_same_bytes_at_any_thread_count(tmp_path):
 
 def test_table_csv_quotes_only_text_that_needs_it(tmp_path):
     rows = [(0.1, 3, True, "", "plain"), (2.0, -1, False, 'say "so", then', "a\nb")]
-    io.write_table_csv(tmp_path / "t.csv", ["x", "h", "ok", "note", "more"], rows)
+    io.write_table_csv(tmp_path / "t.csv", ["x", "h", "ok", "note", "more"], list(zip(*rows)))
     text = (tmp_path / "t.csv").read_text()
     assert text.startswith("x,h,ok,note,more\n0.10000000000000001,3,True,,plain\n")
     with (tmp_path / "t.csv").open(newline="") as fh:
         assert list(csv.reader(fh))[1:] == [[io.format_float(r[0]), *map(str, r[1:])]
                                             for r in rows]
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]
+_TEXT = st.text(alphabet=st.sampled_from('ab ,"\r\n.1'), max_size=5)
+# each kind: the strategy for its values, the values every pool holds (equal
+# but differently written ones among them) and how a column holds them
+_COLUMN_KINDS = {
+    "float": (st.floats(), _SPECIAL_FLOATS, lambda v: np.array(v, dtype=float)),
+    "int": (st.integers(-2 ** 63, 2 ** 63 - 1), [0, -1],
+            lambda v: np.array(v, dtype=np.int64)),
+    "bool": (st.booleans(), [True, False], lambda v: np.array(v, dtype=bool)),
+    "text": (_TEXT, ["", ",", '"', "\r", "\n"], list),
+    "object": (st.floats() | _TEXT, [0.0, -0.0, math.nan, "", True, 1, 1.0],
+               lambda v: np.array(v, dtype=object)),
+}
+
+
+@st.composite
+def _tables(draw):
+    """Equal-length columns drawn from small pools of values, so a block
+    holds repeats as well as distinct values."""
+    rows = draw(st.sampled_from([0, 1, io.TABLE_BLOCK - 1, io.TABLE_BLOCK,
+                                 io.TABLE_BLOCK + 1]))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1,
+                              max_size=4)):
+        values, always, build = _COLUMN_KINDS[kind]
+        pool = draw(st.lists(values, max_size=4)) + always
+        picks = np.random.default_rng(draw(st.integers(0, 2 ** 32))).integers(len(pool),
+                                                                             size=rows)
+        columns.append(build([pool[k] for k in picks.tolist()]))
+    return columns
+
+
+@given(columns=_tables())
+@settings(max_examples=60, deadline=None)
+def test_table_csv_by_column_matches_the_row_writer(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        io.write_table_csv(Path(tmp) / "columns.csv", header, columns)
+        write_table_csv_rows(Path(tmp) / "rows.csv", header, rows)
+        assert (Path(tmp) / "columns.csv").read_bytes() == (Path(tmp) / "rows.csv").read_bytes()
+
+
+def test_table_csv_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError, match="unequal length"):
+        io.write_table_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
