@@ -190,9 +190,9 @@ def cmd_analyze(args) -> int:
                        [pts[i], pts[j], summability])
     l2 = l2_membership(spec)
     io.write_json(out / "l2_report.json",
-                  {"verdict": l2.verdict,
-                   "integral_sigma2": l2.integral_sigma2,
-                   "integral_sigma2_over_2d_minus_1": l2.integral_weighted})
+                  {"integral_sigma2": l2.integral_sigma2,
+                   "integral_sigma2_over_2d_minus_1": l2.integral_weighted,
+                   "min_d_minus_half": l2.min_d_minus_half, "min_d_point": l2.min_d_point})
     _manifest(out, "analyze", cfg, seed,
               ["c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"])
     return 0

@@ -22,10 +22,9 @@ from .analytics import (
     partial_sum_covariance_series,
     partial_sum_weights,
 )
-from .simulate import _replication_sampler
+from .simulate import _excess_kurtosis, _replication_sampler
 
 DEFAULT_Z_STAR = 4.0
-BATCH_COUNT = 50  # batch-means shards for non-Gaussian standard errors
 MIN_NORMALITY_N = 500  # replications the normality bands are stated for
 
 
@@ -90,9 +89,8 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     b = normalization_plan(spec, n)
     K = limit_kernel(spec)
     table = partial_sum_weights(spec, n)
-    sigma = np.asarray(spec.innovations.sigma)
-
-    finite = sigma * (table.z @ table.z.T) / np.outer(b, b)
+    model = spec.innovations
+    finite = model.sigma * (table.z @ table.z.T) / np.outer(b, b)
 
     sample, rows = _replication_sampler(spec, table, seed)
     shards = min(int(shards), N)
@@ -111,16 +109,18 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     samples = sums / b
     empirical = samples.T @ samples / N
 
-    if spec.innovations.law == "gaussian":
-        se = np.sqrt((np.outer(np.diag(finite), np.diag(finite)) + finite ** 2) / N)
-    else:
-        batches = np.array_split(samples, BATCH_COUNT, axis=0)
-        batch_cov = np.array([bt.T @ bt / len(bt) for bt in batches])
-        se = batch_cov.std(axis=0, ddof=1) / math.sqrt(len(batches))
+    # Var(S_i S_j) = C_ii C_jj + C_ij^2 + the fourth cumulant of draws of
+    # excess kurtosis kappa through the factor F: kappa [(F o F)(F o F)^T]_ij
+    # sum_m z_im^2 z_jm^2 / (b_i b_j)^2, the sum once per distinct exponent
+    _, first, idx = np.unique(spec.memory.values, return_index=True, return_inverse=True)
+    z2 = np.square(table.z[first] / b[first, None])
+    f2 = np.square(model.factor)
+    kappa = _excess_kurtosis(model.law, model.pareto_alpha)
+    se = np.sqrt((np.outer(np.diag(finite), np.diag(finite)) + finite ** 2
+                  + kappa * (f2 @ f2.T) * (z2 @ z2.T)[np.ix_(idx, idx)]) / N)
 
     verdicts = np.abs(empirical - finite) <= z_star * se
-    denom = np.where(np.abs(K) > 0, np.abs(K), 1.0)
-    gap_rel = np.abs(finite - K) / denom
+    gap_rel = np.abs(finite - K) / np.where(np.abs(K) > 0, np.abs(K), 1.0)
     return CovarianceReport(regime=regime, empirical=empirical,
                             finite_n_exact=finite, limit=K, se=se,
                             verdicts=verdicts, gap_rel=gap_rel, samples=samples,

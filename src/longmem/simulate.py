@@ -76,6 +76,14 @@ def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float,
     return np.sign(v) * mag * scale
 
 
+def _excess_kurtosis(law: str, pareto_alpha: float) -> float:
+    """E g^4 - 3 of one draw g of ``_standardized_draws``: the Pareto magnitude
+    has E x^4 = alpha / (alpha - 4), times the scale's fourth power."""
+    if law == "gaussian":
+        return 0.0
+    return (pareto_alpha - 2.0) ** 2 / (pareto_alpha * (pareto_alpha - 4.0)) - 3.0
+
+
 def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
                     count: int, block: int):
     """Yield the standardized draws g_m, m = start .. start+count-1, of the

@@ -264,9 +264,10 @@ class TestClassifiers:
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
         r = lm.l2_membership(spec)
-        assert r.member and r.verdict == "yes"
         assert r.integral_sigma2 == pytest.approx(1.0)
         assert r.integral_weighted == pytest.approx(2.0)
+        # a constant field takes its minimum at the first grid point
+        assert (r.min_d_minus_half, r.min_d_point) == (0.25, 0.25)
 
     def test_l2_membership_boundary(self):
         spec = lm.spec_from_dict({
@@ -278,12 +279,18 @@ class TestClassifiers:
         assert (r.integral_sigma2, r.integral_weighted) == (1.0, 1.0)
 
     def test_l2_blowup_near_half(self):
+        # the weighted quadrature is large but finite: the report names how
+        # near d comes to 1/2, and where, instead of a thresholded verdict
         spec = lm.spec_from_dict({
             "grid": {"points": [0.25, 0.75], "weights": [0.5, 0.5]},
             "memory": {"kind": "table", "values": [0.75, 0.5 + 1e-15]},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        assert lm.l2_membership(spec).verdict == "no"
+        r = lm.l2_membership(spec)
+        assert r.min_d_minus_half == pytest.approx(1e-15, rel=1e-3)
+        assert r.min_d_point == 0.75
+        assert r.integral_weighted == pytest.approx(1.0 + 0.5 / (2.0 * r.min_d_minus_half))
+        assert math.isfinite(r.integral_weighted) and r.integral_weighted > 1e14
 
 
 def _column(table, j):

@@ -22,12 +22,15 @@ PUBLIC_NAMES = [
 ]
 
 # removed in 0.4.0 (the pointwise routes), in 0.9.0 (two routes with no
-# library caller) and in 0.12.0 (the pointwise limit law, which lives on as
+# library caller), in 0.12.0 (the pointwise limit law, which lives on as
 # a test oracle like the others in tests/oracles.py, and the two wrappers
-# whose arrays limit_kernel and normalization_plan now return)
+# whose arrays limit_kernel and normalization_plan now return) and in 0.14.0
+# (the batch-means standard error, which the fourth-cumulant formula replaces,
+# and the threshold behind a yes/no L2 verdict that no grid can decide)
 REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact",
                  "partial_sums_direct", "scale_integral_upper_bound",
-                 "partial_sum_covariance_asymptotic", "LimitKernel", "NormalizationPlan"]
+                 "partial_sum_covariance_asymptotic", "LimitKernel", "NormalizationPlan",
+                 "BATCH_COUNT", "L2_FINITE_THRESHOLD"]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -44,7 +47,7 @@ def test_result_records_hold_only_what_their_call_computed():
     # the caller has them already
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
               for cls in (lm.PathEnsemble, lm.CovarianceReport, lm.NormalityReport,
-                          lm.ExponentFit)}
+                          lm.ExponentFit, lm.analytics.L2Report)}
     assert fields == {
         "PathEnsemble": ["values", "truncation_tail_var"],
         "CovarianceReport": ["regime", "empirical", "finite_n_exact", "limit", "se",
@@ -53,7 +56,10 @@ def test_result_records_hold_only_what_their_call_computed():
         "NormalityReport": ["skewness", "excess_kurtosis", "ks_distance",
                             "skew_band", "kurt_band"],
         "ExponentFit": ["slopes", "theoretical", "corrected", "max_residual"],
+        "L2Report": ["integral_sigma2", "integral_weighted", "min_d_minus_half",
+                     "min_d_point"],
     }
+    assert not hasattr(lm.analytics.L2Report, "verdict")
 
 
 def _called_names(source: str) -> set[str]:

@@ -239,7 +239,10 @@ class TestAnalyze:
         summ = (out / "summability.csv").read_text()
         assert "divergent" in summ and "convergent" not in summ
         l2 = json.loads((out / "l2_report.json").read_text())
-        assert l2["verdict"] == "yes"
+        # the grid decides no membership: quadratures and the d - 1/2 margin
+        assert l2 == {"integral_sigma2": pytest.approx(0.75 / 2),
+                      "integral_sigma2_over_2d_minus_1": pytest.approx(0.75),
+                      "min_d_minus_half": 0.25, "min_d_point": 0.25}
 
     def test_divergent_pair_recorded(self, tmp_path):
         cfg = _write(tmp_path, {

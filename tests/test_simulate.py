@@ -4,8 +4,8 @@ from scipy.special import ndtri
 
 import longmem as lm
 from longmem.model import tail_variance_bound
-from longmem.simulate import (ORIGIN, _philox_key, _seek, _standard_draws,
-                              _standardized_draws, innovation_block)
+from longmem.simulate import (ORIGIN, _excess_kurtosis, _philox_key, _seek,
+                              _standard_draws, _standardized_draws, innovation_block)
 from oracles import cross_covariance_exact, partial_sums_direct
 
 
@@ -88,6 +88,13 @@ class TestInnovations:
         x = innovation_block(model, seed=13, start=1, count=200_000)
         assert abs(x.mean()) < 0.01
         assert abs(x.var() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("alpha, kappa", [(4.5, -2 / 9), (6.0, -5 / 3), (4.2, 58 / 21)])
+    def test_excess_kurtosis(self, alpha, kappa):
+        # (alpha - 2)^2 / (alpha (alpha - 4)) - 3 for the symmetrized Pareto
+        # law; the Gaussian law has none at any alpha
+        assert _excess_kurtosis("pareto", alpha) == pytest.approx(kappa, rel=1e-14)
+        assert _excess_kurtosis("gaussian", alpha) == 0.0
 
     def test_unfactorizable_model_fatal(self):
         model = lm.InnovationModel.custom([[1.0, 2.0], [2.0, 1.0]])
