@@ -190,7 +190,6 @@ def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.n
     then scaled by sigma(t_i, t_j); the bound adds roundoff proportional to
     the partial sum to the series' certified error.
     """
-    spec.require_valid()
     if h < 0:
         raise ValueError("lag h must be nonnegative")
     if h > MAX_LAG:
@@ -251,7 +250,6 @@ def l2_membership(spec: ProcessSpec) -> L2Report:
     """Grid quadratures of int sigma^2 dmu and int sigma^2/(2d-1) dmu, finite
     for any valid spec (d > 1/2 at every point), and no verdict: whether the
     integrals are finite depends on d between the points, which no grid sees."""
-    spec.require_valid()
     s2 = spec.innovations.sigma2
     d = spec.memory.values
     return L2Report(integral_sigma2=spec.grid.quadrature(s2),
@@ -322,7 +320,6 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
     ``window`` defaults to the spec's truncation window, the one the
     simulator uses, so that the independent-summands identity is exact.
     """
-    spec.require_valid()
     if n < 2:
         raise ValueError("coefficient table defined for n >= 2")
     M = spec.window if window is None else window
@@ -382,7 +379,7 @@ def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: in
 # ---------------------------------------------------------------------------
 
 def _clt_regime(spec: ProcessSpec) -> str:
-    report = spec.require_valid()
+    report = spec.report
     if report.clt_part == "i":
         return "long"
     if report.clt_part == "ii":

@@ -83,7 +83,6 @@ def _load(args):
     if tail_tol is not None:
         cfg = dict(cfg, tail_tol=tail_tol)
     spec = spec_from_dict(cfg, base_dir=cfg_path.parent)
-    spec.require_valid()
     out.mkdir(parents=True, exist_ok=True)
     return cfg, spec, seed, out, threads
 

@@ -83,7 +83,6 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
         raise ValueError(f"shards must be at least 1; got {shards}")
     if not 0.0 < z_star < math.inf:
         raise ValueError(f"z_star must be positive and finite; got {z_star}")
-    spec.require_valid()
     _require_nondegenerate(spec)
     regime = _clt_regime(spec)   # raises RegimeError on mixed regimes
     b = normalization_plan(spec, n)
@@ -227,7 +226,6 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
         raise ValueError(f"need at least 5 distinct horizons; got {sorted(set(n_list))}")
     if any(n < 2 or (n & (n - 1)) for n in n_list):
         raise ValueError("horizons must be dyadic (powers of two, >= 2)")
-    spec.require_valid()
     _require_nondegenerate(spec)
     log_n = np.log(n_list)
     q = spec.grid.q

@@ -93,8 +93,8 @@ class MemoryFunction:
         object.__setattr__(self, "values", _readonly(np.atleast_1d(self.values)))
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("memory exponents must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (self.values, self.breakpoints, self.levels)):
+            raise ValidationError("memory exponents and breakpoints must be finite")
 
     @classmethod
     def constant(cls, d: float, grid: SpaceGrid) -> "MemoryFunction":
@@ -170,14 +170,16 @@ class InnovationModel:
             raise ValidationError(f"unknown innovation kind {self.kind!r}")
         if self.law not in ("gaussian", "pareto"):
             raise ValidationError(f"unknown innovation law {self.law!r}")
+        if not math.isfinite(self.pareto_alpha):
+            raise ValidationError(f"pareto_alpha must be finite; got {self.pareto_alpha!r}")
         if self.law == "pareto" and self.pareto_alpha <= 4.0:
             raise ValidationError("pareto_alpha must exceed 4 (finite fourth moment)")
         sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         if sigma.shape[0] != sigma.shape[1]:
             raise ValidationError("innovation covariance must be square")
         object.__setattr__(self, "sigma", _readonly(sigma))
-        # indefinite matrices are left unfactorized so that validate()
-        # can report them; sampling from such a model is fatal
+        # indefinite matrices are left unfactorized so that a ProcessSpec
+        # built on them reports them; sampling from such a model is fatal
         try:
             object.__setattr__(self, "factor", _readonly(_factor_psd(sigma)))
         except ValidationError:
@@ -211,19 +213,30 @@ class InnovationModel:
 
 @dataclass(frozen=True, eq=False)
 class ProcessSpec:
-    """Fully specified simulation input: grid + memory + innovations + budgets."""
+    """Fully specified simulation input: grid + memory + innovations + budgets.
+
+    Valid by construction: building a spec (directly, by ``spec_from_dict``
+    or by ``dataclasses.replace``) checks every standing assumption once and
+    raises ``ValidationError`` listing each violation; ``report`` keeps the
+    regime report of the checks.
+    """
 
     grid: SpaceGrid
     memory: MemoryFunction
     innovations: InnovationModel
     tail_tol: float = DEFAULT_TAIL_TOL
     horizon: int = 1
+    report: "ValidationReport" = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.tail_tol <= 1.0):
             raise ValidationError("tail_tol must lie in (0, 1]")
         if self.horizon < 1:
             raise ValidationError("horizon must be at least 1")
+        report = _check(self)
+        if report.fatal:
+            raise ValidationError("; ".join(report.fatal))
+        object.__setattr__(self, "report", report)
 
     @property
     def q(self) -> int:
@@ -234,17 +247,6 @@ class ProcessSpec:
         """Truncation window M of the moving-average filter: the smallest M
         meeting the tail budget at the smallest exponent, computed once per spec."""
         return truncation_length(self.memory.d_min, self.tail_tol)
-
-    @functools.cached_property
-    def report(self) -> "ValidationReport":
-        """The validation report, computed on first use and kept: the spec is immutable."""
-        return _check(self)
-
-    def require_valid(self) -> "ValidationReport":
-        """The cached report; raises ``ValidationError`` listing every fatal violation."""
-        if not self.report.ok:
-            raise ValidationError("; ".join(self.report.fatal))
-        return self.report
 
     def to_dict(self) -> dict:
         return {
@@ -292,15 +294,13 @@ def _classify_exponent(d: float) -> str:
 
 
 def validate(spec: ProcessSpec) -> ValidationReport:
-    """Check every standing assumption; list each violation with its grid location.
-
-    Pure: the same spec always yields an identical report.  The checks run
-    once per spec; later calls return the report cached on the spec.
-    """
+    """The spec's regime report.  The checks ran once, when the spec was
+    built, and a spec with a violation was never built, so the report is ok."""
     return spec.report
 
 
 def _check(spec: ProcessSpec) -> ValidationReport:
+    """Check every standing assumption; list each violation with its grid location."""
     fatal = []
     q = spec.grid.q
     if len(spec.memory.values) != q:

@@ -138,14 +138,13 @@ def _past_factor(model: InnovationModel, table: CoefficientTable) -> np.ndarray:
     return _factor_psd(model.sigma * (z_past @ z_past.T))
 
 
-def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int,
-                         pathwise: bool = False):
+def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
     """``((rep_start, count) -> (count, q) S_n, rows)``: the partial sums of
     replications rep_start .. rep_start+count-1, and the innovation rows one
     replication draws.
 
-    The pathwise route (``pathwise``, or any non-Gaussian law) draws the
-    window's indices 1-M..n and contracts them with the whole table.  Under
+    A non-Gaussian law takes the pathwise route: it draws the window's
+    indices 1-M..n and contracts them with the whole table.  Under
     the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
     N(0, sigma o Z_past Z_past^T), so a replication draws indices 0..n only:
     rows 1..n times ``factor.T`` are eps_1..eps_n of ``innovation_block``
@@ -158,7 +157,7 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int,
     model = spec.innovations
     n, M = table.n, table.window
     factor_t = _factor_t(model)
-    if pathwise or model.law != "gaussian":
+    if model.law != "gaussian":
         start, z, past_factor = 1 - M, table.z, None
     else:
         start, z = 0, np.ascontiguousarray(table.z[:, M:])
@@ -199,7 +198,6 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
     X_k(t_i) = sum_{j=0}^{M} (j+1)^{-d(t_i)} eps_{k-j}(t_i), with M chosen
     from the spec's tail budget; consecutive k share innovations.
     """
-    spec.require_valid()
     if n < 1:
         raise ValueError("n must be >= 1")
     M = spec.window
@@ -218,12 +216,14 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
 def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np.ndarray:
     """S_n via the independent-summands identity S_n(t) = sum_j z_{n,j}(t) eps_j(t).
 
-    Uses the same truncation window and the same addressable innovations as
-    ``generate_paths``, so the result matches the sum of the paths over k to
-    floating-point reassociation error (<= 1e-12 relative).
+    The coefficient table times the innovations ``innovation_block`` draws
+    for indices 1-M..n: the same truncation window and the same addressable
+    innovations as ``generate_paths``, so the result matches the sum of the
+    paths over k to floating-point reassociation error (<= 1e-12 relative).
     """
     if n < 2:
         raise ValueError("the independent-summands identity is stated for n >= 2")
-    sample, _ = _replication_sampler(spec, partial_sum_weights(spec, n), seed,
-                                     pathwise=True)
-    return sample(rep, 1)[0]
+    table = partial_sum_weights(spec, n)
+    M = table.window
+    eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M, rep=rep)
+    return np.einsum("im,mi->i", table.z, eps)

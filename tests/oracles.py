@@ -51,7 +51,6 @@ def cross_covariance_exact(spec, s: float, t: float, h: int) -> CertifiedValue:
     The pointwise form of ``cross_covariance_matrix``, by the same
     arithmetic, so the two agree bit for bit; the error bound is certified.
     """
-    spec.require_valid()
     if h < 0:
         raise ValueError("lag h must be nonnegative")
     i, j = _grid_index(spec, s), _grid_index(spec, t)
@@ -71,7 +70,6 @@ def partial_sum_covariance_lagsum(spec, n: int, s: float, t: float,
     value agrees exactly with the coefficient-table route on the shared
     window.
     """
-    spec.require_valid()
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
     if sig == 0.0:
@@ -103,7 +101,6 @@ def partial_sum_covariance_exact(spec, n: int, s: float, t: float,
     A disagreement beyond 1e-9 relative is an internal error and aborts.
     At n = 1 the two routes coincide and route (a) is returned.
     """
-    spec.require_valid()
     if n == 1:
         return partial_sum_covariance_lagsum(spec, 1, s, t, window=window)
     i, j = _grid_index(spec, s), _grid_index(spec, t)

@@ -171,6 +171,18 @@ class TestSimulate:
         ("analyze", dict(SMALL_LONG, lags=[True]), "config: invalid 'lags': [True]"),
         ("simulate", dict(SMALL_LONG, grid={"linspace": [0, 1, True]}),
          "grid: True is not an integer"),
+        ("verify-clt", dict(SMALL_LONG, innovations={"kind": "wiener", "law": "pareto",
+                                                     "pareto_alpha": math.nan}),
+         "pareto_alpha must be finite; got nan"),
+        ("verify-clt", dict(SMALL_LONG, innovations={"kind": "wiener", "law": "pareto",
+                                                     "pareto_alpha": math.inf}),
+         "pareto_alpha must be finite; got inf"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [0.4, math.nan, 0.6],
+                                              "levels": [0.7, 0.8, 0.9, 0.95]}),
+         "memory exponents and breakpoints must be finite"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [2.0],
+                                              "levels": [0.7, math.nan]}),
+         "memory exponents and breakpoints must be finite"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +10,38 @@ from scipy.special import zeta
 
 import longmem as lm
 from longmem.model import tail_variance_bound
+
+GRID = lm.SpaceGrid([0.25, 0.5], [0.5, 0.5])
+VALID_PARTS = {"grid": GRID, "memory": lm.MemoryFunction.constant(0.7, GRID),
+               "innovations": lm.InnovationModel.white(1.0, q=2)}
+VALID_CONFIG = {"grid": {"points": [0.25, 0.5]}, "memory": {"kind": "constant", "values": 0.7},
+                "innovations": {"kind": "white", "sigma2": 1.0}}
+NON_PSD = [[1.0, 2.0], [2.0, 1.0]]
+# one case per message of the checks a spec runs when it is built: the parts
+# that violate it and, where a config reaches that check, the config section
+VIOLATIONS = [
+    ("memory field has 3 values for 2 grid points",
+     {"memory": lm.MemoryFunction("table", [0.7, 0.7, 0.7])}, None),
+    ("innovation covariance is 3x3 for 2 grid points",
+     {"innovations": lm.InnovationModel.white(1.0, q=3)},
+     {"innovations": {"kind": "custom", "sigma": np.eye(3).tolist()}}),
+    (r"d\(t\)=0.5 <= 1/2 at grid point t=0.5 \(index 1\)",
+     {"memory": lm.MemoryFunction.table([0.7, 0.5], GRID)},
+     {"memory": {"kind": "table", "values": [0.7, 0.5]}}),
+    ("innovation covariance is not symmetric",
+     {"innovations": lm.InnovationModel.custom([[1.0, 0.5], [0.4, 1.0]])},
+     {"innovations": {"kind": "custom", "sigma": [[1.0, 0.5], [0.4, 1.0]]}}),
+    (r"not positive semidefinite \(min eigenvalue -1.000e\+00\)",
+     {"innovations": lm.InnovationModel.custom(NON_PSD)},
+     {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
+    (r"violates \|sigma\(s,t\)\| <= sqrt\(sigma2\(s\) sigma2\(t\)\)",
+     {"innovations": lm.InnovationModel.custom(NON_PSD)},
+     {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
+    ("white innovations must have a diagonal covariance",
+     {"innovations": lm.InnovationModel("white", [[1.0, 0.5], [0.5, 1.0]])}, None),
+    (r"wiener innovations must have sigma\(s,t\) = min\(s,t\)",
+     {"innovations": lm.InnovationModel.wiener([0.5, 1.0])}, None),
+]
 
 
 class TestSpaceGrid:
@@ -40,6 +75,16 @@ class TestMemoryFunction:
         with pytest.raises(lm.ValidationError):
             lm.MemoryFunction.table([0.7], g)
 
+    @pytest.mark.parametrize("breakpoints, levels", [
+        ([0.4, math.nan, 0.6], [0.7, 0.8, 0.9, 0.95]),   # would give 0.95 where 0.9 belongs
+        ([math.nan], [0.9, 0.95]),                       # would drop the second level
+        ([2.0], [0.9, math.nan]),                        # a level no grid point uses
+    ])
+    def test_step_refuses_non_finite_breakpoints_and_levels(self, breakpoints, levels):
+        g = lm.SpaceGrid(np.linspace(0, 1, 5), np.full(5, 0.2))
+        with pytest.raises(lm.ValidationError, match="must be finite"):
+            lm.MemoryFunction.step(breakpoints, levels, g)
+
     def test_distinct_exponents(self, repeated_spec):
         memory = repeated_spec.memory
         exponents, index = memory.distinct
@@ -65,6 +110,12 @@ class TestInnovationModel:
         with pytest.raises(lm.ValidationError):
             lm.InnovationModel.white(1.0, q=2, law="pareto", pareto_alpha=3.0)
 
+    @pytest.mark.parametrize("law", ["pareto", "gaussian"])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_pareto_alpha_must_be_finite(self, law, alpha):
+        with pytest.raises(lm.ValidationError, match="pareto_alpha must be finite"):
+            lm.InnovationModel.white(1.0, q=2, law=law, pareto_alpha=alpha)
+
 
 class TestValidate:
     def test_long_regime_clt_part_i(self, long_spec):
@@ -86,25 +137,20 @@ class TestValidate:
         assert report.clt_part is None
 
     def test_d_half_is_fatal_with_location(self):
-        spec = lm.spec_from_dict({
-            "grid": {"points": [0.25, 0.5]},
-            "memory": {"kind": "table", "values": [0.7, 0.5]},
-            "innovations": {"kind": "white", "sigma2": 1.0},
-        })
-        report = lm.validate(spec)
-        assert not report.ok
-        assert any("0.5" in msg and "t=0.5" in msg for msg in report.fatal)
+        with pytest.raises(lm.ValidationError, match=r"0\.5 .*t=0\.5"):
+            lm.spec_from_dict({
+                "grid": {"points": [0.25, 0.5]},
+                "memory": {"kind": "table", "values": [0.7, 0.5]},
+                "innovations": {"kind": "white", "sigma2": 1.0},
+            })
 
     def test_non_psd_sigma_is_fatal(self):
-        spec = lm.spec_from_dict({
-            "grid": {"points": [0.25, 0.5]},
-            "memory": {"kind": "constant", "values": 0.7},
-            "innovations": {"kind": "custom", "sigma": [[1.0, 2.0], [2.0, 1.0]]},
-        })
-        report = lm.validate(spec)
-        assert not report.ok
-        assert any("positive semidefinite" in m or "violates" in m
-                   for m in report.fatal)
+        with pytest.raises(lm.ValidationError, match="positive semidefinite|violates"):
+            lm.spec_from_dict({
+                "grid": {"points": [0.25, 0.5]},
+                "memory": {"kind": "constant", "values": 0.7},
+                "innovations": {"kind": "custom", "sigma": [[1.0, 2.0], [2.0, 1.0]]},
+            })
 
     def test_pure(self, mixed_spec):
         assert lm.validate(mixed_spec) == lm.validate(mixed_spec)
@@ -126,14 +172,32 @@ class TestValidate:
         assert lm.validate(spec) is first
         assert calls == [spec]
 
-    def test_require_valid_raises_every_violation(self):
-        spec = lm.spec_from_dict({
-            "grid": {"points": [0.25, 0.5]},
-            "memory": {"kind": "table", "values": [0.4, 0.5]},
-            "innovations": {"kind": "white", "sigma2": 1.0},
-        })
+    def test_construction_raises_every_violation(self):
         with pytest.raises(lm.ValidationError, match="t=0.25.*t=0.5"):
-            spec.require_valid()
+            lm.spec_from_dict({
+                "grid": {"points": [0.25, 0.5]},
+                "memory": {"kind": "table", "values": [0.4, 0.5]},
+                "innovations": {"kind": "white", "sigma2": 1.0},
+            })
+
+    @pytest.mark.parametrize("message, parts, section", VIOLATIONS)
+    def test_every_check_raises_on_each_route_to_a_spec(self, message, parts, section):
+        with pytest.raises(lm.ValidationError, match=message):
+            lm.ProcessSpec(**dict(VALID_PARTS, **parts))
+        with pytest.raises(lm.ValidationError, match=message):
+            dataclasses.replace(lm.ProcessSpec(**VALID_PARTS), **parts)
+        if section is not None:
+            with pytest.raises(lm.ValidationError, match=message):
+                lm.spec_from_dict(dict(VALID_CONFIG, **section))
+
+    def test_violation_cases_cover_every_check(self):
+        assert inspect.getsource(lm.model._check).count("fatal.append(") == len(VIOLATIONS)
+
+    def test_spec_has_no_later_check(self):
+        # a spec is checked when it is built, so it offers no method that
+        # re-checks it: its public attributes are pinned
+        assert {name for name in dir(lm.ProcessSpec) if not name.startswith("_")} == {
+            "horizon", "q", "spec_hash", "tail_tol", "to_dict", "window"}
 
 
 class TestTruncationLength:
