@@ -52,7 +52,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "CertifiedValue",

@@ -264,12 +264,14 @@ def l2_membership(spec: ProcessSpec) -> L2Report:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Weights z_{n,j}(t_i) of innovation eps_j in the partial sum S_n(t_i).
+    """Weights z_{n,j} of innovation eps_j in the partial sum S_n(t).
 
-    Rows are grid points; the n + window columns are j = 1 - window .. n,
-    so j sits in column j + window - 1.  Weights are those of the window-M
-    truncated model (M = ``window``), so they coincide with the two defining
-    formulas
+    They depend on t only through d(t): rows are the distinct exponents of
+    ``spec.memory.distinct``, grid point i reads row ``idx[i]``, and the
+    truncated covariance of S_n is ``sigma * (z @ z.T)[np.ix_(idx, idx)]``.
+    The n + window columns are j = 1 - window .. n, so j sits in column
+    j + window - 1.  Weights are those of the window-M truncated model
+    (M = ``window``), so they coincide with the two defining formulas
 
         z_{n,j} = sum_{k=1}^{n-j+1} k^{-d}          (2 <= j <= n)
         z_{n,j} = sum_{k=1}^{n} (k-j+1)^{-d}        (j < 2)
@@ -315,7 +317,7 @@ def _window_tail(d_s: float, d_t: float, n: int, A: float) -> tuple[float, float
 
 def partial_sum_weights(spec: ProcessSpec, n: int,
                         window: int | None = None) -> CoefficientTable:
-    """Build the coefficient table of S_n for every grid point.
+    """Build the coefficient table of S_n, one row per distinct exponent.
 
     ``window`` defaults to the spec's truncation window, the one the
     simulator uses, so that the independent-summands identity is exact.
@@ -327,7 +329,7 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
     z = np.stack([_windowed_weights(float(d), n, M) for d in u])
     series = [partial_sum_covariance_series(float(d), float(d), 1.0, n) for d in u]
     tail_var = np.array([c.value + c.error_bound for c in series]) - np.sum(z ** 2, axis=1)
-    return CoefficientTable(n=n, window=int(M), z=z[idx],
+    return CoefficientTable(n=n, window=int(M), z=z,
                             tail_var=spec.innovations.sigma2 * tail_var[idx])
 
 

@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, TailBudgetError, RegimeError, ValueError,
-            KeyError, OSError, json.JSONDecodeError) as exc:
+            KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

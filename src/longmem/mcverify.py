@@ -89,7 +89,9 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     K = limit_kernel(spec)
     table = partial_sum_weights(spec, n)
     model = spec.innovations
-    finite = model.sigma * (table.z @ table.z.T) / np.outer(b, b)
+    _, idx = spec.memory.distinct   # the table's rows are the distinct exponents
+    pair = np.ix_(idx, idx)
+    finite = model.sigma * (table.z @ table.z.T)[pair] / np.outer(b, b)
 
     sample, rows = _replication_sampler(spec, table, seed)
     shards = min(int(shards), N)
@@ -111,12 +113,11 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     # Var(S_i S_j) = C_ii C_jj + C_ij^2 + the fourth cumulant of draws of
     # excess kurtosis kappa through the factor F: kappa [(F o F)(F o F)^T]_ij
     # sum_m z_im^2 z_jm^2 / (b_i b_j)^2, the sum once per distinct exponent
-    _, first, idx = np.unique(spec.memory.values, return_index=True, return_inverse=True)
-    z2 = np.square(table.z[first] / b[first, None])
+    z2 = np.square(table.z)
     f2 = np.square(model.factor)
     kappa = _excess_kurtosis(model.law, model.pareto_alpha)
     se = np.sqrt((np.outer(np.diag(finite), np.diag(finite)) + finite ** 2
-                  + kappa * (f2 @ f2.T) * (z2 @ z2.T)[np.ix_(idx, idx)]) / N)
+                  + kappa * (f2 @ f2.T) * (z2 @ z2.T)[pair] / np.outer(b, b) ** 2) / N)
 
     verdicts = np.abs(empirical - finite) <= z_star * se
     gap_rel = np.abs(finite - K) / np.where(np.abs(K) > 0, np.abs(K), 1.0)
@@ -228,23 +229,17 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
         raise ValueError("horizons must be dyadic (powers of two, >= 2)")
     _require_nondegenerate(spec)
     log_n = np.log(n_list)
-    q = spec.grid.q
-    slopes = np.empty(q)
-    max_resid = np.empty(q)
-    corrected = np.zeros(q, dtype=bool)
     u, idx = spec.memory.distinct
-    # Var(S_n) at sigma2 = 1 per distinct exponent
-    unit_var = [np.array([partial_sum_covariance_series(float(d), float(d), 1.0, n).value
-                          for n in n_list]) for d in u]
-    for i in range(q):
-        d = float(spec.memory.values[i])
-        y = np.log(unit_var[idx[i]] * float(spec.innovations.sigma2[i]))
+    slopes, max_resid = np.empty(len(u)), np.empty(len(u))
+    # sigma2 adds a constant to log Var(S_n), so the fit at sigma2 = 1 serves
+    # every grid point of an exponent
+    for k, d in enumerate(u):
+        y = np.log([partial_sum_covariance_series(float(d), float(d), 1.0, n).value
+                    for n in n_list])
         if d == 1.0:
-            corrected[i] = True
             y = y - 2.0 * np.log(np.log(n_list))
         coef = np.polyfit(log_n, y, 1)
-        slopes[i] = coef[0]
-        max_resid[i] = float(np.max(np.abs(y - np.polyval(coef, log_n))))
-    return ExponentFit(slopes=slopes,
-                       theoretical=3.0 - 2.0 * spec.memory.values.copy(),
-                       corrected=corrected, max_residual=max_resid)
+        slopes[k] = coef[0]
+        max_resid[k] = np.max(np.abs(y - np.polyval(coef, log_n)))
+    return ExponentFit(slopes=slopes[idx], theoretical=3.0 - 2.0 * spec.memory.values,
+                       corrected=spec.memory.values == 1.0, max_residual=max_resid[idx])

@@ -131,11 +131,12 @@ def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
     return g[0] @ factor_t
 
 
-def _past_factor(model: InnovationModel, table: CoefficientTable) -> np.ndarray:
+def _past_factor(spec: ProcessSpec, table: CoefficientTable) -> np.ndarray:
     """L with L L^T = sigma o Z_past Z_past^T, the covariance of the past
     term sum_{m<=0} z_{n,m} eps_m of the truncated partial sum."""
     z_past = table.z[:, :table.window]
-    return _factor_psd(model.sigma * (z_past @ z_past.T))
+    _, idx = spec.memory.distinct
+    return _factor_psd(spec.innovations.sigma * (z_past @ z_past.T)[np.ix_(idx, idx)])
 
 
 def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
@@ -144,11 +145,11 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
     replication draws.
 
     A non-Gaussian law takes the pathwise route: it draws the window's
-    indices 1-M..n and contracts them with the whole table.  Under
-    the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
+    indices 1-M..n and contracts them with the grid's table rows ``z[idx]``.
+    Under the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
     N(0, sigma o Z_past Z_past^T), so a replication draws indices 0..n only:
     rows 1..n times ``factor.T`` are eps_1..eps_n of ``innovation_block``
-    and meet ``z[:, M:]``, and row 0 drives the past through
+    and meet ``z[idx, M:]``, and row 0 drives the past through
     ``_past_factor``.  Replications are drawn, transformed and contracted in
     blocks that hold no more rows than REPLICATION_BLOCK Gaussian
     replications, or than one replication; each replication's arithmetic is
@@ -157,11 +158,11 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
     model = spec.innovations
     n, M = table.n, table.window
     factor_t = _factor_t(model)
+    _, idx = spec.memory.distinct
     if model.law != "gaussian":
-        start, z, past_factor = 1 - M, table.z, None
+        start, z, past_factor = 1 - M, table.z[idx], None
     else:
-        start, z = 0, np.ascontiguousarray(table.z[:, M:])
-        past_factor = _past_factor(model, table)
+        start, z, past_factor = 0, table.z[idx, M:], _past_factor(spec, table)
     rows = n + 1 - start
     block = max(1, REPLICATION_BLOCK * (n + 1) // rows)
 
@@ -226,4 +227,4 @@ def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np
     table = partial_sum_weights(spec, n)
     M = table.window
     eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M, rep=rep)
-    return np.einsum("im,mi->i", table.z, eps)
+    return np.einsum("im,mi->i", table.z[spec.memory.distinct[1]], eps)

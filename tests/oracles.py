@@ -1,10 +1,11 @@
 """Pointwise covariance routes, kept as independent oracles for the tests.
 
 The library computes covariances as q x q kernels: ``cross_covariance_matrix``
-for lag covariances and ``sigma * (table.z @ table.z.T)`` for the truncated
-partial sums.  The routes here resolve one pair of grid points at a time,
-looked up by value, and the partial-sum ones sum lag covariances instead of
-contracting coefficient tables.  ``window_tail_quad`` is the QUADPACK
+for lag covariances and ``sigma * (table.z @ table.z.T)[np.ix_(idx, idx)]``,
+with ``idx`` of ``spec.memory.distinct``, for the truncated partial sums.
+The routes here resolve one pair of grid points at a time, looked up by
+value, and the partial-sum ones sum lag covariances instead of contracting
+coefficient tables.  ``window_tail_quad`` is the QUADPACK
 route to the tail of the untruncated partial-sum variance series, which the
 library sums as a binomial series, and ``scale_integral_quad`` the QUADPACK
 route to the scale integral, which the library evaluates on a fixed
@@ -106,7 +107,8 @@ def partial_sum_covariance_exact(spec, n: int, s: float, t: float,
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
     table = partial_sum_weights(spec, n, window=window)
-    vb = sig * float(np.dot(table.z[i], table.z[j]))
+    _, idx = spec.memory.distinct   # rows are distinct exponents
+    vb = sig * float(np.dot(table.z[idx[i]], table.z[idx[j]]))
     if n * table.window <= CROSS_CHECK_BUDGET:
         va = partial_sum_covariance_lagsum(spec, n, s, t, window=table.window)
         scale = max(abs(va), abs(vb), 1e-300)

@@ -294,7 +294,7 @@ class TestClassifiers:
 
 
 def _column(table, j):
-    """z_{n,j} over the grid: the table's columns are j = 1 - window .. n."""
+    """z_{n,j} per distinct exponent: the table's columns are j = 1 - window .. n."""
     return table.z[:, j + table.window - 1]
 
 
@@ -312,7 +312,7 @@ class TestCoefficientTable:
         table = lm.partial_sum_weights(mixed_spec, n)
         M = table.window
         assert table.z.shape == (4, n + M)
-        for i, d in enumerate(mixed_spec.memory.values):
+        for i, d in enumerate(mixed_spec.memory.distinct[0]):
             acc = {}
             for k in range(1, n + 1):
                 for j in range(M + 1):
@@ -326,7 +326,7 @@ class TestCoefficientTable:
         table = lm.partial_sum_weights(mixed_spec, n)
         # the window only bites for j < n - window; all js below are inside
         assert n - table.window < -3
-        for i, d in enumerate(mixed_spec.memory.values):
+        for i, d in enumerate(mixed_spec.memory.distinct[0]):
             for j in range(2, n + 1):
                 ref = sum(k ** (-d) for k in range(1, n - j + 2))
                 assert rel(_column(table, j)[i], ref) < 1e-10
@@ -337,8 +337,22 @@ class TestCoefficientTable:
     def test_rows_are_the_weights_of_their_exponent(self, repeated_spec):
         n = 16
         table = lm.partial_sum_weights(repeated_spec, n)
+        _, idx = repeated_spec.memory.distinct
         for i, d in enumerate(repeated_spec.memory.values):
-            assert np.array_equal(table.z[i], _windowed_weights(float(d), n, table.window))
+            assert np.array_equal(table.z[idx[i]], _windowed_weights(float(d), n, table.window))
+
+    def test_one_row_per_distinct_exponent(self):
+        spec = lm.spec_from_dict({
+            "grid": {"linspace": [0.125, 1.0, 8]},
+            "memory": {"kind": "step", "breakpoints": [0.5], "levels": [0.6, 0.8]},
+            "innovations": {"kind": "wiener"},
+            "tail_tol": 0.3,
+        })
+        n = 16
+        table = lm.partial_sum_weights(spec, n)
+        assert len(spec.memory.distinct[0]) == 2
+        assert table.z.shape == (2, n + table.window)
+        assert table.tail_var.shape == (8,)
 
     @pytest.mark.parametrize("fixture", ["constant8_spec", "repeated_spec"])
     def test_weights_built_once_per_distinct_exponent(self, fixture, request,

@@ -98,6 +98,15 @@ def test_public_functions_without_a_library_caller_are_the_listed_ones():
     }
 
 
+def test_exponents_are_decomposed_only_by_memory_distinct():
+    # MemoryFunction.distinct is the one map from grid points to exponents:
+    # the coefficient table has a row per distinct exponent, and its
+    # consumers reach grid points through that index, never a second np.unique
+    package = Path(lm.__file__).resolve().parent
+    assert {name for name in ("analytics", "simulate", "mcverify")
+            if "unique" in _called_names((package / f"{name}.py").read_text())} == set()
+
+
 def test_pyproject_version_is_the_package_version():
     # a release bumps both by hand
     tomllib = pytest.importorskip("tomllib")   # Python >= 3.11

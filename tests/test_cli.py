@@ -44,6 +44,9 @@ SMALL_LONG = {
 }
 
 
+BOUNDARY_REFERENCE = json.loads(Path(_config_path("clt_boundary_reference.json")).read_text())
+
+
 def _manifest_without_timestamp(path):
     data = json.loads(Path(path, "manifest.json").read_text())
     data.pop("timestamp")
@@ -183,6 +186,9 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [2.0],
                                               "levels": [0.7, math.nan]}),
          "memory exponents and breakpoints must be finite"),
+        # above 2**48 bytes: refused by the allocator, no memory touched
+        ("simulate", dict(BOUNDARY_REFERENCE, horizon=10 ** 15), "Unable to allocate"),
+        ("verify-clt", dict(BOUNDARY_REFERENCE, N=10 ** 15), "Unable to allocate"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),

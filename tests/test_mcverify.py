@@ -95,6 +95,21 @@ class TestRunCltExperiment:
         with pytest.raises(lm.ValidationError, match="variance at t=0: "):
             lm.fit_variance_exponent(spec, [2 ** k for k in range(4, 9)])
 
+    @pytest.mark.parametrize("memory", [
+        {"kind": "constant", "values": 0.7},
+        {"kind": "step", "breakpoints": [0.5], "levels": [0.6, 0.8]}])
+    def test_finite_n_exact_is_the_gram_of_the_grid_rows(self, memory):
+        # the table has a row per distinct exponent; gathered per grid point
+        # its Gram is the finite-n covariance, up to the sums' association
+        spec = lm.spec_from_dict(dict(WIENER_07, grid={"linspace": [0.125, 1.0, 8]},
+                                      memory=memory))
+        n = 32
+        report = lm.run_clt_experiment(spec, n, 100, seed=5)
+        z = lm.partial_sum_weights(spec, n).z[spec.memory.distinct[1]]
+        b = lm.normalization_plan(spec, n)
+        expected = spec.innovations.sigma * (z @ z.T) / np.outer(b, b)
+        assert np.max(np.abs(report.finite_n_exact / expected - 1.0)) <= 1e-14
+
     def test_pool_capped_at_core_count(self, monkeypatch):
         # the pool size is computed, never tried out with many threads
         monkeypatch.setattr(lm.mcverify.os, "cpu_count", lambda: 2)
@@ -114,7 +129,7 @@ def _fourth_cumulant(spec, n, kappa):
     """kappa sum_k F_ik^2 F_jk^2 sum_m z_im^2 z_jm^2 / (b_i b_j)^2, entry by
     entry with exactly rounded sums."""
     F = spec.innovations.factor
-    z = lm.partial_sum_weights(spec, n).z
+    z = lm.partial_sum_weights(spec, n).z[spec.memory.distinct[1]]
     b = lm.normalization_plan(spec, n)
     return np.array([[kappa * math.fsum(F[i] ** 2 * F[j] ** 2)
                       * math.fsum(z[i] ** 2 * z[j] ** 2) / (b[i] * b[j]) ** 2
@@ -176,12 +191,13 @@ def _assembled(spec, table, seed, rep):
     """S_n of one replication, drawn and contracted on its own."""
     model = spec.innovations
     M = table.window
+    z = table.z[spec.memory.distinct[1]]   # the rows of the grid points
     if model.law != "gaussian":
         eps = innovation_block(model, seed, start=1 - M, count=table.n + M, rep=rep)
-        return np.einsum("im,mi->i", table.z, eps)
+        return np.einsum("im,mi->i", z, eps)
     g, = _standard_draws(model, seed, range(rep, rep + 1), 0, table.n + 1, 1)
     eps = g[0, 1:] @ model.factor.T
-    return np.einsum("im,mi->i", table.z[:, M:], eps) + _past_factor(model, table) @ g[0, 0]
+    return np.einsum("im,mi->i", z[:, M:], eps) + _past_factor(spec, table) @ g[0, 0]
 
 
 def _count_draw_blocks(monkeypatch):
@@ -235,8 +251,8 @@ class TestReplicationSampler:
     def test_past_factor_reproduces_past_covariance(self, cfg, n):
         spec = lm.spec_from_dict(cfg)
         table = lm.partial_sum_weights(spec, n)
-        past = _past_factor(spec.innovations, table)
-        z_past = table.z[:, :table.window]
+        past = _past_factor(spec, table)
+        z_past = table.z[spec.memory.distinct[1], :table.window]
         target = spec.innovations.sigma * (z_past @ z_past.T)
         assert np.max(np.abs(past @ past.T - target)) <= 1e-12 * np.max(np.abs(target))
 
@@ -401,6 +417,19 @@ class TestFitVarianceExponent:
         assert len(calls) == 10
         assert set(calls) == {(d, d, 1.0, n) for d in (0.6, 1.0) for n in n_list}
         assert fit.slopes[0] == fit.slopes[1] and fit.slopes[2] == fit.slopes[3]
+
+    def test_slope_does_not_read_sigma2(self):
+        # sigma2 adds a constant to log Var(S_n): every point of an exponent
+        # gets the unit-variance fit, bit for bit
+        n_list = [2 ** k for k in range(10, 17)]
+        unit = lm.fit_variance_exponent(lm.spec_from_dict({
+            "grid": {"points": [0.5]},
+            "memory": {"kind": "constant", "values": 0.7},
+            "innovations": {"kind": "white", "sigma2": 1.0},
+        }), n_list)
+        fit = lm.fit_variance_exponent(lm.spec_from_dict(WIENER_07), n_list)
+        assert np.array_equal(fit.slopes, np.full(4, unit.slopes[0]))
+        assert np.array_equal(fit.max_residual, np.full(4, unit.max_residual[0]))
 
     def test_rejects_bad_horizons(self, long_spec):
         with pytest.raises(ValueError):
