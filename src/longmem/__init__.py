@@ -22,7 +22,6 @@ from .model import (
     validate,
 )
 from .analytics import (
-    CertifiedValue,
     CoefficientTable,
     RegimeError,
     classify_summability,
@@ -52,10 +51,9 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
-    "CertifiedValue",
     "CoefficientTable",
     "CovarianceReport",
     "ExponentFit",

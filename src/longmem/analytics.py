@@ -21,14 +21,6 @@ class RegimeError(ValueError):
     """The requested asymptotic law is not available in this regime."""
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
-    """A numeric result together with a certified absolute error bound."""
-
-    value: float
-    error_bound: float
-
-
 # ---------------------------------------------------------------------------
 # the scale integral c(d_s, d_t)
 # ---------------------------------------------------------------------------
@@ -207,20 +199,20 @@ def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.n
     return np.where(nonzero, values, 0.0), np.where(nonzero, bounds, 0.0)
 
 
-def cross_covariance_asymptotic(d_s: float, d_t: float, sigma_st, h: float):
+def cross_covariance_asymptotic(d_s: float, d_t: float, sigma, h: float):
     """Leading-order lag-h cross-covariance in the two covered regimes.
 
     Power regime (1/2 < d_s < 1, d_t > 1/2): c(d_s, d_t) sigma h^{1-(d_s+d_t)}.
     Boundary regime (d_s = d_t = 1): sigma h^{-1} ln h.
-    ``sigma_st`` may be an array: the sigma block of every grid pair with
+    ``sigma`` may be an array: the sigma block of every grid pair with
     these exponents, each entry scaled by the same arithmetic.
     """
     if h < 2:
         raise ValueError("asymptotic law needs h >= 2")
     if d_s == 1.0 and d_t == 1.0:
-        return sigma_st * math.log(h) / h
+        return sigma * math.log(h) / h
     if 0.5 < d_s < 1.0 and d_t > 0.5:
-        return scale_integral_closed_form(d_s, d_t) * sigma_st * h ** (1.0 - (d_s + d_t))
+        return scale_integral_closed_form(d_s, d_t) * sigma * h ** (1.0 - (d_s + d_t))
     raise RegimeError(f"asymptotic law not stated in this regime "
                       f"(d_s={d_s:g}, d_t={d_t:g})")
 
@@ -309,12 +301,6 @@ def _windowed_weights(d: float, n: int, M: int) -> np.ndarray:
     return P[hi] - P[lo]
 
 
-def _window_tail(d_s: float, d_t: float, n: int, A: float) -> tuple[float, float]:
-    """int_A^inf F_s(y) F_t(y) dy with F_d(y) = int_y^{y+n} u^{-d} du, as
-    (value, certified error), for n/A <= 1/4."""
-    return _binomial_tail((1.0 - d_s, 1, n), (1.0 - d_t, 1, n), A)
-
-
 def partial_sum_weights(spec: ProcessSpec, n: int,
                         window: int | None = None) -> CoefficientTable:
     """Build the coefficient table of S_n, one row per distinct exponent.
@@ -327,8 +313,8 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
     M = spec.window if window is None else window
     u, idx = spec.memory.distinct
     z = np.stack([_windowed_weights(float(d), n, M) for d in u])
-    series = [partial_sum_covariance_series(float(d), float(d), 1.0, n) for d in u]
-    tail_var = np.array([c.value + c.error_bound for c in series]) - np.sum(z ** 2, axis=1)
+    series = [partial_sum_covariance_series(float(d), float(d), n) for d in u]
+    tail_var = np.array([value + bound for value, bound in series]) - np.sum(z ** 2, axis=1)
     return CoefficientTable(n=n, window=int(M), z=z,
                             tail_var=spec.innovations.sigma2 * tail_var[idx])
 
@@ -337,14 +323,16 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
 # partial-sum covariances
 # ---------------------------------------------------------------------------
 
-def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: int,
-                                  past_terms: int | None = None) -> CertifiedValue:
-    """Converged (untruncated) E[S_n(s) S_n(t)], semi-analytically.
+def partial_sum_covariance_series(d_s: float, d_t: float, n: int, *,
+                                  past_terms: int | None = None) -> tuple[float, float]:
+    """Converged (untruncated) E[S_n(s) S_n(t)] at unit sigma, semi-analytically,
+    as (value, certified error); scale both by sigma(s, t).
 
     Writes the covariance through the independent-summands weights,
     sums the first ``past_terms`` past weights exactly via prefix sums,
-    and replaces the remainder by its midpoint-rule integral, summed as a
-    power series in n/(past_terms+1) (``_window_tail``):
+    and replaces the remainder by its midpoint-rule integral
+    int_A^inf F_s(y) F_t(y) dy with F_d(y) = int_y^{y+n} u^{-d} du and
+    A = past_terms + 1, summed as a power series in n/A (``_binomial_tail``):
 
         E[S_n S_n]/sigma = sum_{m=1}^{n-1} P_s(m) P_t(m)
                          + sum_{i>=0} [P_s(n+i)-P_s(i)][P_t(n+i)-P_t(i)].
@@ -361,19 +349,15 @@ def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: in
     if 4 * n > J + 1:
         raise ValueError(f"past_terms={J} too few for n={n}: the tail series "
                          f"needs n/(past_terms+1) <= 1/4")
-    if sigma_st == 0.0:
-        return CertifiedValue(0.0, 0.0)
     P_s = _prefix_powers(d_s, n + J)
     P_t = P_s if d_t == d_s else _prefix_powers(d_t, n + J)
     head = float(np.dot(P_s[1:n], P_t[1:n])) if n > 1 else 0.0
     w_s = P_s[n:n + J + 1] - P_s[: J + 1]
     w_t = P_t[n:n + J + 1] - P_t[: J + 1]
     mid = float(np.dot(w_s, w_t))
-    tail, tail_err = _window_tail(d_s, d_t, n, J + 1.0)
-    value = sigma_st * (head + mid + tail)
-    err = abs(sigma_st) * (abs(tail) * min(1.0, (n / (J + 0.5)) ** 2)
-                           + tail_err + 1e-14 * (head + mid))
-    return CertifiedValue(value, err)
+    tail, tail_err = _binomial_tail((1.0 - d_s, 1, n), (1.0 - d_t, 1, n), J + 1.0)
+    err = abs(tail) * min(1.0, (n / (J + 0.5)) ** 2) + tail_err + 1e-14 * (head + mid)
+    return head + mid + tail, err
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +365,10 @@ def partial_sum_covariance_series(d_s: float, d_t: float, sigma_st: float, n: in
 # ---------------------------------------------------------------------------
 
 def _clt_regime(spec: ProcessSpec) -> str:
-    report = spec.report
-    if report.clt_part == "i":
-        return "long"
-    if report.clt_part == "ii":
-        return "boundary"
-    raise RegimeError("CLT not stated for mixed regimes "
-                      "(need 1/2 < d(t) < 1 everywhere, or d(t) = 1 everywhere)")
+    if spec.report.regime is None:
+        raise RegimeError("CLT not stated for mixed regimes "
+                          "(need 1/2 < d(t) < 1 everywhere, or d(t) = 1 everywhere)")
+    return spec.report.regime
 
 
 def limit_kernel(spec: ProcessSpec) -> np.ndarray:
@@ -432,8 +413,8 @@ def _boundary_variance_constant() -> float:
     the supremum over a dense-then-dyadic ladder is a faithful stand-in.
     """
     ns = list(range(2, 65)) + [2 ** k for k in range(7, 17)]
-    sup = max(partial_sum_covariance_series(1.0, 1.0, 1.0, n).value
-              / (n * math.log(n) ** 2) for n in ns)
+    sup = max(partial_sum_covariance_series(1.0, 1.0, n)[0] / (n * math.log(n) ** 2)
+              for n in ns)
     return 1.05 * sup
 
 

@@ -234,7 +234,7 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
     # sigma2 adds a constant to log Var(S_n), so the fit at sigma2 = 1 serves
     # every grid point of an exponent
     for k, d in enumerate(u):
-        y = np.log([partial_sum_covariance_series(float(d), float(d), 1.0, n).value
+        y = np.log([partial_sum_covariance_series(float(d), float(d), n)[0]
                     for n in n_list])
         if d == 1.0:
             y = y - 2.0 * np.log(np.log(n_list))

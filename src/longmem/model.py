@@ -275,7 +275,7 @@ class ValidationReport:
     """Outcome of checking a spec against the standing assumptions."""
 
     regimes: tuple
-    clt_part: str | None  # "i" (all long), "ii" (all boundary), or None
+    regime: str | None  # the CLT regime: "long" or "boundary" everywhere, else None
     fatal: tuple = ()
 
     @property
@@ -340,13 +340,10 @@ def _check(spec: ProcessSpec) -> ValidationReport:
                     fatal.append("wiener innovations must have sigma(s,t) = min(s,t) "
                                  "at the grid points")
 
-    clt_part = None
-    if not fatal:
-        if all(r == REGIME_LONG for r in regimes):
-            clt_part = "i"
-        elif all(r == REGIME_BOUNDARY for r in regimes):
-            clt_part = "ii"
-    return ValidationReport(regimes=regimes, clt_part=clt_part, fatal=tuple(fatal))
+    # the CLT is stated where every point is long, or every point is boundary
+    clt = not fatal and set(regimes) in ({REGIME_LONG}, {REGIME_BOUNDARY})
+    return ValidationReport(regimes=regimes, regime=regimes[0] if clt else None,
+                            fatal=tuple(fatal))
 
 
 def tail_variance_bound(d: float, M: int) -> float:
@@ -500,11 +497,27 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
+def _refuse_booleans(cfg: dict, prefix: str = "") -> None:
+    """Raise ``ValidationError`` naming the key path of a JSON ``true`` or
+    ``false`` at any depth: no config key takes one, and Python reads it as 1 or 0."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            _refuse_booleans(value, f"{prefix}{key}.")
+        elif _holds_bool(value):
+            raise ValidationError(f"config: invalid '{prefix}{key}': {value!r}")
+
+
 def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
-    """Build a ProcessSpec from a parsed JSON config dictionary."""
+    """Build a ProcessSpec from a parsed JSON config dictionary; once its
+    sections build, a boolean anywhere in it, run keys included, is refused."""
     grid = _section(cfg, "grid", _grid_from_dict)
     memory = _section(cfg, "memory", _memory_from_dict, grid)
     innovations = _section(cfg, "innovations", _innovations_from_dict, grid, Path(base_dir))
+    _refuse_booleans(cfg)
     return ProcessSpec(
         grid=grid,
         memory=memory,

@@ -63,17 +63,23 @@ def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float,
                         ndtri) -> np.ndarray:
     """Map uniforms to i.i.d. mean-zero unit-variance draws of the given law.
 
-    Gaussian draws overwrite ``u`` and are returned in it; ``ndtri`` is
+    The draws overwrite ``u`` and are returned in it; ``ndtri`` is
     ``scipy.special.ndtri``, which the caller imports.
     """
     if law == "gaussian":
         u += _U_HALF_ULP
         return ndtri(u, out=u)
-    # symmetrized Pareto via inverse CDF: sign and magnitude from one uniform
-    v = 2.0 * u - 1.0 + 2.0 ** -53
-    mag = (1.0 - np.abs(v)) ** (-1.0 / pareto_alpha)
-    scale = np.sqrt((pareto_alpha - 2.0) / pareto_alpha)
-    return np.sign(v) * mag * scale
+    # symmetrized Pareto via inverse CDF, sign(v) (1 - |v|)^(-1/alpha) scale with
+    # v = 2u - 1 + 2^-53 (exact, never 0); rounding commutes with sign, so it goes last
+    u *= 2.0
+    u -= 1.0
+    u += 2.0 ** -53
+    sign = np.sign(u, out=np.empty(u.shape, np.int8), casting="unsafe")
+    np.abs(u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.power(u, -1.0 / pareto_alpha, out=u)
+    u *= np.sqrt((pareto_alpha - 2.0) / pareto_alpha)
+    return np.multiply(u, sign, out=u)
 
 
 def _excess_kurtosis(law: str, pareto_alpha: float) -> float:
@@ -93,8 +99,8 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
     Entries are i.i.d. mean zero, unit variance, of the model's law; one
     Philox generator and one uniform buffer serve the whole call, reset to
     each replication's counter, so a replication's draws do not depend on
-    the block it falls in.  A Gaussian block is that buffer, transformed in
-    place: use it before asking for the next one.
+    the block it falls in.  Under either law a block is that buffer,
+    transformed in place: use it before asking for the next one.
     """
     from scipy.special import ndtri   # loaded on first draw: `import longmem` stays light
 
@@ -193,7 +199,7 @@ class PathEnsemble:
     truncation_tail_var: np.ndarray  # per-point bound on the variance dropped per X_k
 
 
-def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEnsemble:
+def generate_paths(spec: ProcessSpec, n: int, seed: int) -> PathEnsemble:
     """Filter a rolling innovation window through the truncated power-law MA.
 
     X_k(t_i) = sum_{j=0}^{M} (j+1)^{-d(t_i)} eps_{k-j}(t_i), with M chosen
@@ -202,7 +208,7 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> PathEn
     if n < 1:
         raise ValueError("n must be >= 1")
     M = spec.window
-    eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M, rep=rep)
+    eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M)
     u, idx = spec.memory.distinct
     j = np.arange(M + 1, dtype=float)
     coefs = [((j + 1.0) ** (-float(d)))[::-1] for d in u]

@@ -26,9 +26,8 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from longmem.analytics import (CertifiedValue, RegimeError, _check_scale_regime,
-                               _lag_series, partial_sum_weights,
-                               scale_integral_closed_form)
+from longmem.analytics import (RegimeError, _check_scale_regime, _lag_series,
+                               partial_sum_weights, scale_integral_closed_form)
 from longmem.io import FLOAT_FMT
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -46,21 +45,22 @@ def _grid_index(spec, s: float) -> int:
     return int(hits[0])
 
 
-def cross_covariance_exact(spec, s: float, t: float, h: int) -> CertifiedValue:
-    """E[X_0(s) X_h(t)] = sigma(s,t) sum_{j>=0} (j+1)^{-d(s)} (j+h+1)^{-d(t)}.
+def cross_covariance_exact(spec, s: float, t: float, h: int) -> tuple[float, float]:
+    """E[X_0(s) X_h(t)] = sigma(s,t) sum_{j>=0} (j+1)^{-d(s)} (j+h+1)^{-d(t)},
+    as (value, certified error bound).
 
     The pointwise form of ``cross_covariance_matrix``, by the same
-    arithmetic, so the two agree bit for bit; the error bound is certified.
+    arithmetic, so the two agree bit for bit.
     """
     if h < 0:
         raise ValueError("lag h must be nonnegative")
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
     if sig == 0.0:
-        return CertifiedValue(0.0, 0.0)
+        return 0.0, 0.0
     d = spec.memory.values
     value, err, partial = _lag_series(float(d[i]), float(d[j]), h)
-    return CertifiedValue(sig * value, abs(sig) * err + 1e-15 * abs(sig) * partial)
+    return sig * value, abs(sig) * err + 1e-15 * abs(sig) * partial
 
 
 def partial_sum_covariance_lagsum(spec, n: int, s: float, t: float,

@@ -74,7 +74,7 @@ LIMIT_07 = 10.650190092619484  # c(0.7,0.7)/((1-0.7)(3-1.4)) [Gamma oracle]
                           "4.7% deficit at n=2^16, above the stated 2%")
 def test_A3_growth_rate_long_regime():
     """d=0.7: exact Var(S_n)/n^1.6 within 2% of the limit constant at n=2^16."""
-    v = lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 2 ** 16).value
+    v, _ = lm.partial_sum_covariance_series(0.7, 0.7, 2 ** 16)
     dev = abs(v / (LIMIT_07 * (2 ** 16) ** 1.6) - 1.0)
     assert _report("A3 (growth rate, d=0.7 power constant)", dev <= 0.02,
                    f"deviation {dev:.4f} vs 0.02")
@@ -86,9 +86,8 @@ def test_A3_growth_rate_boundary():
     devs = []
     for k in range(16, 21):
         n = 2 ** k
-        r = lm.partial_sum_covariance_series(1.0, 1.0, 1.0, n).value \
-            / (n * math.log(n) ** 2)
-        devs.append(abs(1.0 - r))
+        v, _ = lm.partial_sum_covariance_series(1.0, 1.0, n)
+        devs.append(abs(1.0 - v / (n * math.log(n) ** 2)))
     elapsed = time.perf_counter() - t0
     ok = devs[-1] <= 0.25 and all(b < a for a, b in zip(devs, devs[1:])) \
         and elapsed < 120.0
@@ -163,7 +162,8 @@ def _a6_sequences(d):
     for n in A6_LADDER:
         b = math.sqrt(n) * math.log(n) if d == 1.0 else n ** (1.5 - d)
         cond1.append(float(_prefix_powers(d, n)[-1]) / b)
-        cond2.append(lm.partial_sum_covariance_series(d, d, 1.0, n).value / b ** 2)
+        v, _ = lm.partial_sum_covariance_series(d, d, n)
+        cond2.append(v / b ** 2)
     return np.array(cond1), np.abs(np.array(cond2) / K_over_s2 - 1.0)
 
 
@@ -212,8 +212,7 @@ def test_A7_bounds():
     for d in (0.6, 0.75, 0.9):
         bound = lm.dominating_bound(d, 1.0)
         for n in range(1, 4097):
-            v = lm.partial_sum_covariance_series(
-                d, d, 1.0, n, past_terms=max(1024, 4 * n)).value
+            v, _ = lm.partial_sum_covariance_series(d, d, n, past_terms=max(1024, 4 * n))
             if v / n ** (3 - 2 * d) > bound:
                 ok = False
                 break

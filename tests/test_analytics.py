@@ -9,7 +9,7 @@ from scipy.special import zeta
 
 import longmem as lm
 from longmem.analytics import (LAG_BLOCK, MAX_LAG, _binomial_tail, _lag_series,
-                               _tanh_sinh_rule, _window_tail, _windowed_weights)
+                               _tanh_sinh_rule, _windowed_weights)
 from oracles import (cross_covariance_exact, partial_sum_covariance_asymptotic,
                      partial_sum_covariance_exact, partial_sum_covariance_lagsum,
                      scale_integral_quad, scale_integral_upper_bound, window_tail_quad)
@@ -122,14 +122,13 @@ class TestCrossCovariance:
             "innovations": {"kind": "white", "sigma2": 1.0},
             "tail_tol": 0.3,
         })
-        cv = cross_covariance_exact(spec, 0.25, 0.5, 3)
-        assert cv.value == 0.0 and cv.error_bound == 0.0
+        assert cross_covariance_exact(spec, 0.25, 0.5, 3) == (0.0, 0.0)
 
     def test_basel_series_at_d1(self, boundary_spec, rel):
         # [DERIVED] sum (j+1)^{-2} = pi^2/6
-        cv = cross_covariance_exact(boundary_spec, 0.5, 0.5, 0)
-        assert rel(cv.value, math.pi ** 2 / 6) < 1e-9
-        assert abs(cv.value - math.pi ** 2 / 6) <= cv.error_bound * 10
+        value, bound = cross_covariance_exact(boundary_spec, 0.5, 0.5, 0)
+        assert rel(value, math.pi ** 2 / 6) < 1e-9
+        assert abs(value - math.pi ** 2 / 6) <= bound * 10
 
     def test_zeta_series_at_d075(self, rel):
         spec = lm.spec_from_dict({
@@ -137,23 +136,23 @@ class TestCrossCovariance:
             "memory": {"kind": "constant", "values": 0.75},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        cv = cross_covariance_exact(spec, 0.5, 0.5, 0)
+        value, _ = cross_covariance_exact(spec, 0.5, 0.5, 0)
         # [DERIVED] zeta(1.5) = 2.612375...
-        assert rel(cv.value, float(zeta(1.5))) < 1e-9
-        assert cv.value == pytest.approx(2.612375, abs=1e-6)
+        assert rel(value, float(zeta(1.5))) < 1e-9
+        assert value == pytest.approx(2.612375, abs=1e-6)
 
     def test_symmetric_at_lag_zero(self, mixed_spec, rel):
-        a = cross_covariance_exact(mixed_spec, 0.25, 1.0, 0).value
-        b = cross_covariance_exact(mixed_spec, 1.0, 0.25, 0).value
+        a, _ = cross_covariance_exact(mixed_spec, 0.25, 1.0, 0)
+        b, _ = cross_covariance_exact(mixed_spec, 1.0, 0.25, 0)
         assert rel(a, b) < 1e-12
 
     def test_certified_error_bound_honest(self, mixed_spec):
         # brute force far beyond the internal cutoff as reference
-        cv = cross_covariance_exact(mixed_spec, 0.25, 0.5, 7)
+        value, bound = cross_covariance_exact(mixed_spec, 0.25, 0.5, 7)
         j = np.arange(40_000_000, dtype=float)
         ref = 0.25 * float(np.sum((j + 1) ** (-0.6) * (j + 8) ** (-0.75)))
         # reference itself truncated; allow its own tail on top
-        assert abs(cv.value - ref) <= cv.error_bound + 0.25 * 4e7 ** (-0.35) / 0.35
+        assert abs(value - ref) <= bound + 0.25 * 4e7 ** (-0.35) / 0.35
 
 
 @st.composite
@@ -191,9 +190,8 @@ class TestCrossCovarianceMatrix:
         assert values.shape == bounds.shape == (spec.q, spec.q)
         for i, s in enumerate(pts):
             for j, t in enumerate(pts):
-                cv = cross_covariance_exact(spec, float(s), float(t), h)
-                assert values[i, j] == cv.value
-                assert bounds[i, j] == cv.error_bound
+                assert (values[i, j], bounds[i, j]) == cross_covariance_exact(
+                    spec, float(s), float(t), h)
         # the report cached on the spec is the one a fresh spec computes
         assert lm.validate(spec) == lm.validate(lm.spec_from_dict(cfg))
 
@@ -237,10 +235,9 @@ class TestCrossCovarianceAsymptotic:
             "memory": {"kind": "constant", "values": 0.75},
             "innovations": {"kind": "white", "sigma2": 1.0},
         })
-        r4 = cross_covariance_exact(spec, 0.5, 0.5, 10_000).value \
-            / lm.cross_covariance_asymptotic(0.75, 0.75, 1.0, 10_000)
-        r5 = cross_covariance_exact(spec, 0.5, 0.5, 100_000).value \
-            / lm.cross_covariance_asymptotic(0.75, 0.75, 1.0, 100_000)
+        r4, r5 = (cross_covariance_exact(spec, 0.5, 0.5, h)[0]
+                  / lm.cross_covariance_asymptotic(0.75, 0.75, 1.0, h)
+                  for h in (10_000, 100_000))
         assert r4 == pytest.approx(0.9343786, abs=2e-5)
         assert r5 == pytest.approx(0.9630981, abs=2e-5)
         assert abs(1 - r5) < abs(1 - r4)
@@ -401,7 +398,7 @@ class TestPartialSumCovariance:
         assert a == partial_sum_covariance_lagsum(long_spec, 1, 0.5, 0.75, window=M)
         truncated_lag0 = 0.5 * sum((k + 1.0) ** -1.4 for k in range(M + 1))
         assert rel(a, truncated_lag0) < 1e-12
-        assert a < cross_covariance_exact(long_spec, 0.5, 0.75, 0).value
+        assert a < cross_covariance_exact(long_spec, 0.5, 0.75, 0)[0]
 
     def test_routes_agree(self, mixed_spec, rel):
         for n in (2, 7, 33):
@@ -412,7 +409,7 @@ class TestPartialSumCovariance:
     def test_series_matches_windowed_as_window_grows(self):
         # the window-M value increases toward the untruncated series value;
         # the gap decays like the M^{1-2d} coefficient tail
-        ref = lm.partial_sum_covariance_series(0.75, 0.75, 1.0, 32)
+        ref, _ = lm.partial_sum_covariance_series(0.75, 0.75, 32)
         spec = lm.spec_from_dict({
             "grid": {"points": [0.5]},
             "memory": {"kind": "constant", "values": 0.75},
@@ -421,7 +418,7 @@ class TestPartialSumCovariance:
         gaps = []
         for M in (10_000, 100_000, 400_000):
             v = partial_sum_covariance_exact(spec, 32, 0.5, 0.5, window=M)
-            gap = ref.value - v
+            gap = ref - v
             assert 0 <= gap <= 2 * 32 ** 2 * M ** -0.5 / 0.5
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -435,7 +432,8 @@ class TestPartialSumCovariance:
         c = (j + 1.0) ** (-d)
         r = [float(np.dot(c[: M - h + 1], c[h:])) for h in range(n)]
         oracle = n * r[0] + 2 * sum((n - h) * r[h] for h in range(1, n))
-        diff = lm.partial_sum_covariance_series(d, d, 1.0, n).value - oracle
+        value, _ = lm.partial_sum_covariance_series(d, d, n)
+        diff = value - oracle
         # the oracle is itself window-truncated; its missing tail is at most
         # n^2 M^{1-2d}/(2d-1)
         assert 0 <= diff <= 2 * n ** 2 * M ** (1 - 2 * d) / (2 * d - 1)
@@ -456,7 +454,7 @@ class TestPartialSumCovariance:
             partial_sum_covariance_asymptotic(0.75, 1.0, 1.0, 64)
 
     def test_exact_over_asymptotic_trend(self):
-        ratios = [lm.partial_sum_covariance_series(0.75, 0.75, 1.0, 2 ** k).value
+        ratios = [lm.partial_sum_covariance_series(0.75, 0.75, 2 ** k)[0]
                   / partial_sum_covariance_asymptotic(0.75, 0.75, 1.0, 2 ** k)
                   for k in range(6, 13)]
         assert all(np.diff(ratios) > 0)
@@ -501,10 +499,15 @@ WINDOW_TAIL_REFERENCES = [
 ]
 
 
+def _window_sides(d, n):
+    """The ``_binomial_tail`` sides of F_d(y) = int_y^{y+n} u^{-d} du, d = (d_s, d_t)."""
+    return [(1.0 - x, 1, n) for x in d]
+
+
 class TestWindowTail:
     @pytest.mark.parametrize("d, n, reference", WINDOW_TAIL_REFERENCES)
     def test_series_matches_50_digit_reference(self, d, n, reference):
-        value, err = _window_tail(*d, n, max(4096, 8 * n) + 1.0)
+        value, err = _binomial_tail(*_window_sides(d, n), max(4096, 8 * n) + 1.0)
         miss = abs(Decimal(value) - Decimal(reference))
         assert miss <= Decimal("2e-15") * Decimal(reference)
         assert miss <= Decimal(err)
@@ -515,16 +518,15 @@ class TestWindowTail:
     def test_quadpack_oracle_agrees_where_the_integrand_decays_fast(self, d, n, reference,
                                                                     rel):
         A = max(4096, 8 * n) + 1.0
-        assert rel(window_tail_quad(*d, n, A)[0], _window_tail(*d, n, A)[0]) < 1e-8
+        assert rel(window_tail_quad(*d, n, A)[0],
+                   _binomial_tail(*_window_sides(d, n), A)[0]) < 1e-8
 
     def test_past_terms_must_keep_the_series_ratio_at_most_a_quarter(self):
         with pytest.raises(ValueError, match="past_terms=30 too few for n=8"):
-            lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 8, past_terms=30)
-        with pytest.raises(ValueError, match="past_terms"):
-            lm.partial_sum_covariance_series(0.7, 0.7, 0.0, 8, past_terms=30)
-        value = lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 8, past_terms=31)
-        default = lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 8)
-        assert abs(value.value - default.value) <= value.error_bound + default.error_bound
+            lm.partial_sum_covariance_series(0.7, 0.7, 8, past_terms=30)
+        value, bound = lm.partial_sum_covariance_series(0.7, 0.7, 8, past_terms=31)
+        default, default_bound = lm.partial_sum_covariance_series(0.7, 0.7, 8)
+        assert abs(value - default) <= bound + default_bound
 
 
 # int_A^inf y^{-d_s} (y+h)^{-d_t} dy, the tail of the lag-h series at
@@ -719,13 +721,13 @@ class TestDominatingBound:
         for d in (0.6, 0.9):
             bound = lm.dominating_bound(d, 1.0)
             for n in (1, 2, 16, 256, 1024):
-                v = lm.partial_sum_covariance_series(d, d, 1.0, n).value
+                v, _ = lm.partial_sum_covariance_series(d, d, n)
                 assert v / n ** (3 - 2 * d) <= bound
 
     def test_boundary_constant_dominates(self):
         bound = lm.dominating_bound(1.0, 1.0)
         for n in (2, 3, 16, 1024):
-            v = lm.partial_sum_covariance_series(1.0, 1.0, 1.0, n).value
+            v, _ = lm.partial_sum_covariance_series(1.0, 1.0, n)
             assert v / (n * math.log(n) ** 2) <= bound
 
     def test_rejects_short_memory(self):

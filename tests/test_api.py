@@ -8,7 +8,7 @@ import pytest
 import longmem as lm
 
 PUBLIC_NAMES = [
-    "CertifiedValue", "CoefficientTable", "CovarianceReport", "ExponentFit",
+    "CoefficientTable", "CovarianceReport", "ExponentFit",
     "InnovationModel", "MemoryFunction", "NormalityReport",
     "PathEnsemble", "ProcessSpec", "RegimeError", "SpaceGrid",
     "TailBudgetError", "ValidationError", "ValidationReport", "__version__",
@@ -24,13 +24,15 @@ PUBLIC_NAMES = [
 # removed in 0.4.0 (the pointwise routes), in 0.9.0 (two routes with no
 # library caller), in 0.12.0 (the pointwise limit law, which lives on as
 # a test oracle like the others in tests/oracles.py, and the two wrappers
-# whose arrays limit_kernel and normalization_plan now return) and in 0.14.0
+# whose arrays limit_kernel and normalization_plan now return), in 0.14.0
 # (the batch-means standard error, which the fourth-cumulant formula replaces,
-# and the threshold behind a yes/no L2 verdict that no grid can decide)
+# and the threshold behind a yes/no L2 verdict that no grid can decide) and
+# in 0.17.0 (the second shape of a certified result, which is now the tuple
+# (value, error_bound) everywhere, and a one-line wrapper of _binomial_tail)
 REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact",
                  "partial_sums_direct", "scale_integral_upper_bound",
                  "partial_sum_covariance_asymptotic", "LimitKernel", "NormalizationPlan",
-                 "BATCH_COUNT", "L2_FINITE_THRESHOLD"]
+                 "BATCH_COUNT", "L2_FINITE_THRESHOLD", "CertifiedValue", "_window_tail"]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -47,7 +49,7 @@ def test_result_records_hold_only_what_their_call_computed():
     # the caller has them already
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
               for cls in (lm.PathEnsemble, lm.CovarianceReport, lm.NormalityReport,
-                          lm.ExponentFit, lm.analytics.L2Report)}
+                          lm.ExponentFit, lm.analytics.L2Report, lm.ValidationReport)}
     assert fields == {
         "PathEnsemble": ["values", "truncation_tail_var"],
         "CovarianceReport": ["regime", "empirical", "finite_n_exact", "limit", "se",
@@ -58,8 +60,27 @@ def test_result_records_hold_only_what_their_call_computed():
         "ExponentFit": ["slopes", "theoretical", "corrected", "max_residual"],
         "L2Report": ["integral_sigma2", "integral_weighted", "min_d_minus_half",
                      "min_d_point"],
+        "ValidationReport": ["regimes", "regime", "fatal"],
     }
     assert not hasattr(lm.analytics.L2Report, "verdict")
+
+
+def _parameters(fn) -> list[tuple[str, str]]:
+    return [(p.name, p.kind.name) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_signatures_take_no_one_valued_options():
+    # the series runs at unit sigma and past_terms is keyword-only, so a call
+    # that still passes sigma 1.0 third raises TypeError instead of reading
+    # it as n; generate_paths draws replication 0, the only one it was asked for
+    assert _parameters(lm.partial_sum_covariance_series) == [
+        ("d_s", "POSITIONAL_OR_KEYWORD"), ("d_t", "POSITIONAL_OR_KEYWORD"),
+        ("n", "POSITIONAL_OR_KEYWORD"), ("past_terms", "KEYWORD_ONLY")]
+    with pytest.raises(TypeError):
+        lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 8)
+    assert _parameters(lm.generate_paths) == [
+        ("spec", "POSITIONAL_OR_KEYWORD"), ("n", "POSITIONAL_OR_KEYWORD"),
+        ("seed", "POSITIONAL_OR_KEYWORD")]
 
 
 def _called_names(source: str) -> set[str]:

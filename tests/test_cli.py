@@ -189,6 +189,21 @@ class TestSimulate:
         # above 2**48 bytes: refused by the allocator, no memory touched
         ("simulate", dict(BOUNDARY_REFERENCE, horizon=10 ** 15), "Unable to allocate"),
         ("verify-clt", dict(BOUNDARY_REFERENCE, N=10 ** 15), "Unable to allocate"),
+        # JSON booleans, which Python would read as 1.0 or 1, at any depth
+        ("verify-clt", dict(SMALL_LONG, z_star=True), "config: invalid 'z_star': True"),
+        ("simulate", dict(SMALL_LONG, tail_tol=True), "config: invalid 'tail_tol': True"),
+        ("simulate", dict(SMALL_LONG, innovations={"kind": "white", "sigma2": True}),
+         "config: invalid 'innovations.sigma2': True"),
+        ("verify-clt", dict(SMALL_LONG, n=True), "config: invalid 'n': True"),
+        ("analyze", dict(SMALL_LONG, lags=[0, 1, False]), "config: invalid 'lags': [0, 1, False]"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5], "weights": [0.5, True]}),
+         "config: invalid 'grid.weights': [0.5, True]"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "table", "values": [0.7, True]},
+                          grid={"points": [0.25, 0.5]}),
+         "config: invalid 'memory.values': [0.7, True]"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5]},
+                          innovations={"kind": "custom", "sigma": [[1.0, 0.0], [0.0, True]]}),
+         "config: invalid 'innovations.sigma': [[1.0, 0.0], [0.0, True]]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
@@ -306,10 +321,10 @@ class TestAnalyze:
             cov = list(csv.DictReader(fh))
         assert len(cov) == 7 * 7 * 3
         for row in cov:
-            cv = cross_covariance_exact(spec, float(row["s"]), float(row["t"]),
-                                           int(row["h"]))
-            assert row["exact"] == io.format_float(cv.value)
-            assert row["exact_error_bound"] == io.format_float(cv.error_bound)
+            exact, bound = cross_covariance_exact(spec, float(row["s"]), float(row["t"]),
+                                                  int(row["h"]))
+            assert row["exact"] == io.format_float(exact)
+            assert row["exact_error_bound"] == io.format_float(bound)
         with (out / "c_matrix.csv").open() as fh:
             c_rows = list(csv.DictReader(fh))
         assert len(c_rows) == 7 * 7

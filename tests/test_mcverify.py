@@ -415,7 +415,7 @@ class TestFitVarianceExponent:
         n_list = [2 ** k for k in range(6, 11)]
         fit = lm.fit_variance_exponent(spec, n_list)
         assert len(calls) == 10
-        assert set(calls) == {(d, d, 1.0, n) for d in (0.6, 1.0) for n in n_list}
+        assert set(calls) == {(d, d, n) for d in (0.6, 1.0) for n in n_list}
         assert fit.slopes[0] == fit.slopes[1] and fit.slopes[2] == fit.slopes[3]
 
     def test_slope_does_not_read_sigma2(self):

@@ -118,23 +118,23 @@ class TestInnovationModel:
 
 
 class TestValidate:
-    def test_long_regime_clt_part_i(self, long_spec):
+    def test_all_long_is_the_long_regime(self, long_spec):
         report = lm.validate(long_spec)
         assert report.ok
         assert set(report.regimes) == {"long"}
-        assert report.clt_part == "i"
+        assert report.regime == "long"
 
-    def test_boundary_regime_clt_part_ii(self, boundary_spec):
+    def test_all_boundary_is_the_boundary_regime(self, boundary_spec):
         report = lm.validate(boundary_spec)
         assert report.ok
         assert set(report.regimes) == {"boundary"}
-        assert report.clt_part == "ii"
+        assert report.regime == "boundary"
 
     def test_mixed_regimes_no_clt(self, mixed_spec):
         report = lm.validate(mixed_spec)
         assert report.ok
         assert report.regimes == ("long", "long", "boundary", "short")
-        assert report.clt_part is None
+        assert report.regime is None
 
     def test_d_half_is_fatal_with_location(self):
         with pytest.raises(lm.ValidationError, match=r"0\.5 .*t=0\.5"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -89,6 +91,35 @@ class TestInnovations:
         assert abs(x.mean()) < 0.01
         assert abs(x.var() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("alpha", [4.5, 6.0])
+    def test_pareto_transform_is_the_inverse_cdf_bit_for_bit(self, alpha):
+        # in place, sign last, on a whole buffer and on a strided view of it:
+        # random uniforms and the edges 0, 1/2 - 2^-53, 1/2 and 1 - 2^-53
+        u = np.random.default_rng(3).random((4000, 4))
+        u[-1] = [0.0, 0.5 - 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+        for view in (u.copy(), u.copy()[:, :3]):
+            v = 2.0 * view - 1.0 + 2.0 ** -53
+            expected = (np.sign(v) * (1.0 - np.abs(v)) ** (-1.0 / alpha)
+                        * np.sqrt((alpha - 2.0) / alpha))
+            got = _standardized_draws(view, "pareto", alpha, ndtri)
+            assert got is view
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_pareto_block_peaks_near_its_uniform_buffer(self):
+        # the block is the uniform buffer transformed in place, plus an int8
+        # sign array 1/8 its size; out-of-place temporaries peaked at 4x
+        model = lm.InnovationModel.white(1.0, q=4, law="pareto", pareto_alpha=6.0)
+        rows = 100_000
+        draws = _standard_draws(model, 5, range(1), 0, rows, 1)
+        tracemalloc.start()
+        try:
+            g = next(draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (1, rows, 4)
+        assert peak <= 1.25 * g.nbytes
+
     @pytest.mark.parametrize("alpha, kappa", [(4.5, -2 / 9), (6.0, -5 / 3), (4.2, 58 / 21)])
     def test_excess_kurtosis(self, alpha, kappa):
         # (alpha - 2)^2 / (alpha (alpha - 4)) - 3 for the symmetrized Pareto
@@ -153,13 +184,12 @@ class TestGeneratePaths:
             x_t = np.convolve(eps[:, 1], (j + 1) ** -1.2, mode="valid")
             for h in lags:
                 acc[h] += x_s[0] * x_t[h]
+        # 4 MC standard errors with a rough variance proxy
+        var0, _ = cross_covariance_exact(spec, 0.5, 0.5, 0)
+        se = 4 * np.sqrt(2.0) * abs(var0) / np.sqrt(reps)
         for h in lags:
-            emp = acc[h] / reps
-            exact = cross_covariance_exact(spec, 0.5, 1.0, h).value
-            # 4 MC standard errors with a rough variance proxy
-            se = 4 * np.sqrt(2.0) * abs(cross_covariance_exact(
-                spec, 0.5, 0.5, 0).value) / np.sqrt(reps)
-            assert abs(emp - exact) < se
+            exact, _ = cross_covariance_exact(spec, 0.5, 1.0, h)
+            assert abs(acc[h] / reps - exact) < se
 
     @pytest.mark.parametrize("fixture", ["constant8_spec", "repeated_spec"])
     def test_tail_bound_once_per_distinct_exponent(self, fixture, request,
