@@ -51,7 +51,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "CoefficientTable",

@@ -23,9 +23,9 @@ from .analytics import CoefficientTable, partial_sum_weights
 # innovations (index >= 1 - M, M capped at 1e7) stay nonnegative
 ORIGIN = 1 << 40
 
-_U_HALF_ULP = 2.0 ** -54  # centers uniform draws away from 0
 _WORD = (1 << 64) - 1
 REPLICATION_BLOCK = 16  # Gaussian replications (n + 1 rows each) sampled together
+CHUNK_WORDS = 1 << 15   # uniforms transformed per pass of _standardized_draws
 
 
 def _words_per_index(q: int) -> int:
@@ -59,18 +59,54 @@ def _seek(gen: np.random.Generator, seed: int, rep: int, start: int, W: int) -> 
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float,
-                        ndtri) -> np.ndarray:
-    """Map uniforms to i.i.d. mean-zero unit-variance draws of the given law.
+def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndarray:
+    """Map the uniforms of ``u``, a (rows, words) array, to i.i.d. mean-zero
+    unit-variance draws of the given law, in place, and return ``u``.
 
-    The draws overwrite ``u`` and are returned in it; ``ndtri`` is
-    ``scipy.special.ndtri``, which the caller imports.
+    Rows are transformed CHUNK_WORDS words at a time, so the temporaries stay
+    small beside ``u``.  Gaussian draws come in pairs of words (2p, 2p+1) of
+    a row, by Box-Muller with the tangent half-angle: for R = sqrt(-2 ln(1 - u0))
+    and t = tan(pi (u1 - 1/2)), the pair (R cos theta, R sin theta) at
+    theta = 2 pi (u1 - 1/2) is ((1 - t)(1 + t) s, 2 t s) with s = R / (1 + t^2).
+    No sin or cos is evaluated.  1 - u0 lies in [2^-53, 1] and is exact, and
+    |t| <= 1.7e16, so every draw is finite.
     """
-    if law == "gaussian":
-        u += _U_HALF_ULP
-        return ndtri(u, out=u)
-    # symmetrized Pareto via inverse CDF, sign(v) (1 - |v|)^(-1/alpha) scale with
-    # v = 2u - 1 + 2^-53 (exact, never 0); rounding commutes with sign, so it goes last
+    step = max(1, CHUNK_WORDS // u.shape[1])
+    for lo in range(0, len(u), step):
+        chunk = u[lo:lo + step]
+        if law == "gaussian":
+            _box_muller(chunk[:, 0::2], chunk[:, 1::2])
+        else:
+            _pareto(chunk, pareto_alpha)
+    return u
+
+
+def _box_muller(u0: np.ndarray, u1: np.ndarray) -> None:
+    """Overwrite the uniforms (u0, u1), two strided views, with their Gaussian
+    pair.  The transcendentals run on contiguous copies, where numpy has
+    SIMD loops for them."""
+    s = np.subtract(1.0, u0)
+    np.log(s, out=s)
+    s *= -2.0
+    np.sqrt(s, out=s)        # R
+    t = np.subtract(u1, 0.5)
+    t *= np.pi
+    np.tan(t, out=t)
+    w = np.square(t)
+    w += 1.0
+    s /= w                   # s = R / (1 + t^2)
+    np.subtract(1.0, t, out=w)
+    np.multiply(t, 2.0, out=u1)
+    u1 *= s
+    t += 1.0
+    w *= t
+    np.multiply(w, s, out=u0)
+
+
+def _pareto(u: np.ndarray, pareto_alpha: float) -> None:
+    """Overwrite uniforms with standardized symmetrized Pareto draws."""
+    # inverse CDF, sign(v) (1 - |v|)^(-1/alpha) scale with v = 2u - 1 + 2^-53
+    # (exact, never 0); rounding commutes with sign, so it goes last
     u *= 2.0
     u -= 1.0
     u += 2.0 ** -53
@@ -79,7 +115,7 @@ def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float,
     np.subtract(1.0, u, out=u)
     np.power(u, -1.0 / pareto_alpha, out=u)
     u *= np.sqrt((pareto_alpha - 2.0) / pareto_alpha)
-    return np.multiply(u, sign, out=u)
+    np.multiply(u, sign, out=u)
 
 
 def _excess_kurtosis(law: str, pareto_alpha: float) -> float:
@@ -99,11 +135,10 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
     Entries are i.i.d. mean zero, unit variance, of the model's law; one
     Philox generator and one uniform buffer serve the whole call, reset to
     each replication's counter, so a replication's draws do not depend on
-    the block it falls in.  Under either law a block is that buffer,
-    transformed in place: use it before asking for the next one.
+    the block it falls in.  A block is that buffer, all W words of each
+    index transformed in place, viewed at its first q words: use it before
+    asking for the next one.
     """
-    from scipy.special import ndtri   # loaded on first draw: `import longmem` stays light
-
     if count < 1:
         raise ValueError("count must be >= 1")
     W = _words_per_index(model.q)
@@ -114,15 +149,16 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
         for r in range(k):
             _seek(gen, seed, reps[lo + r], start, W)
             gen.random(out=u[r])
-        yield _standardized_draws(u[:k, :, :model.q], model.law, model.pareto_alpha, ndtri)
+        _standardized_draws(u[:k].reshape(-1, W), model.law, model.pareto_alpha)
+        yield u[:k, :, :model.q]
 
 
-def _factor_t(model: InnovationModel) -> np.ndarray:
-    """``model.factor.T``, or ValidationError when sigma has no factor."""
+def _factor(model: InnovationModel) -> np.ndarray:
+    """``model.factor``, or ValidationError when sigma has no factor."""
     if model.factor is None:
         raise ValidationError("innovation covariance could not be factorized "
                               "even with jitter; cannot sample")
-    return model.factor.T
+    return model.factor
 
 
 def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
@@ -132,9 +168,23 @@ def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
     Deterministic in (seed, rep, m): overlapping blocks agree entry for
     entry, which is what makes the two partial-sum routes comparable.
     """
-    factor_t = _factor_t(model)
+    factor = _factor(model)
     g, = _standard_draws(model, seed, range(rep, rep + 1), start, count, 1)
-    return g[0] @ factor_t
+    return g[0] @ factor.T
+
+
+def _contract(z: np.ndarray, idx: np.ndarray, factor: np.ndarray,
+              g: np.ndarray) -> np.ndarray:
+    """sum_m z_{n,m}(t_i) eps_m(t_i) per replication of the standardized
+    draws ``g`` (k, rows, q), as (k, q), with eps_m = F g_m for the factor F.
+
+    The table's rows ``z`` (one per distinct exponent, ``rows`` columns) meet
+    the draws first, Y = z @ g, and then S_i = sum_j F_ij Y[idx_i, j]: the
+    innovations themselves are never formed.  Each replication's arithmetic
+    is the same whatever k.
+    """
+    y = z @ g
+    return np.sum(y[:, idx] * factor, axis=-1)
 
 
 def _past_factor(spec: ProcessSpec, table: CoefficientTable) -> np.ndarray:
@@ -151,24 +201,24 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
     replication draws.
 
     A non-Gaussian law takes the pathwise route: it draws the window's
-    indices 1-M..n and contracts them with the grid's table rows ``z[idx]``.
-    Under the Gaussian law the past term sum_{m<=0} z_{n,m} eps_m is exactly
-    N(0, sigma o Z_past Z_past^T), so a replication draws indices 0..n only:
-    rows 1..n times ``factor.T`` are eps_1..eps_n of ``innovation_block``
-    and meet ``z[idx, M:]``, and row 0 drives the past through
-    ``_past_factor``.  Replications are drawn, transformed and contracted in
-    blocks that hold no more rows than REPLICATION_BLOCK Gaussian
-    replications, or than one replication; each replication's arithmetic is
-    the same whatever its block.
+    indices 1-M..n and contracts them with the table through ``_contract``,
+    as ``partial_sums_via_z`` does.  Under the Gaussian law the past term
+    sum_{m<=0} z_{n,m} eps_m is exactly N(0, sigma o Z_past Z_past^T), so a
+    replication draws indices 0..n only: rows 1..n times ``factor.T`` are
+    eps_1..eps_n of ``innovation_block`` and are contracted with ``z[:, M:]``,
+    and row 0 drives the past through ``_past_factor``.  Replications are
+    drawn, transformed and contracted in blocks that hold no more rows than
+    REPLICATION_BLOCK Gaussian replications, or than one replication; each
+    replication's arithmetic is the same whatever its block.
     """
     model = spec.innovations
     n, M = table.n, table.window
-    factor_t = _factor_t(model)
+    factor = _factor(model)
     _, idx = spec.memory.distinct
     if model.law != "gaussian":
-        start, z, past_factor = 1 - M, table.z[idx], None
+        start, z, past_factor = 1 - M, table.z, None
     else:
-        start, z, past_factor = 0, table.z[idx, M:], _past_factor(spec, table)
+        start, z, past_factor = 0, table.z[:, M:], _past_factor(spec, table)
     rows = n + 1 - start
     block = max(1, REPLICATION_BLOCK * (n + 1) // rows)
 
@@ -178,13 +228,12 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
                                 start, rows, block)
         for lo, g in zip(range(0, count, block), draws):
             if past_factor is None:
-                sums = np.einsum("im,rmi->ri", z, g @ factor_t)
+                out[lo:lo + len(g)] = _contract(z, idx, factor, g)
             else:
                 # a stack of matrix-vector products, as per replication: a
                 # matrix-matrix product would sum the past term in another order
                 past = (past_factor @ g[:, 0, :, None])[:, :, 0]
-                sums = np.einsum("im,rmi->ri", z, g[:, 1:] @ factor_t) + past
-            out[lo:lo + len(g)] = sums
+                out[lo:lo + len(g)] = _contract(z, idx, factor, g[:, 1:]) + past
         return out
 
     return sample, rows
@@ -223,14 +272,18 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int) -> PathEnsemble:
 def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np.ndarray:
     """S_n via the independent-summands identity S_n(t) = sum_j z_{n,j}(t) eps_j(t).
 
-    The coefficient table times the innovations ``innovation_block`` draws
-    for indices 1-M..n: the same truncation window and the same addressable
+    The coefficient table times the innovations of indices 1-M..n, those of
+    ``innovation_block``: the same truncation window and the same addressable
     innovations as ``generate_paths``, so the result matches the sum of the
     paths over k to floating-point reassociation error (<= 1e-12 relative).
+    The contraction is ``_contract``'s, so the sum is bit for bit the one
+    the replication sampler forms for ``rep`` under a non-Gaussian law.
     """
     if n < 2:
         raise ValueError("the independent-summands identity is stated for n >= 2")
     table = partial_sum_weights(spec, n)
     M = table.window
-    eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M, rep=rep)
-    return np.einsum("im,mi->i", table.z[spec.memory.distinct[1]], eps)
+    model = spec.innovations
+    factor = _factor(model)
+    g, = _standard_draws(model, seed, range(rep, rep + 1), 1 - M, n + M, 1)
+    return _contract(table.z, spec.memory.distinct[1], factor, g)[0]

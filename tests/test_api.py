@@ -188,9 +188,9 @@ def test_guard_sees_the_imports_that_run_on_import(source, lines):
 
 
 def test_library_loads_scipy_special_on_first_use_only():
-    # scipy.special costs a process about 25 MB and 0.3 s; only the sampler,
-    # the normality statistics and the truncation window need it, so they
-    # import it inside the function that uses it, and analyze never does
+    # scipy.special costs a process about 25 MB and 0.3 s; only the normality
+    # statistics and the truncation window need it, so they import it inside
+    # the function that uses it, and analyze never does
     package = Path(lm.__file__).resolve().parent
     found = {path.name: _module_imports(path.read_text(), "scipy.special", on_import=True)
              for path in package.glob("*.py")}

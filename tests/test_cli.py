@@ -587,8 +587,7 @@ def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
 def test_analyze_leaves_scipy_special_unloaded(tmp_path):
     # scipy.special costs a process about 25 MB and 0.3 s, and analyze needs
     # none of it: its one special function, log Gamma, comes from math.  The
-    # truncation window, the sampler and the normality statistics import it
-    # on first use.
+    # truncation window and the normality statistics import it on first use.
     code = ("import sys, longmem.cli\n"
             "def run(command, config, out):\n"
             "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"

@@ -188,16 +188,19 @@ def _lagsum_target(spec, n):
 
 
 def _assembled(spec, table, seed, rep):
-    """S_n of one replication, drawn and contracted on its own."""
+    """S_n of one replication, drawn and contracted on its own: the table's
+    distinct rows meet the standardized draws, y = z @ g, and grid point i
+    reads S_i = sum_j F_ij y[idx_i, j] for the covariance factor F."""
     model = spec.innovations
     M = table.window
-    z = table.z[spec.memory.distinct[1]]   # the rows of the grid points
+    idx = spec.memory.distinct[1]
     if model.law != "gaussian":
-        eps = innovation_block(model, seed, start=1 - M, count=table.n + M, rep=rep)
-        return np.einsum("im,mi->i", z, eps)
+        g, = _standard_draws(model, seed, range(rep, rep + 1), 1 - M, table.n + M, 1)
+        y = table.z @ g[0]
+        return np.sum(y[idx] * model.factor, axis=1)
     g, = _standard_draws(model, seed, range(rep, rep + 1), 0, table.n + 1, 1)
-    eps = g[0, 1:] @ model.factor.T
-    return np.einsum("im,mi->i", z[:, M:], eps) + _past_factor(spec, table) @ g[0, 0]
+    y = table.z[:, M:] @ g[0, 1:]
+    return np.sum(y[idx] * model.factor, axis=1) + _past_factor(spec, table) @ g[0, 0]
 
 
 def _count_draw_blocks(monkeypatch):

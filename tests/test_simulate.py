@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy import stats
 
 import longmem as lm
 from longmem.model import tail_variance_bound
@@ -57,8 +57,10 @@ class TestInnovations:
             blocks = [g.copy() for g in _standard_draws(model, 7, range(rep, rep + 3),
                                                         start, 9, 2)]
             assert [len(g) for g in blocks] == [2, 1]
-            assert np.array_equal(np.concatenate(blocks), _standardized_draws(
-                np.array(expected)[:, :, :q], "gaussian", model.pareto_alpha, ndtri))
+            # every word of the buffer is transformed, and a block shows q
+            full = np.array(expected)
+            _standardized_draws(full.reshape(-1, W), "gaussian", model.pareto_alpha)
+            assert np.array_equal(np.concatenate(blocks), full[:, :, :q])
 
     def test_seek_refuses_a_negative_replication(self):
         gen = np.random.Generator(np.random.Philox(1))
@@ -91,6 +93,57 @@ class TestInnovations:
         assert abs(x.mean()) < 0.01
         assert abs(x.var() - 1.0) < 0.02
 
+    def test_gaussian_pairs_are_box_muller_to_rounding(self):
+        # words (2p, 2p+1) map to R (cos theta, sin theta), R = sqrt(-2 ln(1 - u0)),
+        # theta = 2 pi (u1 - 1/2), against a long-double reference: random
+        # uniforms and every pair of the edges, where u + 2^-54 followed by
+        # the inverse normal CDF once gave +inf at 1 - 2^-53
+        edges = [0.0, 2.0 ** -53, 0.5 - 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+        pairs = np.concatenate([np.random.default_rng(4).random((100_000, 2)),
+                                [[a, b] for a in edges for b in edges]])
+        u = pairs.copy()
+        got = _standardized_draws(u, "gaussian", 4.5)
+        assert got is u
+        ld = pairs.astype(np.longdouble)
+        radius = np.sqrt(-2 * np.log(1 - ld[:, 0]))
+        theta = 8 * np.arctan(np.longdouble(1)) * (ld[:, 1] - np.longdouble(0.5))
+        expected = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - expected) <= 1e-15 * radius[:, None])
+
+    def test_gaussian_draws_are_standard_normal(self):
+        # 10^6 draws at a fixed seed: moments and the KS distance within 4
+        # standard errors, and the squares of a pair's two draws uncorrelated
+        # (they share the radius R, so a wrong angle would couple them)
+        model = lm.InnovationModel.white(1.0, q=4)
+        g, = _standard_draws(model, 17, range(1), 0, 250_000, 1)
+        x = g.ravel()
+        N = x.size
+        assert abs(x.mean()) <= 4 * np.sqrt(1 / N)
+        assert abs(np.mean(x ** 2) - 1) <= 4 * np.sqrt(2 / N)
+        assert abs(stats.skew(x)) <= 4 * np.sqrt(6 / N)
+        assert abs(stats.kurtosis(x)) <= 4 * np.sqrt(24 / N)
+        assert stats.kstest(x, "norm").pvalue >= 2 * stats.norm.sf(4)
+        squares = np.square(x.reshape(-1, 2))
+        assert abs(np.corrcoef(squares.T)[0, 1]) <= 4 / np.sqrt(len(squares))
+
+    def test_gaussian_block_peaks_near_its_uniform_buffer(self):
+        # the block is the uniform buffer transformed in place, chunk by
+        # chunk; the temporaries of one chunk are all that comes beside it.  A
+        # first draw loads numpy.random's modules, which are not the block's
+        model = lm.InnovationModel.white(1.0, q=4)
+        next(_standard_draws(model, 5, range(1), 0, 1, 1))
+        rows = 100_000
+        draws = _standard_draws(model, 5, range(1), 0, rows, 1)
+        tracemalloc.start()
+        try:
+            g = next(draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.shape == (1, rows, 4)
+        assert peak <= 1.25 * g.nbytes
+
     @pytest.mark.parametrize("alpha", [4.5, 6.0])
     def test_pareto_transform_is_the_inverse_cdf_bit_for_bit(self, alpha):
         # in place, sign last, on a whole buffer and on a strided view of it:
@@ -101,7 +154,7 @@ class TestInnovations:
             v = 2.0 * view - 1.0 + 2.0 ** -53
             expected = (np.sign(v) * (1.0 - np.abs(v)) ** (-1.0 / alpha)
                         * np.sqrt((alpha - 2.0) / alpha))
-            got = _standardized_draws(view, "pareto", alpha, ndtri)
+            got = _standardized_draws(view, "pareto", alpha)
             assert got is view
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
