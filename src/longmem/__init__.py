@@ -37,7 +37,6 @@ from .analytics import (
     scale_integral_closed_form,
 )
 from .simulate import (
-    PathEnsemble,
     generate_paths,
     innovation_block,
     partial_sums_via_z,
@@ -51,7 +50,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "CoefficientTable",
@@ -60,7 +59,6 @@ __all__ = [
     "InnovationModel",
     "MemoryFunction",
     "NormalityReport",
-    "PathEnsemble",
     "ProcessSpec",
     "RegimeError",
     "SpaceGrid",

@@ -106,13 +106,12 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
 
 def cmd_simulate(args) -> int:
     cfg, spec, seed, out, _ = _load(args)
-    ensemble = generate_paths(spec, spec.horizon, seed)
-    values = ensemble.values
+    values, tail_var = generate_paths(spec, spec.horizon, seed)
     io.write_table_csv(out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
                        [np.arange(1, len(values) + 1), *values.T])
     _manifest(out, "simulate", cfg, seed, ["paths.csv"],
               extra={"window": spec.window, "spec_hash": spec.spec_hash,
-                     "truncation_tail_var": ensemble.truncation_tail_var.tolist()})
+                     "truncation_tail_var": tail_var.tolist()})
     return 0
 
 

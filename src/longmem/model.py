@@ -82,43 +82,32 @@ class SpaceGrid:
 class MemoryFunction:
     """Memory exponent field d(t), stored as per-grid-point values."""
 
-    kind: str
     values: np.ndarray
-    breakpoints: tuple = ()
-    levels: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "step", "table"):
-            raise ValidationError(f"unknown memory kind {self.kind!r}")
         object.__setattr__(self, "values", _readonly(np.atleast_1d(self.values)))
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        if not all(np.all(np.isfinite(a)) for a in (self.values, self.breakpoints, self.levels)):
+        if self.values.ndim != 1:
+            raise ValidationError("memory exponents must be one-dimensional")
+        if not np.all(np.isfinite(self.values)):
             raise ValidationError("memory exponents and breakpoints must be finite")
 
     @classmethod
     def constant(cls, d: float, grid: SpaceGrid) -> "MemoryFunction":
-        return cls("constant", np.full(grid.q, float(d)))
+        return cls(np.full(grid.q, float(d)))
 
     @classmethod
     def step(cls, breakpoints, levels, grid: SpaceGrid) -> "MemoryFunction":
         """Piecewise-constant d(t): level i on [b_{i-1}, b_i), last level on [b_last, inf)."""
         breakpoints = [float(b) for b in breakpoints]
         levels = [float(v) for v in levels]
+        if not np.all(np.isfinite(breakpoints + levels)):
+            raise ValidationError("memory exponents and breakpoints must be finite")
         if len(levels) != len(breakpoints) + 1:
             raise ValidationError("step memory needs len(levels) == len(breakpoints) + 1")
         if sorted(breakpoints) != breakpoints:
             raise ValidationError("step breakpoints must be sorted")
         idx = np.searchsorted(breakpoints, grid.points, side="right")
-        return cls("step", np.asarray(levels, dtype=float)[idx],
-                   breakpoints=tuple(breakpoints), levels=tuple(levels))
-
-    @classmethod
-    def table(cls, values, grid: SpaceGrid) -> "MemoryFunction":
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if len(values) != grid.q:
-            raise ValidationError("table memory needs one exponent per grid point")
-        return cls("table", values)
+        return cls(np.asarray(levels, dtype=float)[idx])
 
     @property
     def d_min(self) -> float:
@@ -159,15 +148,12 @@ class InnovationModel:
     factor of ``sigma``, or None when ``sigma`` cannot be factorized).
     """
 
-    kind: str
     sigma: np.ndarray
     factor: np.ndarray = field(init=False, default=None)
     law: str = "gaussian"
     pareto_alpha: float = 4.5
 
     def __post_init__(self):
-        if self.kind not in ("white", "wiener", "custom"):
-            raise ValidationError(f"unknown innovation kind {self.kind!r}")
         if self.law not in ("gaussian", "pareto"):
             raise ValidationError(f"unknown innovation law {self.law!r}")
         if not math.isfinite(self.pareto_alpha):
@@ -198,17 +184,13 @@ class InnovationModel:
         sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
         if sigma2.size == 1 and q is not None:
             sigma2 = np.full(q, sigma2[0])
-        return cls("white", np.diag(sigma2), **kw)
+        return cls(np.diag(sigma2), **kw)
 
     @classmethod
     def wiener(cls, points, **kw) -> "InnovationModel":
         """sigma(s, t) = min(s, t): innovations sampled from a Wiener bridge-free path."""
         points = np.asarray(points, dtype=float)
-        return cls("wiener", np.minimum.outer(points, points), **kw)
-
-    @classmethod
-    def custom(cls, sigma, **kw) -> "InnovationModel":
-        return cls("custom", sigma, **kw)
+        return cls(np.minimum.outer(points, points), **kw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,33 +230,22 @@ class ProcessSpec:
         meeting the tail budget at the smallest exponent, computed once per spec."""
         return truncation_length(self.memory.d_min, self.tail_tol)
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": {"points": self.grid.points.tolist(),
-                     "weights": self.grid.weights.tolist()},
-            "memory": {"kind": self.memory.kind,
-                       "values": self.memory.values.tolist(),
-                       "breakpoints": list(self.memory.breakpoints),
-                       "levels": list(self.memory.levels)},
-            "innovations": {"kind": self.innovations.kind,
-                            "sigma": self.innovations.sigma.tolist(),
-                            "law": self.innovations.law,
-                            "pareto_alpha": self.innovations.pareto_alpha},
-            "tail_tol": self.tail_tol,
-            "horizon": self.horizon,
-        }
-
     @property
     def spec_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        """Content identity of the process: its scalars and the bytes of its
+        arrays (q fixes their lengths), whatever config spelling built them."""
+        model = self.innovations
+        h = hashlib.sha256(repr((self.q, model.law, float(model.pareto_alpha),
+                                 float(self.tail_tol), int(self.horizon))).encode())
+        for a in (self.grid.points, self.grid.weights, self.memory.values, model.sigma):
+            h.update(a.tobytes())
+        return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of checking a spec against the standing assumptions."""
 
-    regimes: tuple
     regime: str | None  # the CLT regime: "long" or "boundary" everywhere, else None
     fatal: tuple = ()
 
@@ -332,18 +303,10 @@ def _check(spec: ProcessSpec) -> ValidationReport:
             if np.any(np.abs(sigma) > bound * (1 + 1e-9) + 1e-12):
                 fatal.append("innovation covariance violates |sigma(s,t)| <= "
                              "sqrt(sigma2(s) sigma2(t))")
-            if spec.innovations.kind == "white" and np.any(sigma - np.diag(np.diag(sigma)) != 0):
-                fatal.append("white innovations must have a diagonal covariance")
-            if spec.innovations.kind == "wiener":
-                expected = np.minimum.outer(spec.grid.points, spec.grid.points)
-                if not np.allclose(sigma, expected, rtol=1e-12, atol=1e-12):
-                    fatal.append("wiener innovations must have sigma(s,t) = min(s,t) "
-                                 "at the grid points")
 
     # the CLT is stated where every point is long, or every point is boundary
     clt = not fatal and set(regimes) in ({REGIME_LONG}, {REGIME_BOUNDARY})
-    return ValidationReport(regimes=regimes, regime=regimes[0] if clt else None,
-                            fatal=tuple(fatal))
+    return ValidationReport(regime=regimes[0] if clt else None, fatal=tuple(fatal))
 
 
 def tail_variance_bound(d: float, M: int) -> float:
@@ -396,8 +359,9 @@ def _grid_from_dict(cfg: dict) -> SpaceGrid:
     if "weights" in cfg and cfg["weights"] is not None:
         weights = np.asarray(cfg["weights"], dtype=float)
     else:
-        # default: uniform probability weights (the measure is a config choice)
-        weights = np.full(len(points), 1.0 / len(points))
+        # default: uniform probability weights (the measure is a config choice);
+        # an empty grid gets no weights, and SpaceGrid refuses it
+        weights = np.full(len(points), 1.0 / max(len(points), 1))
     return SpaceGrid(points, weights)
 
 
@@ -412,7 +376,7 @@ def _memory_from_dict(cfg: dict, grid: SpaceGrid) -> MemoryFunction:
     if kind == "step":
         return MemoryFunction.step(cfg["breakpoints"], cfg["levels"], grid)
     if kind == "table":
-        return MemoryFunction.table(cfg["values"], grid)
+        return MemoryFunction(np.asarray(cfg["values"], dtype=float))
     raise ValidationError(f"unknown memory kind {kind!r}")
 
 
@@ -457,7 +421,7 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
                                       f"{cfg['sigma_file']!r} holds non-finite entries")
         else:
             sigma = _finite_array(cfg, "sigma")
-        return InnovationModel.custom(sigma, **kw)
+        return InnovationModel(sigma, **kw)
     raise ValidationError(f"unknown innovation kind {kind!r}")
 
 

@@ -11,7 +11,6 @@ a partial sum S_n.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,20 +238,13 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
     return sample, rows
 
 
-@dataclass(frozen=True, eq=False)
-class PathEnsemble:
-    """Simulated paths X_k(t_i) for k = 1..n on the spec's grid, truncated at
-    the spec's window."""
-
-    values: np.ndarray          # (n, q)
-    truncation_tail_var: np.ndarray  # per-point bound on the variance dropped per X_k
-
-
-def generate_paths(spec: ProcessSpec, n: int, seed: int) -> PathEnsemble:
+def generate_paths(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Filter a rolling innovation window through the truncated power-law MA.
 
-    X_k(t_i) = sum_{j=0}^{M} (j+1)^{-d(t_i)} eps_{k-j}(t_i), with M chosen
-    from the spec's tail budget; consecutive k share innovations.
+    Returns ``(values, truncation_tail_var)``: the (n, q) paths
+    X_k(t_i) = sum_{j=0}^{M} (j+1)^{-d(t_i)} eps_{k-j}(t_i), truncated at the
+    spec's window M, and per grid point the certified bound on the variance
+    the window drops from each X_k.  Consecutive k share innovations.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -266,7 +258,7 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int) -> PathEnsemble:
         windows = np.lib.stride_tricks.sliding_window_view(eps[:, i], M + 1)
         values[:, i] = windows[:n] @ coefs[idx[i]]
     tail = np.array([tail_variance_bound(float(d), M) for d in u])
-    return PathEnsemble(values=values, truncation_tail_var=spec.innovations.sigma2 * tail[idx])
+    return values, spec.innovations.sigma2 * tail[idx]
 
 
 def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np.ndarray:

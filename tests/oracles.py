@@ -166,9 +166,9 @@ def scale_integral_upper_bound(d: float) -> float:
     return 1.0 / (1.0 - d) + 1.0 / (2.0 * d - 1.0)
 
 
-def partial_sums_direct(ensemble) -> np.ndarray:
-    """S_n(t_i) = sum_{k=1}^n X_k(t_i), summed over the stored paths."""
-    return ensemble.values.sum(axis=0)
+def partial_sums_direct(values: np.ndarray) -> np.ndarray:
+    """S_n(t_i) = sum_{k=1}^n X_k(t_i), summed over the (n, q) paths."""
+    return values.sum(axis=0)
 
 
 def partial_sum_covariance_asymptotic(d_s: float, d_t: float, sigma_st: float,

@@ -10,7 +10,7 @@ import longmem as lm
 PUBLIC_NAMES = [
     "CoefficientTable", "CovarianceReport", "ExponentFit",
     "InnovationModel", "MemoryFunction", "NormalityReport",
-    "PathEnsemble", "ProcessSpec", "RegimeError", "SpaceGrid",
+    "ProcessSpec", "RegimeError", "SpaceGrid",
     "TailBudgetError", "ValidationError", "ValidationReport", "__version__",
     "classify_summability", "cross_covariance_asymptotic", "cross_covariance_matrix",
     "dominating_bound", "fit_variance_exponent", "generate_paths",
@@ -29,10 +29,13 @@ PUBLIC_NAMES = [
 # and the threshold behind a yes/no L2 verdict that no grid can decide) and
 # in 0.17.0 (the second shape of a certified result, which is now the tuple
 # (value, error_bound) everywhere, and a one-line wrapper of _binomial_tail)
+# and in 0.19.0 (the paths record, which generate_paths now returns as the
+# tuple (values, truncation_tail_var))
 REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact",
                  "partial_sums_direct", "scale_integral_upper_bound",
                  "partial_sum_covariance_asymptotic", "LimitKernel", "NormalizationPlan",
-                 "BATCH_COUNT", "L2_FINITE_THRESHOLD", "CertifiedValue", "_window_tail"]
+                 "BATCH_COUNT", "L2_FINITE_THRESHOLD", "CertifiedValue", "_window_tail",
+                 "PathEnsemble"]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -48,10 +51,9 @@ def test_result_records_hold_only_what_their_call_computed():
     # a record does not echo its inputs (spec hash, n, seed, window, ...):
     # the caller has them already
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-              for cls in (lm.PathEnsemble, lm.CovarianceReport, lm.NormalityReport,
+              for cls in (lm.CovarianceReport, lm.NormalityReport,
                           lm.ExponentFit, lm.analytics.L2Report, lm.ValidationReport)}
     assert fields == {
-        "PathEnsemble": ["values", "truncation_tail_var"],
         "CovarianceReport": ["regime", "empirical", "finite_n_exact", "limit", "se",
                              "verdicts", "gap_rel", "samples", "truncation_tail_var",
                              "innovations_drawn"],
@@ -60,9 +62,22 @@ def test_result_records_hold_only_what_their_call_computed():
         "ExponentFit": ["slopes", "theoretical", "corrected", "max_residual"],
         "L2Report": ["integral_sigma2", "integral_weighted", "min_d_minus_half",
                      "min_d_point"],
-        "ValidationReport": ["regimes", "regime", "fatal"],
+        "ValidationReport": ["regime", "fatal"],
     }
     assert not hasattr(lm.analytics.L2Report, "verdict")
+
+
+def test_process_parts_hold_only_their_arrays():
+    # a spec is its grid, exponent field, sigma and law: how a config spelled
+    # them ("kind", step breakpoints and levels) is known only to the loaders,
+    # and spec_hash hashes the arrays, not a config dictionary
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (lm.MemoryFunction, lm.InnovationModel)}
+    assert fields == {"MemoryFunction": ["values"],
+                      "InnovationModel": ["sigma", "factor", "law", "pareto_alpha"]}
+    removed = [(lm.MemoryFunction, "table"), (lm.InnovationModel, "custom"),
+               (lm.ProcessSpec, "to_dict")]
+    assert [name for cls, name in removed if hasattr(cls, name)] == []
 
 
 def _parameters(fn) -> list[tuple[str, str]]:

@@ -95,7 +95,7 @@ class TestSimulate:
         assert main(["simulate", "--config", _write(tmp_path, bad),
                      "--out", str(tmp_path / "bad")]) == 2
         assert "constant memory needs one exponent" in capsys.readouterr().err
-        # the form to_dict writes, one equal value per grid point, still loads
+        # one equal value per grid point still loads
         ok = dict(SMALL_LONG, memory={"kind": "constant", "values": [0.7] * 4})
         assert main(["simulate", "--config", _write(tmp_path, ok),
                      "--out", str(tmp_path / "ok")]) == 0
@@ -113,7 +113,8 @@ class TestSimulate:
                      "--out", str(tmp_path / "ok")]) == 0
         spec = lm.spec_from_dict(ok)
         assert np.array_equal(spec.innovations.sigma2, [1.0, 2.0])
-        assert lm.spec_from_dict(spec.to_dict()).spec_hash == spec.spec_hash
+        sigma2 = dict(ok, innovations={"kind": "white", "sigma2": [1.0, 2.0]})
+        assert lm.spec_from_dict(sigma2).spec_hash == spec.spec_hash
 
     @pytest.mark.parametrize("section, value, message", [
         ("memory", {"kind": "constant"}, "memory: missing key 'values'"),
@@ -204,6 +205,13 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5]},
                           innovations={"kind": "custom", "sigma": [[1.0, 0.0], [0.0, True]]}),
          "config: invalid 'innovations.sigma': [[1.0, 0.0], [0.0, True]]"),
+        # an empty grid, listed or from linspace with default weights
+        ("simulate", dict(SMALL_LONG, grid={"points": []}), "grid must contain at least one point"),
+        ("simulate", dict(SMALL_LONG, grid={"linspace": [0, 1, 0]}),
+         "grid must contain at least one point"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5]},
+                          memory={"kind": "table", "values": [[0.7, 0.7], [0.7, 0.7]]}),
+         "memory exponents must be one-dimensional"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),

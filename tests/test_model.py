@@ -17,30 +17,31 @@ VALID_PARTS = {"grid": GRID, "memory": lm.MemoryFunction.constant(0.7, GRID),
 VALID_CONFIG = {"grid": {"points": [0.25, 0.5]}, "memory": {"kind": "constant", "values": 0.7},
                 "innovations": {"kind": "white", "sigma2": 1.0}}
 NON_PSD = [[1.0, 2.0], [2.0, 1.0]]
+HASH_CONFIG = {"grid": {"points": [0.25, 0.5], "weights": [0.4, 0.6]},
+               "memory": {"kind": "constant", "values": 0.7},
+               "innovations": {"kind": "white", "sigma2": [1.0, 2.0]},
+               "tail_tol": 0.05, "horizon": 16}
 # one case per message of the checks a spec runs when it is built: the parts
 # that violate it and, where a config reaches that check, the config section
 VIOLATIONS = [
     ("memory field has 3 values for 2 grid points",
-     {"memory": lm.MemoryFunction("table", [0.7, 0.7, 0.7])}, None),
+     {"memory": lm.MemoryFunction([0.7, 0.7, 0.7])},
+     {"memory": {"kind": "table", "values": [0.7, 0.7, 0.7]}}),
     ("innovation covariance is 3x3 for 2 grid points",
      {"innovations": lm.InnovationModel.white(1.0, q=3)},
      {"innovations": {"kind": "custom", "sigma": np.eye(3).tolist()}}),
     (r"d\(t\)=0.5 <= 1/2 at grid point t=0.5 \(index 1\)",
-     {"memory": lm.MemoryFunction.table([0.7, 0.5], GRID)},
+     {"memory": lm.MemoryFunction([0.7, 0.5])},
      {"memory": {"kind": "table", "values": [0.7, 0.5]}}),
     ("innovation covariance is not symmetric",
-     {"innovations": lm.InnovationModel.custom([[1.0, 0.5], [0.4, 1.0]])},
+     {"innovations": lm.InnovationModel([[1.0, 0.5], [0.4, 1.0]])},
      {"innovations": {"kind": "custom", "sigma": [[1.0, 0.5], [0.4, 1.0]]}}),
     (r"not positive semidefinite \(min eigenvalue -1.000e\+00\)",
-     {"innovations": lm.InnovationModel.custom(NON_PSD)},
+     {"innovations": lm.InnovationModel(NON_PSD)},
      {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
     (r"violates \|sigma\(s,t\)\| <= sqrt\(sigma2\(s\) sigma2\(t\)\)",
-     {"innovations": lm.InnovationModel.custom(NON_PSD)},
+     {"innovations": lm.InnovationModel(NON_PSD)},
      {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
-    ("white innovations must have a diagonal covariance",
-     {"innovations": lm.InnovationModel("white", [[1.0, 0.5], [0.5, 1.0]])}, None),
-    (r"wiener innovations must have sigma\(s,t\) = min\(s,t\)",
-     {"innovations": lm.InnovationModel.wiener([0.5, 1.0])}, None),
 ]
 
 
@@ -71,9 +72,9 @@ class TestMemoryFunction:
         assert list(m.values) == [0.6, 0.6, 2.0, 2.0, 2.0]
 
     def test_table_length_mismatch(self):
-        g = lm.SpaceGrid([0.25, 0.5], [0.5, 0.5])
-        with pytest.raises(lm.ValidationError):
-            lm.MemoryFunction.table([0.7], g)
+        # the field is checked against the grid once, when the spec is built
+        with pytest.raises(lm.ValidationError, match="memory field has 1 values for 2 grid"):
+            lm.ProcessSpec(**dict(VALID_PARTS, memory=lm.MemoryFunction([0.7])))
 
     @pytest.mark.parametrize("breakpoints, levels", [
         ([0.4, math.nan, 0.6], [0.7, 0.8, 0.9, 0.95]),   # would give 0.95 where 0.9 belongs
@@ -121,19 +122,16 @@ class TestValidate:
     def test_all_long_is_the_long_regime(self, long_spec):
         report = lm.validate(long_spec)
         assert report.ok
-        assert set(report.regimes) == {"long"}
         assert report.regime == "long"
 
     def test_all_boundary_is_the_boundary_regime(self, boundary_spec):
         report = lm.validate(boundary_spec)
         assert report.ok
-        assert set(report.regimes) == {"boundary"}
         assert report.regime == "boundary"
 
     def test_mixed_regimes_no_clt(self, mixed_spec):
         report = lm.validate(mixed_spec)
         assert report.ok
-        assert report.regimes == ("long", "long", "boundary", "short")
         assert report.regime is None
 
     def test_d_half_is_fatal_with_location(self):
@@ -197,7 +195,7 @@ class TestValidate:
         # a spec is checked when it is built, so it offers no method that
         # re-checks it: its public attributes are pinned
         assert {name for name in dir(lm.ProcessSpec) if not name.startswith("_")} == {
-            "horizon", "q", "spec_hash", "tail_tol", "to_dict", "window"}
+            "horizon", "q", "spec_hash", "tail_tol", "window"}
 
 
 class TestTruncationLength:
@@ -289,14 +287,36 @@ class TestConfigLoading:
         })
         assert np.allclose(spec.grid.weights, 0.2)
 
-    def test_spec_hash_stable(self, long_spec):
-        assert long_spec.spec_hash == lm.spec_from_dict(
-            long_spec.to_dict()).spec_hash
+    def test_spec_hash_stable(self):
+        # the hash is the process's, not the config's: a step memory and the
+        # table of its per-point exponents, or a white sigma2 and its diagonal
+        # custom sigma, hash equal
+        step = dict(HASH_CONFIG, memory={"kind": "step", "breakpoints": [0.4],
+                                         "levels": [0.7, 0.8]})
+        table = dict(HASH_CONFIG, memory={"kind": "table", "values": [0.7, 0.8]})
+        custom = dict(HASH_CONFIG, innovations={"kind": "custom", "sigma": [[1.0, 0.0],
+                                                                          [0.0, 2.0]]})
+        assert lm.spec_from_dict(step).spec_hash == lm.spec_from_dict(table).spec_hash
+        assert lm.spec_from_dict(custom).spec_hash == lm.spec_from_dict(HASH_CONFIG).spec_hash
 
-    def test_specs_hash_and_compare_by_identity(self, long_spec):
+    @pytest.mark.parametrize("key, value", [
+        ("grid", {"points": [0.25, 0.6], "weights": [0.4, 0.6]}),
+        ("grid", {"points": [0.25, 0.5], "weights": [0.5, 0.5]}),
+        ("memory", {"kind": "table", "values": [0.7, 0.9]}),
+        ("innovations", {"kind": "white", "sigma2": [1.0, 3.0]}),
+        ("innovations", {"kind": "white", "sigma2": [1.0, 2.0], "law": "pareto"}),
+        ("innovations", {"kind": "white", "sigma2": [1.0, 2.0], "pareto_alpha": 6.0}),
+        ("tail_tol", 0.06),
+        ("horizon", 17),
+    ])
+    def test_spec_hash_moves_with_every_part_of_the_process(self, key, value):
+        # points, weights, d, sigma, law, pareto_alpha, tail_tol, horizon
+        base = lm.spec_from_dict(HASH_CONFIG)
+        assert lm.spec_from_dict(dict(HASH_CONFIG, **{key: value})).spec_hash != base.spec_hash
+
+    def test_specs_hash_and_compare_by_identity(self):
         # array fields make value equality ambiguous; content identity is spec_hash
-        cfg = long_spec.to_dict()
-        a, b = lm.spec_from_dict(cfg), lm.spec_from_dict(cfg)
+        a, b = lm.spec_from_dict(HASH_CONFIG), lm.spec_from_dict(HASH_CONFIG)
         assert len({a, b}) == 2
         assert a == a and a != b
         assert a.spec_hash == b.spec_hash

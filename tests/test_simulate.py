@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -181,18 +182,18 @@ class TestInnovations:
         assert _excess_kurtosis("gaussian", alpha) == 0.0
 
     def test_unfactorizable_model_fatal(self):
-        model = lm.InnovationModel.custom([[1.0, 2.0], [2.0, 1.0]])
+        model = lm.InnovationModel([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(lm.ValidationError, match="factoriz"):
             innovation_block(model, seed=1, start=1, count=10)
 
 
 class TestGeneratePaths:
     def test_shapes_and_determinism(self, mixed_spec):
-        a = lm.generate_paths(mixed_spec, 12, seed=3)
-        b = lm.generate_paths(mixed_spec, 12, seed=3)
-        assert a.values.shape == (12, 4)
-        assert np.array_equal(a.values, b.values)
-        assert np.all(np.isfinite(a.values))
+        a, _ = lm.generate_paths(mixed_spec, 12, seed=3)
+        b, _ = lm.generate_paths(mixed_spec, 12, seed=3)
+        assert a.shape == (12, 4)
+        assert np.array_equal(a, b)
+        assert np.all(np.isfinite(a))
 
     def test_huge_d_reduces_to_innovations(self):
         spec = lm.spec_from_dict({
@@ -201,20 +202,18 @@ class TestGeneratePaths:
             "innovations": {"kind": "white", "sigma2": 1.0},
             "tail_tol": 0.5,
         })
-        pe = lm.generate_paths(spec, 20, seed=6)
+        values, _ = lm.generate_paths(spec, 20, seed=6)
         M = spec.window
         eps = innovation_block(spec.innovations, seed=6, start=1 - M, count=20 + M)
-        assert _rel_vec(pe.values[:, 0], eps[M:, 0]) < 1e-14
+        assert _rel_vec(values[:, 0], eps[M:, 0]) < 1e-14
 
     def test_linearity_in_innovations(self, long_spec):
         # scaling all innovation variances by lambda^2 scales paths by lambda
-        pe1 = lm.generate_paths(long_spec, 10, seed=8)
-        cfg = long_spec.to_dict()
-        cfg["innovations"] = {"kind": "custom",
-                              "sigma": (4.0 * long_spec.innovations.sigma).tolist()}
-        spec2 = lm.spec_from_dict(cfg)
-        pe2 = lm.generate_paths(spec2, 10, seed=8)
-        assert _rel_vec(pe2.values, 2.0 * pe1.values) < 1e-12
+        values1, _ = lm.generate_paths(long_spec, 10, seed=8)
+        spec2 = dataclasses.replace(
+            long_spec, innovations=lm.InnovationModel(4.0 * long_spec.innovations.sigma))
+        values2, _ = lm.generate_paths(spec2, 10, seed=8)
+        assert _rel_vec(values2, 2.0 * values1) < 1e-12
 
     def test_lag_covariance_matches_exact(self, rel):
         # Monte Carlo over replications vs. the exact series at several lags
@@ -249,28 +248,28 @@ class TestGeneratePaths:
                                                    count_calls):
         spec = request.getfixturevalue(fixture)
         calls = count_calls(lm.simulate, "tail_variance_bound")
-        pe = lm.generate_paths(spec, 4, seed=2)
+        _, tail_var = lm.generate_paths(spec, 4, seed=2)
         assert calls == [(d, spec.window) for d in spec.memory.distinct[0].tolist()]
         d, s2 = spec.memory.values, spec.innovations.sigma2
-        assert pe.truncation_tail_var.tolist() == [
+        assert tail_var.tolist() == [
             s2[i] * tail_variance_bound(float(d[i]), spec.window) for i in range(spec.q)]
 
     def test_figure_recipe_runs(self):
         spec = lm.load_spec("src/longmem/configs/fig1a.json")
-        pe = lm.generate_paths(spec, 5, seed=20260823)
-        assert pe.values.shape == (5, 61)
-        assert np.all(np.isfinite(pe.values))
+        values, _ = lm.generate_paths(spec, 5, seed=20260823)
+        assert values.shape == (5, 61)
+        assert np.all(np.isfinite(values))
 
 
 class TestPartialSums:
     def test_direct_n1_equals_first_row(self, long_spec):
-        pe = lm.generate_paths(long_spec, 1, seed=2)
-        assert np.array_equal(partial_sums_direct(pe), pe.values[0])
+        values, _ = lm.generate_paths(long_spec, 1, seed=2)
+        assert np.array_equal(partial_sums_direct(values), values[0])
 
     @pytest.mark.parametrize("n", [2, 3, 17, 64])
     def test_z_identity(self, mixed_spec, n):
-        pe = lm.generate_paths(mixed_spec, n, seed=31)
-        direct = partial_sums_direct(pe)
+        values, _ = lm.generate_paths(mixed_spec, n, seed=31)
+        direct = partial_sums_direct(values)
         via_z = lm.partial_sums_via_z(mixed_spec, n, seed=31)
         assert _rel_vec(direct, via_z) < 1e-12
 
