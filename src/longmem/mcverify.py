@@ -22,10 +22,12 @@ from .analytics import (
     partial_sum_covariance_series,
     partial_sum_weights,
 )
-from .simulate import _excess_kurtosis, _replication_sampler
+from .simulate import (_draw_plan, _excess_kurtosis, _replication_sampler,
+                       _require_memory, _words_per_index)
 
 DEFAULT_Z_STAR = 4.0
 MIN_NORMALITY_N = 500  # replications the normality bands are stated for
+ROW_BLOCK_WORDS = 1 << 13  # sample words the normality statistics stream per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,39 +77,52 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     Replications are addressed by absolute index and the covariance is
     reduced once over the index-ordered samples, so splitting them into
     shards (run on at most ``os.cpu_count()`` threads) changes no bit of the
-    result.
+    result.  A run whose samples, coefficient table and draw buffers exceed
+    physical memory is refused (``ValidationError``) before any is allocated.
     """
     if N < 100:
         raise ValueError("N must be >= 100")
+    if n < 2:
+        raise ValueError(f"n must be >= 2; got {n}")
     if shards < 1:
         raise ValueError(f"shards must be at least 1; got {shards}")
     if not 0.0 < z_star < math.inf:
         raise ValueError(f"z_star must be positive and finite; got {z_star}")
     _require_nondegenerate(spec)
     regime = _clt_regime(spec)   # raises RegimeError on mixed regimes
+    model = spec.innovations
+    shards = min(int(shards), N)
+    _, rows, block = _draw_plan(model, n, spec.window)
+    _require_memory({
+        "samples": N * spec.q * 8,
+        "coefficient table": len(spec.memory.distinct[0]) * (n + spec.window) * 8,
+        "draw buffers": (_pool_size(shards) * min(block, N) * rows
+                         * _words_per_index(spec.q) * 8)})
     b = normalization_plan(spec, n)
     K = limit_kernel(spec)
     table = partial_sum_weights(spec, n)
-    model = spec.innovations
     _, idx = spec.memory.distinct   # the table's rows are the distinct exponents
     pair = np.ix_(idx, idx)
     finite = model.sigma * (table.z @ table.z.T)[pair] / np.outer(b, b)
 
-    sample, rows = _replication_sampler(spec, table, seed)
-    shards = min(int(shards), N)
+    # the shards write the partial sums into one array, normalized in place:
+    # the (N, q) samples are the run's only N-sized array
+    sample, _ = _replication_sampler(spec, table, seed)
+    samples = np.empty((N, spec.q))
     bounds = [(N * s) // shards for s in range(shards + 1)]
     if shards == 1:
-        sums = sample(0, N)
+        sample(0, N, samples)
     else:
         # loaded on first use: concurrent.futures brings in logging, which a
         # serial run never needs
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=_pool_size(shards)) as pool:
-            futures = [pool.submit(sample, bounds[s], bounds[s + 1] - bounds[s])
-                       for s in range(shards)]
-            sums = np.concatenate([f.result() for f in futures], axis=0)
-    samples = sums / b
+            futures = [pool.submit(sample, lo, hi - lo, samples[lo:hi])
+                       for lo, hi in zip(bounds, bounds[1:])]
+            for f in futures:
+                f.result()
+    samples /= b
     empirical = samples.T @ samples / N
 
     # Var(S_i S_j) = C_ii C_jj + C_ij^2 + the fourth cumulant of draws of
@@ -166,43 +181,74 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     from scipy.special import ndtr   # loaded on first use: `import longmem` stays light
 
     samples = np.asarray(samples, dtype=float)
-    N, _ = samples.shape
+    N, q = samples.shape
     if N < MIN_NORMALITY_N:
         raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
-    if variances is None:
-        variances = samples.var(axis=0, ddof=1)
-    variances = np.asarray(variances, dtype=float)
 
-    # two (N, q) buffers at a time: the moments reuse dev and s2 in place,
-    # the KS distance sorts into one buffer and takes both gaps in another
-    mean = samples.mean(axis=0, keepdims=True)
-    dev = samples - mean
-    s2 = np.square(dev)
-    m2 = s2.mean(axis=0)
-    dev *= s2
-    m3 = dev.mean(axis=0)
-    np.square(s2, out=s2)
-    m4 = s2.mean(axis=0)
-    del dev, s2
+    # the central moment sums, streamed over row blocks.  numpy sums axis 0
+    # of a C-contiguous array with q > 1 row after row, so a block whose
+    # first row takes the running sums continues that order bit for bit;
+    # elsewhere it sums pairwise, and the whole array is one block
+    step = max(1, ROW_BLOCK_WORDS // q) if q > 1 and samples.flags.c_contiguous else N
+    mean = samples.mean(axis=0)
+    sums = np.zeros((3, q))
+    for lo in range(0, N, step):
+        _add_moment_sums(samples[lo:lo + step], mean, sums)
+    m2, m3, m4 = sums / N
+    if variances is None:
+        variances = sums[0] / (N - 1)   # samples.var(axis=0, ddof=1), bit for bit
+    variances = np.broadcast_to(np.asarray(variances, dtype=float), (q,))
     with np.errstate(all="ignore"):
-        zero = m2 <= (np.finfo(float).eps * mean[0]) ** 2
+        zero = m2 <= (np.finfo(float).eps * mean) ** 2
         skew = np.where(zero, np.nan, m3 / m2 ** 1.5)
         kurt = np.where(zero, np.nan, m4 / m2 ** 2.0) - 3
-
-        # KS distance: the largest gap between the empirical CDF and F
         scale = np.sqrt(variances)
-        cdf = np.sort(samples, axis=0)
-        cdf /= scale
+
+    # KS distance: the largest gap between the empirical CDF and F, one
+    # sorted column at a time
+    ks = np.full(q, np.nan)
+    cdf = np.empty(N)
+    for j in np.flatnonzero(scale > 0):
+        np.copyto(cdf, samples[:, j])
+        cdf.sort()
+        cdf /= scale[j]
         ndtr(cdf, out=cdf)
-    np.copyto(cdf, np.nan, where=~(scale > 0))
-    gap = np.subtract((np.arange(1.0, N + 1) / N)[:, None], cdf)
-    upper = gap.max(axis=0)
-    np.subtract(cdf, (np.arange(0.0, N) / N)[:, None], out=gap)
-    ks = np.maximum(upper, gap.max(axis=0))
+        ks[j] = _largest_gap(cdf)
     return NormalityReport(skewness=skew, excess_kurtosis=kurt,
                            ks_distance=ks,
                            skew_band=skew_z * math.sqrt(6.0 / N),
                            kurt_band=kurt_z * math.sqrt(24.0 / N))
+
+
+def _add_moment_sums(x: np.ndarray, mean: np.ndarray, sums: np.ndarray) -> None:
+    """Add the column sums of (x - mean)^2, ^3 and ^4 over the rows ``x`` to
+    ``sums``, a (3, q) array, in place."""
+    dev = x - mean
+    s2 = np.square(dev)
+    dev *= s2
+    _add_rows(dev, sums[1])
+    np.square(s2, out=dev)
+    _add_rows(dev, sums[2])
+    _add_rows(s2, sums[0])
+
+
+def _add_rows(block: np.ndarray, total: np.ndarray) -> None:
+    """Add the rows of ``block`` to ``total`` in place, in the order of one
+    axis-0 sum over every row so far: the total enters as the first row."""
+    block[0] += total
+    block.sum(axis=0, out=total)
+
+
+def _largest_gap(cdf: np.ndarray) -> float:
+    """max over i of (i+1)/N - cdf_i and cdf_i - i/N for the sorted F-values
+    ``cdf`` of N samples, with the ramps i/N built a block at a time."""
+    N = len(cdf)
+    gaps = []
+    for lo in range(0, N, ROW_BLOCK_WORDS):
+        c = cdf[lo:lo + ROW_BLOCK_WORDS]
+        ramp = np.arange(lo, lo + len(c) + 1.0) / N
+        gaps += [np.max(ramp[1:] - c), np.max(c - ramp[:-1])]
+    return np.max(gaps)
 
 
 @dataclass(frozen=True, eq=False)

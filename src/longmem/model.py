@@ -161,8 +161,9 @@ class InnovationModel:
         if self.law == "pareto" and self.pareto_alpha <= 4.0:
             raise ValidationError("pareto_alpha must exceed 4 (finite fourth moment)")
         sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        if sigma.shape[0] != sigma.shape[1]:
-            raise ValidationError("innovation covariance must be square")
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise ValidationError(f"innovation covariance must be a square matrix; "
+                                  f"got shape {sigma.shape}")
         object.__setattr__(self, "sigma", _readonly(sigma))
         # indefinite matrices are left unfactorized so that a ProcessSpec
         # built on them reports them; sampling from such a model is fatal
@@ -401,6 +402,8 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
     if "pareto_alpha" in cfg:
         kw["pareto_alpha"] = float(cfg["pareto_alpha"])
     if kind == "white":
+        if "sigma2" in cfg and "sigma" in cfg:
+            raise ValidationError("white innovations take 'sigma2' or 'sigma', not both")
         if "sigma2" in cfg:
             sigma2 = _finite_array(cfg, "sigma2")
         elif "sigma" in cfg:

@@ -11,6 +11,7 @@ a partial sum S_n.
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 
@@ -39,23 +40,34 @@ def _philox_key(seed: int) -> tuple:
     return tuple(int(w) for w in np.random.SeedSequence(seed).generate_state(2, np.uint64))
 
 
-def _seek(gen: np.random.Generator, seed: int, rep: int, start: int, W: int) -> None:
+def _philox_state(seed: int) -> dict:
+    """A Philox state dict under the key of ``seed``, with an empty output
+    buffer: ``_seek`` sets its counter words, one dict serving a whole call."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": _philox_key(int(seed))},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _seek(gen: np.random.Generator, seed: int, rep: int, start: int, W: int,
+          state: dict | None = None) -> None:
     """Point ``gen`` (Philox) at time index ``start`` of replication ``rep``.
 
     The one map from (seed, rep, index) to generator state: the key hashes
     the seed, the counter's high words hold the replication, and each time
     index owns W/4 consecutive 4-word counter blocks.  Philox is counter
     based, so resetting its state is the same stream as a new generator.
+    ``state``, a ``_philox_state(seed)`` dict, is reused: only its counter
+    words are written.
     """
     counter = (int(rep) << 128) + (int(start) + ORIGIN) * (W // 4)
     if not 0 <= counter < 1 << 256:
         raise ValueError(f"replication {rep}, index {start}: counter must be "
                          f"positive and less than 2**256")
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [(counter >> s) & _WORD for s in (0, 64, 128, 192)],
-                  "key": _philox_key(int(seed))},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if state is None:
+        state = _philox_state(seed)
+    state["state"]["counter"] = [counter & _WORD, counter >> 64 & _WORD,
+                                 counter >> 128 & _WORD, counter >> 192]
+    gen.bit_generator.state = state
 
 
 def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndarray:
@@ -142,14 +154,31 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
         raise ValueError("count must be >= 1")
     W = _words_per_index(model.q)
     gen = np.random.Generator(np.random.Philox(int(seed)))
+    state = _philox_state(seed)
     u = np.empty((min(block, len(reps)), count, W))
     for lo in range(0, len(reps), block):
         k = min(block, len(reps) - lo)
         for r in range(k):
-            _seek(gen, seed, reps[lo + r], start, W)
+            _seek(gen, seed, reps[lo + r], start, W, state)
             gen.random(out=u[r])
         _standardized_draws(u[:k].reshape(-1, W), model.law, model.pareto_alpha)
         yield u[:k, :, :model.q]
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, the bound on what one run may allocate."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _require_memory(arrays: dict) -> None:
+    """Refuse, before anything is allocated, a run whose largest arrays
+    (name -> bytes) together exceed physical memory, naming the largest."""
+    total, limit = sum(arrays.values()), _physical_memory()
+    if total > limit:
+        name = max(arrays, key=arrays.get)
+        raise ValidationError(f"memory: the run needs {total:,} bytes, more than the "
+                              f"{limit:,} bytes of physical memory; its largest array, "
+                              f"the {name}, takes {arrays[name]:,}")
 
 
 def _factor(model: InnovationModel) -> np.ndarray:
@@ -194,10 +223,19 @@ def _past_factor(spec: ProcessSpec, table: CoefficientTable) -> np.ndarray:
     return _factor_psd(spec.innovations.sigma * (z_past @ z_past.T)[np.ix_(idx, idx)])
 
 
+def _draw_plan(model: InnovationModel, n: int, M: int) -> tuple[int, int, int]:
+    """``(start, rows, block)`` of the replication sampler at horizon n and
+    window M: a replication draws ``rows`` time indices from ``start`` on,
+    and ``block`` replications are drawn together."""
+    start = 0 if model.law == "gaussian" else 1 - M
+    rows = n + 1 - start
+    return start, rows, max(1, REPLICATION_BLOCK * (n + 1) // rows)
+
+
 def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
-    """``((rep_start, count) -> (count, q) S_n, rows)``: the partial sums of
-    replications rep_start .. rep_start+count-1, and the innovation rows one
-    replication draws.
+    """``((rep_start, count[, out]) -> (count, q) S_n, rows)``: the partial
+    sums of replications rep_start .. rep_start+count-1, written into ``out``
+    when it is given, and the innovation rows one replication draws.
 
     A non-Gaussian law takes the pathwise route: it draws the window's
     indices 1-M..n and contracts them with the table through ``_contract``,
@@ -214,15 +252,15 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
     n, M = table.n, table.window
     factor = _factor(model)
     _, idx = spec.memory.distinct
+    start, rows, block = _draw_plan(model, n, M)
     if model.law != "gaussian":
-        start, z, past_factor = 1 - M, table.z, None
+        z, past_factor = table.z, None
     else:
-        start, z, past_factor = 0, table.z[:, M:], _past_factor(spec, table)
-    rows = n + 1 - start
-    block = max(1, REPLICATION_BLOCK * (n + 1) // rows)
+        z, past_factor = table.z[:, M:], _past_factor(spec, table)
 
-    def sample(rep_start: int, count: int) -> np.ndarray:
-        out = np.empty((count, model.q))
+    def sample(rep_start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((count, model.q))
         draws = _standard_draws(model, seed, range(rep_start, rep_start + count),
                                 start, rows, block)
         for lo, g in zip(range(0, count, block), draws):
@@ -244,11 +282,15 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np
     Returns ``(values, truncation_tail_var)``: the (n, q) paths
     X_k(t_i) = sum_{j=0}^{M} (j+1)^{-d(t_i)} eps_{k-j}(t_i), truncated at the
     spec's window M, and per grid point the certified bound on the variance
-    the window drops from each X_k.  Consecutive k share innovations.
+    the window drops from each X_k.  Consecutive k share innovations.  A run
+    whose draw buffer, innovations and paths exceed physical memory is
+    refused (``ValidationError``) before any is allocated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     M = spec.window
+    _require_memory({"draw buffer": (n + M) * _words_per_index(spec.q) * 8,
+                     "innovations": (n + M) * spec.q * 8, "paths": n * spec.q * 8})
     eps = innovation_block(spec.innovations, seed, start=1 - M, count=n + M)
     u, idx = spec.memory.distinct
     j = np.arange(M + 1, dtype=float)

@@ -187,9 +187,13 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [2.0],
                                               "levels": [0.7, math.nan]}),
          "memory exponents and breakpoints must be finite"),
-        # above 2**48 bytes: refused by the allocator, no memory touched
-        ("simulate", dict(BOUNDARY_REFERENCE, horizon=10 ** 15), "Unable to allocate"),
-        ("verify-clt", dict(BOUNDARY_REFERENCE, N=10 ** 15), "Unable to allocate"),
+        # more than any machine's physical memory: refused before allocating
+        pytest.param("simulate", dict(BOUNDARY_REFERENCE, horizon=10 ** 15),
+                     "memory: the run needs 96,000,000,000,038,848 bytes, more than the",
+                     id="simulate-cfg32-memory preflight"),
+        pytest.param("verify-clt", dict(BOUNDARY_REFERENCE, N=10 ** 15),
+                     "memory: the run needs 32,000,000,000,271,608 bytes, more than the",
+                     id="verify-clt-cfg33-memory preflight"),
         # JSON booleans, which Python would read as 1.0 or 1, at any depth
         ("verify-clt", dict(SMALL_LONG, z_star=True), "config: invalid 'z_star': True"),
         ("simulate", dict(SMALL_LONG, tail_tol=True), "config: invalid 'tail_tol': True"),
@@ -212,12 +216,38 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5]},
                           memory={"kind": "table", "values": [[0.7, 0.7], [0.7, 0.7]]}),
          "memory exponents must be one-dimensional"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25]},
+                          innovations={"kind": "custom", "sigma": [[[1.0]]]}),
+         "innovation covariance must be a square matrix; got shape (1, 1, 1)"),
+        ("simulate", dict(SMALL_LONG, innovations={"kind": "white", "sigma2": 1.0,
+                                                   "sigma": np.diag([2.0] * 4).tolist()}),
+         "white innovations take 'sigma2' or 'sigma', not both"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command, largest", [
+        ("simulate", "the draw buffer, takes 35,808"),
+        ("verify-clt", "the draw buffers, takes 262,656")])
+    def test_memory_preflight_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                      largest):
+        # a limit below the run's largest arrays, never an allocation that
+        # fails; the refusal comes before the draws or the coefficient table
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the preflight")
+
+        monkeypatch.setattr("longmem.simulate._physical_memory", lambda: 10_000)
+        monkeypatch.setattr("longmem.simulate.innovation_block", refuse)
+        monkeypatch.setattr("longmem.mcverify.partial_sum_weights", refuse)
+        assert main([command, "--config", _write(tmp_path, BOUNDARY_REFERENCE),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: memory: the run needs ")
+        assert "more than the 10,000 bytes of physical memory" in err
+        assert err.endswith(f"its largest array, {largest}\n")
 
     def test_non_finite_sigma_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "sigma.csv").write_text("1.0,nan\nnan,1.0\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import stats
 
 import longmem as lm
+from longmem.mcverify import ROW_BLOCK_WORDS
 from longmem.simulate import (REPLICATION_BLOCK, _excess_kurtosis, _past_factor,
                               _replication_sampler, _standard_draws, innovation_block)
 from oracles import partial_sum_covariance_lagsum
@@ -109,6 +111,42 @@ class TestRunCltExperiment:
         b = lm.normalization_plan(spec, n)
         expected = spec.innovations.sigma * (z @ z.T) / np.outer(b, b)
         assert np.max(np.abs(report.finite_n_exact / expected - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_samples_are_the_only_replication_sized_array(self, shards):
+        # the shards write into the samples, which are normalized in place;
+        # beside them come only arrays independent of N, under 256 KiB here:
+        # each shard's draw buffer (REPLICATION_BLOCK replications of 65 rows
+        # of 4 words), the contraction's temporaries and the table's series
+        spec = lm.spec_from_dict(WIENER_07)
+        lm.run_clt_experiment(spec, 64, 100, seed=3, shards=shards)   # loads the pool
+        tracemalloc.start()
+        try:
+            report = lm.run_clt_experiment(spec, 64, 50_000, seed=3, shards=shards)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.samples.shape == (50_000, 4)
+        assert peak <= report.samples.nbytes + 2 ** 18
+
+    def test_memory_preflight_sums_the_largest_arrays(self, monkeypatch):
+        # N = 600 at q = 4: 19,200 bytes of samples, a table row of
+        # n + M = 1,119 words and one draw buffer of 16 replications of 513
+        # rows of 4 words; nothing is allocated past the refusal
+        spec = lm.spec_from_dict(BOUNDARY)
+        need = 600 * 4 * 8 + 1_119 * 8 + 16 * 513 * 4 * 8
+        monkeypatch.setattr(lm.simulate, "_physical_memory", lambda: need)
+        assert lm.run_clt_experiment(spec, 512, 600, seed=71).samples.shape == (600, 4)
+        monkeypatch.setattr(lm.simulate, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(lm.mcverify, "partial_sum_weights", None)
+        with pytest.raises(lm.ValidationError, match=(
+                f"^memory: the run needs {need:,} bytes, more than the {need - 1:,} bytes "
+                f"of physical memory; its largest array, the draw buffers, takes 262,656$")):
+            lm.run_clt_experiment(spec, 512, 600, seed=71)
+
+    def test_rejects_a_horizon_below_two(self, long_spec):
+        with pytest.raises(ValueError, match="n must be >= 2; got 1"):
+            lm.run_clt_experiment(long_spec, 1, 200, seed=1)
 
     def test_pool_capped_at_core_count(self, monkeypatch):
         # the pool size is computed, never tried out with many threads
@@ -327,13 +365,19 @@ class TestNormalityDiagnostics:
     @pytest.mark.parametrize("law", ["gaussian", "pareto", "exponential"])
     @pytest.mark.parametrize("given_variances", [False, True])
     def test_statistics_equal_scipy_stats(self, law, given_variances):
+        # a C-ordered array in one row block and one over several blocks (the
+        # moments are streamed), a single column and an F-ordered array (each
+        # summed pairwise by numpy, so streamed as one block)
         rng = np.random.default_rng(8)
-        shape = (2000, 3)
-        x = {"gaussian": lambda: rng.standard_normal(shape) * [0.5, 1.0, 3.0],
-             "pareto": lambda: rng.pareto(4.5, shape) * rng.choice([-1.0, 1.0], shape),
-             "exponential": lambda: rng.exponential(size=shape) - 0.8}[law]()
-        variances = rng.uniform(0.5, 2.0, 3) if given_variances else None
-        self._assert_equals_scipy(x, variances)
+        for N, q, order in ((2000, 3, "C"), (2 * (ROW_BLOCK_WORDS // 3) + 501, 3, "C"),
+                            (2000, 1, "C"), (2000, 3, "F")):
+            shape = (N, q)
+            x = {"gaussian": lambda: rng.standard_normal(shape) * [0.5, 1.0, 3.0][:q],
+                 "pareto": lambda: rng.pareto(4.5, shape) * rng.choice([-1.0, 1.0], shape),
+                 "exponential": lambda: rng.exponential(size=shape) - 0.8}[law]()
+            x = np.asarray(x, order=order)
+            variances = rng.uniform(0.5, 2.0, q) if given_variances else None
+            self._assert_equals_scipy(x, variances)
 
     @pytest.mark.parametrize("given_variances", [False, True])
     def test_constant_column_as_scipy_stats(self, given_variances):
@@ -358,6 +402,23 @@ class TestNormalityDiagnostics:
         assert np.array_equal(rep.excess_kurtosis, kurt, equal_nan=True)
         assert np.array_equal(rep.ks_distance, ks, equal_nan=True)
         return rep
+
+    @pytest.mark.parametrize("q", [1, 4])
+    def test_allocates_two_columns_beside_its_input(self, q):
+        # the moments stream two row blocks, or at q = 1 two columns; the KS
+        # distance sorts one column at a time.  The input is not written to
+        N = 200_000
+        x = np.random.default_rng(4).standard_normal((N, q))
+        before = x.copy()
+        lm.normality_diagnostics(x[:500])   # loads scipy.special
+        tracemalloc.start()
+        try:
+            lm.normality_diagnostics(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * N * 8 + 2 * ROW_BLOCK_WORDS * 8
+        assert np.array_equal(x, before)
 
     def test_needs_500(self):
         with pytest.raises(ValueError):

@@ -207,6 +207,19 @@ class TestGeneratePaths:
         eps = innovation_block(spec.innovations, seed=6, start=1 - M, count=20 + M)
         assert _rel_vec(values[:, 0], eps[M:, 0]) < 1e-14
 
+    def test_memory_preflight_sums_buffer_innovations_and_paths(self, long_spec,
+                                                                monkeypatch):
+        # (n + M) rows of W = 4 uniform words and of q = 4 innovations, and
+        # n rows of paths: refused one byte under their sum, before any draw
+        n, M = 10, long_spec.window
+        need = (n + M) * 4 * 8 + (n + M) * 4 * 8 + n * 4 * 8
+        monkeypatch.setattr(lm.simulate, "_physical_memory", lambda: need)
+        assert lm.generate_paths(long_spec, n, seed=8)[0].shape == (n, 4)
+        monkeypatch.setattr(lm.simulate, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(lm.simulate, "innovation_block", None)
+        with pytest.raises(lm.ValidationError, match=f"the run needs {need:,} bytes"):
+            lm.generate_paths(long_spec, n, seed=8)
+
     def test_linearity_in_innovations(self, long_spec):
         # scaling all innovation variances by lambda^2 scales paths by lambda
         values1, _ = lm.generate_paths(long_spec, 10, seed=8)
