@@ -50,7 +50,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "CoefficientTable",

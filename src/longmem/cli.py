@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .model import (TailBudgetError, ValidationError, _config_value, _integer,
@@ -92,8 +91,7 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
         "command": command,
         "version": __version__,
         # byte-identical outputs are promised only on one software stack
-        "software": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "software": {"python": platform.python_version(), "numpy": np.__version__},
         "seed": seed,
         "resolved_config": cfg,
         "outputs": {name: io.sha256_file(out / name) for name in outputs},

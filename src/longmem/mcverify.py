@@ -29,6 +29,27 @@ DEFAULT_Z_STAR = 4.0
 MIN_NORMALITY_N = 500  # replications the normality bands are stated for
 ROW_BLOCK_WORDS = 1 << 13  # sample words the normality statistics stream per block
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and erfc(x) =
+# exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) beyond.  Each
+# tuple is highest degree first; a leading 1.0 is Cephes' implicit one
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
+           2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
+           3.36907645100081516050e0)
+_SQRTH = 7.07106781186547524401e-1   # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843e2   # log of the largest double
+
 
 @dataclass(frozen=True, eq=False)
 class CovarianceReport:
@@ -178,22 +199,27 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     ``kurtosis`` and ``kstest`` (biased moments; NaN where the second moment
     vanishes against the mean), which the tests hold them to bit for bit.
     """
-    from scipy.special import ndtr   # loaded on first use: `import longmem` stays light
-
     samples = np.asarray(samples, dtype=float)
     N, q = samples.shape
     if N < MIN_NORMALITY_N:
         raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
 
-    # the central moment sums, streamed over row blocks.  numpy sums axis 0
-    # of a C-contiguous array with q > 1 row after row, so a block whose
-    # first row takes the running sums continues that order bit for bit;
-    # elsewhere it sums pairwise, and the whole array is one block
-    step = max(1, ROW_BLOCK_WORDS // q) if q > 1 and samples.flags.c_contiguous else N
+    # the central moment sums, streamed in blocks.  numpy sums axis 0 of a
+    # C-contiguous array with q > 1 row after row, so a row block whose first
+    # row takes the running sums continues that order bit for bit.  It sums a
+    # contiguous column pairwise, so an F-ordered array streams one column at
+    # a time; any other layout is one block
+    if q > 1 and samples.flags.c_contiguous:
+        step = max(1, ROW_BLOCK_WORDS // q)
+        blocks = [np.s_[lo:lo + step, :] for lo in range(0, N, step)]
+    elif samples.flags.f_contiguous:
+        blocks = [np.s_[:, j:j + 1] for j in range(q)]
+    else:
+        blocks = [np.s_[:, :]]
     mean = samples.mean(axis=0)
     sums = np.zeros((3, q))
-    for lo in range(0, N, step):
-        _add_moment_sums(samples[lo:lo + step], mean, sums)
+    for rows, cols in blocks:
+        _add_moment_sums(samples[rows, cols], mean[cols], sums[:, cols])
     m2, m3, m4 = sums / N
     if variances is None:
         variances = sums[0] / (N - 1)   # samples.var(axis=0, ddof=1), bit for bit
@@ -212,8 +238,7 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
         np.copyto(cdf, samples[:, j])
         cdf.sort()
         cdf /= scale[j]
-        ndtr(cdf, out=cdf)
-        ks[j] = _largest_gap(cdf)
+        ks[j] = _ks_distance(cdf)
     return NormalityReport(skewness=skew, excess_kurtosis=kurt,
                            ks_distance=ks,
                            skew_band=skew_z * math.sqrt(6.0 / N),
@@ -239,16 +264,65 @@ def _add_rows(block: np.ndarray, total: np.ndarray) -> None:
     block.sum(axis=0, out=total)
 
 
-def _largest_gap(cdf: np.ndarray) -> float:
-    """max over i of (i+1)/N - cdf_i and cdf_i - i/N for the sorted F-values
-    ``cdf`` of N samples, with the ramps i/N built a block at a time."""
+def _ks_distance(cdf: np.ndarray) -> float:
+    """max over i of (i+1)/N - F(z_i) and F(z_i) - i/N for the sorted
+    standardized samples z = ``cdf``, which are overwritten by their normal
+    CDF values F(z); F and the ramps i/N are built a block at a time."""
     N = len(cdf)
     gaps = []
     for lo in range(0, N, ROW_BLOCK_WORDS):
         c = cdf[lo:lo + ROW_BLOCK_WORDS]
+        _ndtr(c)
         ramp = np.arange(lo, lo + len(c) + 1.0) / N
         gaps += [np.max(ramp[1:] - c), np.max(c - ramp[:-1])]
     return np.max(gaps)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """The polynomial ``coef`` (highest degree first) at ``x`` by Horner's
+    rule, in the order of Cephes' ``polevl``."""
+    ans = coef[0] * x
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf_series(x: np.ndarray) -> np.ndarray:
+    """Cephes' erf(x) for |x| <= 1."""
+    x2 = x * x
+    return x * _polevl(x2, _ERF_T) / _polevl(x2, _ERF_U)
+
+
+def _ndtr(a: np.ndarray) -> None:
+    """Overwrite ``a`` with the standard normal CDF of its values.
+
+    A port of Cephes' ``ndtr``, ``erf`` and ``erfc`` operation for operation,
+    so it equals ``scipy.special.ndtr`` bit for bit.  ``exp`` is libm's, by
+    ``math.exp``: numpy's vectorized ``exp`` differs from it in the last bit
+    on some arguments.
+    """
+    x = a * _SQRTH
+    z = np.abs(x)
+    inner = z < _SQRTH             # 0.5 + 0.5 erf(x)
+    near = ~inner & (z < 1.0)      # erfc(z) = 1 - erf(z)
+    with np.errstate(over="ignore"):
+        z2 = -z * z
+    far = ~inner & ~near & (z2 >= -_MAXLOG)   # exp(-z^2) P/Q or R/S
+    y = np.zeros_like(z)   # erfc(z) underflows to 0 past MAXLOG
+    y[near] = 1.0 - _erf_series(z[near])
+    w = z[far]
+    e = np.fromiter(map(math.exp, z2[far].tolist()), float, count=len(w))
+    low = w < 8.0
+    p = np.where(low, _polevl(w, _ERFC_P), _polevl(w, _ERFC_R))
+    q = np.where(low, _polevl(w, _ERFC_Q), _polevl(w, _ERFC_S))
+    y[far] = e * p / q
+    y *= 0.5
+    np.subtract(1.0, y, out=y, where=x > 0)
+    y[inner] = 0.5 + 0.5 * _erf_series(x[inner])
+    y[np.isnan(a)] = np.nan   # Cephes returns its canonical NaN first
+    a[...] = y
 
 
 @dataclass(frozen=True, eq=False)

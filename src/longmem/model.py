@@ -8,6 +8,7 @@ truncating the infinite moving-average filter, and a time horizon.
 
 from __future__ import annotations
 
+import difflib
 import functools
 import hashlib
 import json
@@ -310,6 +311,33 @@ def _check(spec: ProcessSpec) -> ValidationReport:
     return ValidationReport(regime=regimes[0] if clt else None, fatal=tuple(fatal))
 
 
+# B_2j / (2j)!, j = 1..8: the Euler-Maclaurin corrections of _zeta
+_EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                    -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000)
+_ZETA_HEAD = 12
+
+
+def _zeta(s: float) -> float:
+    """Riemann zeta(s) for real s != 1, continued to s < 1.
+
+    Euler-Maclaurin at N = 12: sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2 +
+    sum_j B_2j/(2j)! s(s+1)...(s+2j-2) N^{1-s-2j}, the smallest terms first.
+    On (1, 8] it is within 2 ulps of the exact value, and the first omitted
+    term is below 2e-19.
+    """
+    power = _ZETA_HEAD ** -s
+    rising, scale, terms = s, power / _ZETA_HEAD, []
+    for j, c in enumerate(_EULER_MACLAURIN):
+        terms.append(c * rising * scale)
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
+        scale /= _ZETA_HEAD ** 2
+    # a plain loop: sum() compensates its additions from Python 3.12 on
+    total = 0.0
+    for term in [*reversed(terms), power / 2, *(k ** -s for k in range(_ZETA_HEAD - 1, 0, -1))]:
+        total += term
+    return total + _ZETA_HEAD ** (1.0 - s) / (s - 1.0)
+
+
 def tail_variance_bound(d: float, M: int) -> float:
     """Integral-comparison bound: sum_{j>M} (j+1)^{-2d} <= (M+1)^{1-2d} / (2d-1)."""
     return (M + 1.0) ** (1.0 - 2.0 * d) / (2.0 * d - 1.0)
@@ -327,9 +355,7 @@ def truncation_length(d: float, tail_tol: float) -> int:
         raise ValidationError(f"d={float(d)!r} <= 1/2: truncation undefined (series diverges)")
     if not (0.0 < tail_tol <= 1.0):
         raise ValidationError("tail_tol must lie in (0, 1]")
-    from scipy.special import zeta   # loaded on first use: `import longmem` stays light
-
-    budget = tail_tol * float(zeta(2.0 * d))
+    budget = tail_tol * _zeta(2.0 * d)
     if tail_variance_bound(d, 0) <= budget:
         return 0
     # closed-form start, taken in logs (the power overflows as d -> 1/2) and
@@ -351,7 +377,47 @@ def truncation_length(d: float, tail_tol: float) -> int:
 # config loading
 # ---------------------------------------------------------------------------
 
+# the keys a config may hold: per section and kind, and at the top level the
+# sections, the spec's scalars and the run keys that any command reads (the
+# bundled configs carry verify-clt's, and every command loads them)
+_CONFIG_KEYS = {
+    "": ("grid", "memory", "innovations", "tail_tol", "horizon",
+         "seed", "n", "N", "n_list", "z_star", "lags"),
+    "grid": ("linspace", "points", "weights"),
+    "memory.constant": ("kind", "values"),
+    "memory.step": ("kind", "breakpoints", "levels"),
+    "memory.table": ("kind", "values"),
+    "innovations.white": ("kind", "law", "pareto_alpha", "sigma2", "sigma"),
+    "innovations.wiener": ("kind", "law", "pareto_alpha"),
+    "innovations.custom": ("kind", "law", "pareto_alpha", "sigma_file", "sigma"),
+}
+
+
+def _refuse_unknown_keys(cfg: dict, table: str, prefix: str = "") -> None:
+    """Raise ``ValidationError`` naming the path of a key of ``cfg`` that
+    ``_CONFIG_KEYS[table]`` does not list, and the nearest key that it does:
+    no loader reads such a key, so a misspelling would run on the default."""
+    known = _CONFIG_KEYS[table]
+    for key in map(str, cfg):
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            hint = (f"did you mean '{prefix}{near[0]}'?" if near
+                    else "known keys: " + ", ".join(known))
+            raise ValidationError(f"config: unknown key '{prefix}{key}'; {hint}")
+
+
+def _kind(cfg: dict, section: str) -> str:
+    """The ``kind`` of a config section, whose keys are then checked
+    against those of that kind."""
+    kind = cfg["kind"]
+    if f"{section}.{kind}" not in _CONFIG_KEYS:
+        raise ValidationError(f"unknown {section} kind {kind!r}")
+    _refuse_unknown_keys(cfg, f"{section}.{kind}", f"{section}.")
+    return kind
+
+
 def _grid_from_dict(cfg: dict) -> SpaceGrid:
+    _refuse_unknown_keys(cfg, "grid", "grid.")
     if "linspace" in cfg:
         a, b, q = cfg["linspace"]
         points = np.linspace(float(a), float(b), _integer(q))
@@ -367,7 +433,7 @@ def _grid_from_dict(cfg: dict) -> SpaceGrid:
 
 
 def _memory_from_dict(cfg: dict, grid: SpaceGrid) -> MemoryFunction:
-    kind = cfg["kind"]
+    kind = _kind(cfg, "memory")
     if kind == "constant":
         values = np.unique(np.asarray(cfg["values"], dtype=float))
         if values.size != 1:
@@ -376,9 +442,7 @@ def _memory_from_dict(cfg: dict, grid: SpaceGrid) -> MemoryFunction:
         return MemoryFunction.constant(values[0], grid)
     if kind == "step":
         return MemoryFunction.step(cfg["breakpoints"], cfg["levels"], grid)
-    if kind == "table":
-        return MemoryFunction(np.asarray(cfg["values"], dtype=float))
-    raise ValidationError(f"unknown memory kind {kind!r}")
+    return MemoryFunction(np.asarray(cfg["values"], dtype=float))   # "table"
 
 
 def _finite_array(cfg: dict, key: str) -> np.ndarray:
@@ -395,7 +459,7 @@ def _finite_array(cfg: dict, key: str) -> np.ndarray:
 
 
 def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> InnovationModel:
-    kind = cfg["kind"]
+    kind = _kind(cfg, "innovations")
     kw = {}
     if "law" in cfg:
         kw["law"] = cfg["law"]
@@ -416,16 +480,16 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
         return InnovationModel.white(sigma2, q=grid.q, **kw)
     if kind == "wiener":
         return InnovationModel.wiener(grid.points, **kw)
-    if kind == "custom":
-        if "sigma_file" in cfg:
-            sigma = np.loadtxt(base_dir / cfg["sigma_file"], delimiter=",")
-            if not np.all(np.isfinite(sigma)):
-                raise ValidationError(f"config: invalid 'innovations.sigma_file': "
-                                      f"{cfg['sigma_file']!r} holds non-finite entries")
-        else:
-            sigma = _finite_array(cfg, "sigma")
-        return InnovationModel(sigma, **kw)
-    raise ValidationError(f"unknown innovation kind {kind!r}")
+    if "sigma_file" in cfg and "sigma" in cfg:   # "custom"
+        raise ValidationError("custom innovations take 'sigma_file' or 'sigma', not both")
+    if "sigma_file" in cfg:
+        sigma = np.loadtxt(base_dir / cfg["sigma_file"], delimiter=",")
+        if not np.all(np.isfinite(sigma)):
+            raise ValidationError(f"config: invalid 'innovations.sigma_file': "
+                                  f"{cfg['sigma_file']!r} holds non-finite entries")
+    else:
+        sigma = _finite_array(cfg, "sigma")
+    return InnovationModel(sigma, **kw)
 
 
 def _section(cfg: dict, name: str, build, *args):
@@ -479,8 +543,10 @@ def _refuse_booleans(cfg: dict, prefix: str = "") -> None:
 
 
 def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
-    """Build a ProcessSpec from a parsed JSON config dictionary; once its
-    sections build, a boolean anywhere in it, run keys included, is refused."""
+    """Build a ProcessSpec from a parsed JSON config dictionary.  A key that
+    ``_CONFIG_KEYS`` does not list is refused; once the sections build, so is
+    a boolean anywhere in it, run keys included."""
+    _refuse_unknown_keys(cfg, "")
     grid = _section(cfg, "grid", _grid_from_dict)
     memory = _section(cfg, "memory", _memory_from_dict, grid)
     innovations = _section(cfg, "innovations", _innovations_from_dict, grid, Path(base_dir))

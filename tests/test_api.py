@@ -181,11 +181,12 @@ def test_guard_sees_every_form_of_the_import(source):
     assert _module_imports(source, "scipy.integrate") == [source.count("\n") + 1]
 
 
-def test_library_never_imports_scipy_integrate():
-    # QUADPACK routes live in tests/oracles.py; the library's quadratures
-    # are series and a fixed numpy rule, so no command pays for scipy.integrate
+def test_library_never_imports_scipy():
+    # scipy is a test dependency only.  QUADPACK routes live in
+    # tests/oracles.py; the library's quadratures are series and a fixed numpy
+    # rule, and its normal CDF and zeta are in-house ports
     package = Path(lm.__file__).resolve().parent
-    found = {path.name: _module_imports(path.read_text(), "scipy.integrate")
+    found = {path.name: _module_imports(path.read_text(), "scipy")
              for path in package.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -200,16 +201,6 @@ def test_library_never_imports_scipy_integrate():
 ])
 def test_guard_sees_the_imports_that_run_on_import(source, lines):
     assert _module_imports(source, "scipy.special", on_import=True) == lines
-
-
-def test_library_loads_scipy_special_on_first_use_only():
-    # scipy.special costs a process about 25 MB and 0.3 s; only the normality
-    # statistics and the truncation window need it, so they import it inside
-    # the function that uses it, and analyze never does
-    package = Path(lm.__file__).resolve().parent
-    found = {path.name: _module_imports(path.read_text(), "scipy.special", on_import=True)
-             for path in package.glob("*.py")}
-    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @pytest.mark.parametrize("source, lines", [

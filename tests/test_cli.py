@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings, strategies as st
 
 import longmem as lm
@@ -222,12 +221,38 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, innovations={"kind": "white", "sigma2": 1.0,
                                                    "sigma": np.diag([2.0] * 4).tolist()}),
          "white innovations take 'sigma2' or 'sigma', not both"),
+        ("simulate", dict(SMALL_LONG, innovations={"kind": "custom", "sigma_file": "s.csv",
+                                                   "sigma": np.eye(4).tolist()}),
+         "custom innovations take 'sigma_file' or 'sigma', not both"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("cfg, message", [
+        (dict(SMALL_LONG, zstar=0.5), "'zstar'; did you mean 'z_star'?"),
+        (dict(SMALL_LONG, grid={"points": [0.25, 0.5, 0.75, 1.0], "wieghts": [0.25] * 4}),
+         "'grid.wieghts'; did you mean 'grid.weights'?"),
+        (dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [0.5], "level": [0.7, 0.8]}),
+         "'memory.level'; did you mean 'memory.levels'?"),
+        (dict(SMALL_LONG, memory={"kind": "constant", "values": 0.7, "levels": [0.7]}),
+         "'memory.levels'; known keys: kind, values"),
+        (dict(SMALL_LONG, innovations={"kind": "white", "sigma_2": 1.0}),
+         "'innovations.sigma_2'; did you mean 'innovations.sigma2'?"),
+        (dict(SMALL_LONG, innovations={"kind": "wiener", "pareto_alfa": 5.0}),
+         "'innovations.pareto_alfa'; did you mean 'innovations.pareto_alpha'?"),
+        (dict(SMALL_LONG, comment="x"),
+         "'comment'; known keys: grid, memory, innovations, tail_tol, horizon, seed, n, "
+         "N, n_list, z_star, lags"),
+    ])
+    def test_unknown_key_exits_2_naming_the_nearest(self, tmp_path, capsys, cfg, message):
+        # a key no loader reads would otherwise run on its default
+        for command in ("simulate", "analyze", "verify-clt"):
+            assert main([command, "--config", _write(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: config: unknown key {message}\n"
 
     @pytest.mark.parametrize("command, largest", [
         ("simulate", "the draw buffer, takes 35,808"),
@@ -280,8 +305,9 @@ class TestSimulate:
         cfg = _write(tmp_path, SMALL_LONG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
         m = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        # no output depends on scipy, so the stack is python and numpy
         assert m["software"] == {"python": platform.python_version(),
-                                 "numpy": np.__version__, "scipy": scipy.__version__}
+                                 "numpy": np.__version__}
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = _write(tmp_path, SMALL_LONG)
@@ -575,7 +601,7 @@ def _fresh_env() -> dict:
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats costs about half of the import, and no command needs it:
-    # the normality statistics are computed with numpy and scipy.special
+    # the normality statistics are computed with numpy
     env = _fresh_env()
     code = ("import sys, longmem.cli\n"
             "after_import = 'scipy.stats' in sys.modules\n"
@@ -622,44 +648,41 @@ def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
-def test_analyze_leaves_scipy_special_unloaded(tmp_path):
-    # scipy.special costs a process about 25 MB and 0.3 s, and analyze needs
-    # none of it: its one special function, log Gamma, comes from math.  The
-    # truncation window and the normality statistics import it on first use.
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only.  Its special module alone costs a
+    # process about 20 MB; the library's one normal CDF and its zeta are
+    # in-house ports, so no command loads any scipy module
     code = ("import sys, longmem.cli\n"
+            "def scipy_loaded():\n"
+            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
             "def run(command, config, out):\n"
             "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
-            "    print(command, status, 'scipy.special' in sys.modules)\n"
-            "print('import', 0, 'scipy.special' in sys.modules)\n"
+            "    print(command, status, scipy_loaded())\n"
+            "print('import', 0, scipy_loaded())\n"
+            "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
             "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n"
             "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n")
     run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
                           _config_path("clt_boundary_reference.json"), str(tmp_path)],
                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
-    lines = run.stdout.splitlines()
-    assert lines[:2] == ["import 0 False", "analyze 0 False"]
-    assert lines[2:] in (["verify-clt 0 True"], ["verify-clt 1 True"])
+    assert run.stdout.splitlines() == ["import 0 False", "simulate 0 False",
+                                       "analyze 0 False", "verify-clt 0 False"], run.stderr
     assert (tmp_path / "v" / "normality.csv").exists()
 
 
 def test_fresh_processes_write_the_same_bytes_at_any_thread_count(tmp_path):
-    # scipy.special loads lazily.  In a fresh process the truncation window
-    # loads it on the main thread, before any shard thread draws; the output
-    # bytes do not depend on the thread count either way.
-    code = ("import sys, threading\n"
-            "class FirstImport:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name == 'scipy.special':\n"
-            "            print(threading.current_thread().name)\n"
-            "sys.meta_path.insert(0, FirstImport())\n"
-            "import longmem.cli\n"
-            "sys.exit(longmem.cli.main(sys.argv[1:]))\n")
+    # no thread loads any scipy module, and the output bytes do not depend
+    # on the thread count
+    code = ("import sys, longmem.cli\n"
+            "status = longmem.cli.main(sys.argv[1:])\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "sys.exit(status)\n")
     cfg = _write(tmp_path, SMALL_LONG)
     for threads in ("1", "2"):
         run = subprocess.run([sys.executable, "-c", code, "verify-clt", "--config", cfg,
                               "--out", str(tmp_path / threads), "--threads", threads],
                              env=_fresh_env(), capture_output=True, text=True, timeout=120)
-        assert (run.returncode, run.stdout) == (0, "MainThread\n"), run.stderr
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
     names = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
     assert len(names) == 10

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import longmem as lm
-from longmem.mcverify import ROW_BLOCK_WORDS
+from longmem.mcverify import ROW_BLOCK_WORDS, _ndtr
 from longmem.simulate import (REPLICATION_BLOCK, _excess_kurtosis, _past_factor,
                               _replication_sampler, _standard_draws, innovation_block)
 from oracles import partial_sum_covariance_lagsum
@@ -366,16 +366,18 @@ class TestNormalityDiagnostics:
     @pytest.mark.parametrize("given_variances", [False, True])
     def test_statistics_equal_scipy_stats(self, law, given_variances):
         # a C-ordered array in one row block and one over several blocks (the
-        # moments are streamed), a single column and an F-ordered array (each
-        # summed pairwise by numpy, so streamed as one block)
+        # moments are streamed), a single column, an F-ordered array (streamed
+        # a column at a time) and a strided view (one block); the KS distance
+        # crosses normal CDF blocks at the larger N
         rng = np.random.default_rng(8)
         for N, q, order in ((2000, 3, "C"), (2 * (ROW_BLOCK_WORDS // 3) + 501, 3, "C"),
-                            (2000, 1, "C"), (2000, 3, "F")):
+                            (2000, 1, "C"), (2000, 3, "F"), (ROW_BLOCK_WORDS + 501, 3, "F"),
+                            (2000, 3, "strided")):
             shape = (N, q)
             x = {"gaussian": lambda: rng.standard_normal(shape) * [0.5, 1.0, 3.0][:q],
                  "pareto": lambda: rng.pareto(4.5, shape) * rng.choice([-1.0, 1.0], shape),
                  "exponential": lambda: rng.exponential(size=shape) - 0.8}[law]()
-            x = np.asarray(x, order=order)
+            x = np.hstack([x, x])[:, ::2] if order == "strided" else np.asarray(x, order=order)
             variances = rng.uniform(0.5, 2.0, q) if given_variances else None
             self._assert_equals_scipy(x, variances)
 
@@ -405,24 +407,53 @@ class TestNormalityDiagnostics:
 
     @pytest.mark.parametrize("q", [1, 4])
     def test_allocates_two_columns_beside_its_input(self, q):
-        # the moments stream two row blocks, or at q = 1 two columns; the KS
-        # distance sorts one column at a time.  The input is not written to
+        # the moments stream two row blocks of a C-ordered array, or two
+        # columns of an F-ordered one; the KS distance sorts one column at a
+        # time and takes its normal CDF a block at a time.  The input is not
+        # written to
         N = 200_000
-        x = np.random.default_rng(4).standard_normal((N, q))
-        before = x.copy()
-        lm.normality_diagnostics(x[:500])   # loads scipy.special
-        tracemalloc.start()
-        try:
-            lm.normality_diagnostics(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * N * 8 + 2 * ROW_BLOCK_WORDS * 8
-        assert np.array_equal(x, before)
+        for order in ("C", "F"):
+            x = np.asarray(np.random.default_rng(4).standard_normal((N, q)), order=order)
+            before = x.copy()
+            tracemalloc.start()
+            try:
+                lm.normality_diagnostics(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * N * 8 + 2 * ROW_BLOCK_WORDS * 8, order
+            assert np.array_equal(x, before)
 
     def test_needs_500(self):
         with pytest.raises(ValueError):
             lm.normality_diagnostics(np.zeros((100, 2)))
+
+
+def _neighbours(x: float, count: int = 20) -> list:
+    """``x`` and the ``count`` doubles on each side of it."""
+    up, down = [x], [x]
+    for _ in range(count):
+        up.append(math.nextafter(up[-1], math.inf))
+        down.append(math.nextafter(down[-1], -math.inf))
+    return up + down[1:]
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    # Gaussian points at several scales, a uniform sweep past the underflow
+    # at |a| ~ 37.5, and the branch points of Cephes' erf/erfc (|a| = 1,
+    # sqrt 2, 8 sqrt 2 and sqrt(2 MAXLOG)) with their neighbours, both signs
+    rng = np.random.default_rng(12)
+    branches = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)]
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 38.5, -38.5, 1e308, -1e308,
+             5e-324, -5e-324, *(s * v for b in branches for v in _neighbours(b)
+                               for s in (1.0, -1.0))]
+    x = np.concatenate([rng.standard_normal(250_000) * scale for scale in (1.0, 3.0, 10.0)]
+                       + [rng.uniform(-40.0, 40.0, 250_000), edges])
+    got = x.copy()
+    for lo in range(0, len(got), ROW_BLOCK_WORDS):
+        _ndtr(got[lo:lo + ROW_BLOCK_WORDS])
+    want = special.ndtr(x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestFitVarianceExponent:

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import longmem as lm
-from longmem.model import tail_variance_bound
+from longmem.model import _zeta, tail_variance_bound
 
 GRID = lm.SpaceGrid([0.25, 0.5], [0.5, 0.5])
 VALID_PARTS = {"grid": GRID, "memory": lm.MemoryFunction.constant(0.7, GRID),
@@ -250,8 +251,30 @@ class TestTruncationLength:
         ms = [lm.truncation_length(0.8, tol) for tol in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
         assert ms == sorted(ms, reverse=True)
 
+    def test_zeta_within_8_ulps_of_scipy(self):
+        # scipy's own zeta is up to 7 ulps from the exact value near s = 1
+        s = np.concatenate([np.linspace(1.0, 8.0, 20001)[1:], 1.0 + np.logspace(-12, -1, 200)])
+        want = zeta(s)
+        got = np.array([_zeta(float(v)) for v in s])
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+
+    @pytest.mark.parametrize("name, window", [
+        ("clt_boundary_reference.json", 607), ("clt_long_reference.json", 259_177),
+        ("fig1a.json", 57_171), ("fig1b.json", 57_171)])
+    def test_bundled_windows_unchanged(self, name, window):
+        # the windows of release 0.20.0, whose budget took zeta from scipy
+        assert lm.load_spec(resources.files("longmem") / "configs" / name).window == window
+
 
 class TestConfigLoading:
+    @pytest.mark.parametrize("name", ["clt_boundary_reference.json", "clt_long_reference.json",
+                                      "fig1a.json", "fig1b.json"])
+    def test_bundled_configs_hold_only_known_keys(self, name):
+        # as bundled, and with a run's own seed and N written in
+        cfg = json.loads((resources.files("longmem") / "configs" / name).read_text())
+        lm.spec_from_dict(cfg)
+        lm.spec_from_dict(dict(cfg, seed=3, N=50_000))
+
     def test_roundtrip_from_file(self, tmp_path):
         cfg = {
             "grid": {"points": [0.25, 0.5], "weights": [0.4, 0.6]},
