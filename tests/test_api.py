@@ -191,6 +191,15 @@ def test_library_never_imports_scipy():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_library_never_imports_scipy_integrate():
+    # QUADPACK routes live in tests/oracles.py; the library's quadratures
+    # are series and a fixed numpy rule, so no command pays for scipy.integrate
+    package = Path(lm.__file__).resolve().parent
+    found = {path.name: _module_imports(path.read_text(), "scipy.integrate")
+             for path in package.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 @pytest.mark.parametrize("source, lines", [
     ("import scipy.special", [1]), ("from scipy.special import zeta", [1]),
     ("from scipy import special", [1]), ("import scipy", []),
@@ -201,6 +210,15 @@ def test_library_never_imports_scipy():
 ])
 def test_guard_sees_the_imports_that_run_on_import(source, lines):
     assert _module_imports(source, "scipy.special", on_import=True) == lines
+
+
+def test_library_loads_scipy_special_on_first_use_only():
+    # scipy.special costs a process about 25 MB and 0.3 s; nothing the
+    # library runs on import may load it
+    package = Path(lm.__file__).resolve().parent
+    found = {path.name: _module_imports(path.read_text(), "scipy.special", on_import=True)
+             for path in package.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @pytest.mark.parametrize("source, lines", [
