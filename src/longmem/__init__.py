@@ -27,7 +27,6 @@ from .analytics import (
     classify_summability,
     cross_covariance_asymptotic,
     cross_covariance_matrix,
-    dominating_bound,
     l2_membership,
     limit_kernel,
     normalization_plan,
@@ -50,7 +49,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 __all__ = [
     "CoefficientTable",
@@ -68,7 +67,6 @@ __all__ = [
     "classify_summability",
     "cross_covariance_asymptotic",
     "cross_covariance_matrix",
-    "dominating_bound",
     "fit_variance_exponent",
     "generate_paths",
     "innovation_block",

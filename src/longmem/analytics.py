@@ -3,7 +3,7 @@
 Everything here is pure: exact series covariances with certified tails,
 the scale integral c(s, t) = int_0^inf x^{-d(s)} (x+1)^{-d(t)} dx and its
 closed form, asymptotic laws, regime classifiers, partial-sum coefficient
-tables, limit kernels, and dominating bounds.
+tables and limit kernels.
 """
 
 from __future__ import annotations
@@ -402,34 +402,3 @@ def normalization_plan(spec: ProcessSpec, n: int) -> np.ndarray:
             raise ValueError("boundary normalization sqrt(n) ln n needs n >= 2")
         return np.full(spec.grid.q, math.sqrt(n) * math.log(n))
     return n ** (1.5 - spec.memory.values)
-
-
-@functools.lru_cache(maxsize=1)
-def _boundary_variance_constant() -> float:
-    """Empirical sup over n of Var(S_n)/(sigma^2 n ln^2 n) at d = 1, times 1.05.
-
-    The boundary dominating bound is stated with an unspecified positive
-    constant; the normalized variance sequence is largest at small n, so
-    the supremum over a dense-then-dyadic ladder is a faithful stand-in.
-    """
-    ns = list(range(2, 65)) + [2 ** k for k in range(7, 17)]
-    sup = max(partial_sum_covariance_series(1.0, 1.0, n)[0] / (n * math.log(n) ** 2)
-              for n in ns)
-    return 1.05 * sup
-
-
-def dominating_bound(d: float, sigma2: float) -> float:
-    """Integrable bound dominating Var(S_n(t))/b_n(t)^2 for every n >= 1.
-
-    Power regime: sigma^2 [1 + 1/(2d-1)] + sigma^2 c(d,d)/((1-d)(3-2d)).
-    Boundary regime (d = 1): C sigma^2 with the empirical constant.
-    """
-    if sigma2 == 0.0:
-        return 0.0
-    if d == 1.0:
-        return _boundary_variance_constant() * sigma2
-    if 0.5 < d < 1.0:
-        c = scale_integral_closed_form(d, d)
-        return sigma2 * (1.0 + 1.0 / (2.0 * d - 1.0)) \
-            + sigma2 * c / ((1.0 - d) * (3.0 - 2.0 * d))
-    raise RegimeError(f"dominating bound stated for 1/2 < d < 1 or d = 1; got d={d:g}")

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import (TailBudgetError, ValidationError, _config_value, _integer,
-                    spec_from_dict)
+from .model import TailBudgetError, ValidationError, _read_config
 from .analytics import (
     RegimeError,
     classify_summability,
@@ -53,37 +52,37 @@ def _override(flag: str, value, name: str, cast):
         raise ValidationError(f"{flag} / {ENV_PREFIX}{name}: invalid value {raw!r}") from None
 
 
-def _resolve(args, cfg):
-    """Flag > environment > config file > default, for the shared knobs."""
-    seed = _override("--seed", args.seed, "SEED", _integer)
-    seed = _config_value(cfg, "seed", 0, _integer) if seed is None else seed
-    if seed < 0:
-        raise ValueError(f"--seed / {ENV_PREFIX}SEED / config 'seed' must be non-negative; "
-                         f"got {seed}")
+def _resolve(args):
+    """Flag > environment, for the shared knobs; ``seed`` and ``tail_tol``
+    are None when neither is given (the config file or a default decides)."""
+    seed = _override("--seed", args.seed, "SEED", int)
     out = Path(_override("--out", args.out, "OUT", str) or ".")
-    threads = _override("--threads", args.threads, "THREADS", _integer)
+    threads = _override("--threads", args.threads, "THREADS", int)
     threads = 1 if threads is None else threads
     if threads < 1:
         raise ValueError(f"--threads / {ENV_PREFIX}THREADS must be at least 1; got {threads}")
     return seed, out, threads, _override("--tail-tol", args.tail_tol, "TAIL_TOL", float)
 
 
-def _int_list(values) -> list:
-    return [_integer(v) for v in values]
-
-
 def _load(args):
+    """The raw config (for the manifest), its top level as read (the run
+    keys), the spec, and the shared knobs: flag > environment > config
+    file > default."""
     cfg_path = Path(args.config)
     with cfg_path.open() as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError("config: the top level must be a JSON object")
-    seed, out, threads, tail_tol = _resolve(args, cfg)
+    seed, out, threads, tail_tol = _resolve(args)
     if tail_tol is not None:
         cfg = dict(cfg, tail_tol=tail_tol)
-    spec = spec_from_dict(cfg, base_dir=cfg_path.parent)
+    spec, run = _read_config(cfg, base_dir=cfg_path.parent)
+    seed = run.get("seed", 0) if seed is None else seed
+    if seed < 0:
+        raise ValueError(f"--seed / {ENV_PREFIX}SEED / config 'seed' must be non-negative; "
+                         f"got {seed}")
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, spec, seed, out, threads
+    return cfg, run, spec, seed, out, threads
 
 
 def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None):
@@ -103,7 +102,7 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
 
 
 def cmd_simulate(args) -> int:
-    cfg, spec, seed, out, _ = _load(args)
+    cfg, _, spec, seed, out, _ = _load(args)
     values, tail_var = generate_paths(spec, spec.horizon, seed)
     io.write_table_csv(out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
                        [np.arange(1, len(values) + 1), *values.T])
@@ -147,10 +146,10 @@ def _asymptotic(spec, h: int):
 
 
 def cmd_analyze(args) -> int:
-    cfg, spec, seed, out, _ = _load(args)
+    cfg, run, spec, seed, out, _ = _load(args)
     pts = spec.grid.points
     q = spec.grid.q
-    lags = _config_value(cfg, "lags", [0, 1, 10, 100], _int_list)
+    lags = run.get("lags", [0, 1, 10, 100])
     u, idx = spec.memory.distinct
     # one row per grid pair (i, j), j fastest; per-pair fields are looked up
     # by the pair's distinct exponents
@@ -195,11 +194,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_clt(args) -> int:
-    cfg, spec, seed, out, threads = _load(args)
-    n = _config_value(cfg, "n", spec.horizon, _integer)
-    N = _config_value(cfg, "N", MIN_NORMALITY_N, _integer)
-    n_list = _config_value(cfg, "n_list", [256, 512, 1024, 2048, 4096], _int_list)
-    z_star = _config_value(cfg, "z_star", DEFAULT_Z_STAR, float)
+    cfg, run, spec, seed, out, threads = _load(args)
+    n = run.get("n", spec.horizon)
+    N = run.get("N", MIN_NORMALITY_N)
+    n_list = run.get("n_list", [256, 512, 1024, 2048, 4096])
+    z_star = run.get("z_star", DEFAULT_Z_STAR)
 
     # everything that can reject the input runs before the Monte Carlo run
     fit = fit_variance_exponent(spec, n_list)

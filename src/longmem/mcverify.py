@@ -204,18 +204,17 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     if N < MIN_NORMALITY_N:
         raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
 
-    # the central moment sums, streamed in blocks.  numpy sums axis 0 of a
-    # C-contiguous array with q > 1 row after row, so a row block whose first
-    # row takes the running sums continues that order bit for bit.  It sums a
-    # contiguous column pairwise, so an F-ordered array streams one column at
-    # a time; any other layout is one block
-    if q > 1 and samples.flags.c_contiguous:
+    # the central moment sums, streamed in blocks.  x - mean keeps the stride
+    # order of x.  numpy sums axis 0 of a row-major array with q > 1 (C order,
+    # or a view whose rows lie farther apart than its columns) row after row,
+    # so a row block whose first row takes the running sums continues that
+    # order bit for bit.  It sums a column pairwise, so any other array
+    # streams one column at a time
+    if q > 1 and abs(samples.strides[0]) >= abs(samples.strides[1]):
         step = max(1, ROW_BLOCK_WORDS // q)
         blocks = [np.s_[lo:lo + step, :] for lo in range(0, N, step)]
-    elif samples.flags.f_contiguous:
-        blocks = [np.s_[:, j:j + 1] for j in range(q)]
     else:
-        blocks = [np.s_[:, :]]
+        blocks = [np.s_[:, j:j + 1] for j in range(q)]
     mean = samples.mean(axis=0)
     sums = np.zeros((3, q))
     for rows, cols in blocks:

@@ -165,6 +165,8 @@ class InnovationModel:
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValidationError(f"innovation covariance must be a square matrix; "
                                   f"got shape {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise ValidationError("innovation covariance must be finite")
         object.__setattr__(self, "sigma", _readonly(sigma))
         # indefinite matrices are left unfactorized so that a ProcessSpec
         # built on them reports them; sampling from such a model is fatal
@@ -377,131 +379,150 @@ def truncation_length(d: float, tail_tol: float) -> int:
 # config loading
 # ---------------------------------------------------------------------------
 
-# the keys a config may hold: per section and kind, and at the top level the
-# sections, the spec's scalars and the run keys that any command reads (the
-# bundled configs carry verify-clt's, and every command loads them)
+def _integer(value) -> int:
+    """A JSON integer, refusing a bool, a string and a non-integral float
+    instead of reading them as 1 or 0, parsing or truncating them."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _integers(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return [_integer(v) for v in value]
+
+
+def _real(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _holds(value, types) -> bool:
+    return isinstance(value, types) or isinstance(value, list) and any(
+        _holds(v, types) for v in value)
+
+
+def _reals(value) -> np.ndarray:
+    """A number or a nested list of numbers as a float array, refusing null,
+    strings and bools, which numpy would read as NaN, parse or read as 1 or 0."""
+    if _holds(value, (bool, str, type(None))):
+        raise TypeError(f"{value!r} is not an array of numbers")
+    return np.asarray(value, dtype=float)
+
+
+def _linspace(value) -> np.ndarray:
+    a, b, q = value
+    return np.linspace(_real(a), _real(b), _integer(q))
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+# every key a config may hold, with its caster: per section and kind, and at
+# the top level the sections (read by kind), the spec's scalars and the run
+# keys that any command reads (the bundled configs carry verify-clt's, and
+# every command loads them)
 _CONFIG_KEYS = {
-    "": ("grid", "memory", "innovations", "tail_tol", "horizon",
-         "seed", "n", "N", "n_list", "z_star", "lags"),
-    "grid": ("linspace", "points", "weights"),
-    "memory.constant": ("kind", "values"),
-    "memory.step": ("kind", "breakpoints", "levels"),
-    "memory.table": ("kind", "values"),
-    "innovations.white": ("kind", "law", "pareto_alpha", "sigma2", "sigma"),
-    "innovations.wiener": ("kind", "law", "pareto_alpha"),
-    "innovations.custom": ("kind", "law", "pareto_alpha", "sigma_file", "sigma"),
+    "": {"grid": dict, "memory": dict, "innovations": dict, "tail_tol": _real,
+         "horizon": _integer, "seed": _integer, "n": _integer, "N": _integer,
+         "n_list": _integers, "z_star": _real, "lags": _integers},
+    "grid": {"linspace": _linspace, "points": _reals, "weights": _reals},
+    "memory.constant": {"kind": _text, "values": _reals},
+    "memory.step": {"kind": _text, "breakpoints": _reals, "levels": _reals},
+    "memory.table": {"kind": _text, "values": _reals},
+    "innovations.white": {"kind": _text, "law": _text, "pareto_alpha": _real,
+                          "sigma2": _reals, "sigma": _reals},
+    "innovations.wiener": {"kind": _text, "law": _text, "pareto_alpha": _real},
+    "innovations.custom": {"kind": _text, "law": _text, "pareto_alpha": _real,
+                           "sigma_file": _text, "sigma": _reals},
 }
 
 
-def _refuse_unknown_keys(cfg: dict, table: str, prefix: str = "") -> None:
-    """Raise ``ValidationError`` naming the path of a key of ``cfg`` that
-    ``_CONFIG_KEYS[table]`` does not list, and the nearest key that it does:
-    no loader reads such a key, so a misspelling would run on the default."""
-    known = _CONFIG_KEYS[table]
+def _cast(cast, value, path: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"config: invalid '{path}': {value!r}") from None
+
+
+def _read(cfg: dict, table: dict, prefix: str = "") -> dict:
+    """``cfg`` with every value cast by the caster ``table`` gives its key.
+    A key that ``table`` does not list is refused, naming its path and the
+    nearest key that it does (no loader reads it, so a misspelling would run
+    on the default); so is a value its caster refuses.  A section (``dict``)
+    is left to ``_section``, which reads it by the table of its kind."""
     for key in map(str, cfg):
-        if key not in known:
-            near = difflib.get_close_matches(key, known, n=1)
+        if key not in table:
+            near = difflib.get_close_matches(key, table, n=1)
             hint = (f"did you mean '{prefix}{near[0]}'?" if near
-                    else "known keys: " + ", ".join(known))
+                    else "known keys: " + ", ".join(table))
             raise ValidationError(f"config: unknown key '{prefix}{key}'; {hint}")
-
-
-def _kind(cfg: dict, section: str) -> str:
-    """The ``kind`` of a config section, whose keys are then checked
-    against those of that kind."""
-    kind = cfg["kind"]
-    if f"{section}.{kind}" not in _CONFIG_KEYS:
-        raise ValidationError(f"unknown {section} kind {kind!r}")
-    _refuse_unknown_keys(cfg, f"{section}.{kind}", f"{section}.")
-    return kind
+    return {key: value if table[key] is dict else _cast(table[key], value, prefix + key)
+            for key, value in cfg.items()}
 
 
 def _grid_from_dict(cfg: dict) -> SpaceGrid:
-    _refuse_unknown_keys(cfg, "grid", "grid.")
-    if "linspace" in cfg:
-        a, b, q = cfg["linspace"]
-        points = np.linspace(float(a), float(b), _integer(q))
-    else:
-        points = np.asarray(cfg["points"], dtype=float)
-    if "weights" in cfg and cfg["weights"] is not None:
-        weights = np.asarray(cfg["weights"], dtype=float)
-    else:
-        # default: uniform probability weights (the measure is a config choice);
-        # an empty grid gets no weights, and SpaceGrid refuses it
-        weights = np.full(len(points), 1.0 / max(len(points), 1))
-    return SpaceGrid(points, weights)
+    points = cfg["linspace"] if "linspace" in cfg else cfg["points"]
+    if "weights" in cfg:
+        return SpaceGrid(points, cfg["weights"])
+    # default: uniform probability weights (the measure is a config choice);
+    # an empty grid gets no weights, and SpaceGrid refuses it
+    return SpaceGrid(points, np.full(len(points), 1.0 / max(len(points), 1)))
 
 
 def _memory_from_dict(cfg: dict, grid: SpaceGrid) -> MemoryFunction:
-    kind = _kind(cfg, "memory")
-    if kind == "constant":
-        values = np.unique(np.asarray(cfg["values"], dtype=float))
+    if cfg["kind"] == "constant":
+        values = np.unique(cfg["values"])
         if values.size != 1:
             raise ValidationError(f"constant memory needs one exponent; got "
                                   f"{values.size} distinct values")
         return MemoryFunction.constant(values[0], grid)
-    if kind == "step":
+    if cfg["kind"] == "step":
         return MemoryFunction.step(cfg["breakpoints"], cfg["levels"], grid)
-    return MemoryFunction(np.asarray(cfg["values"], dtype=float))   # "table"
-
-
-def _finite_array(cfg: dict, key: str) -> np.ndarray:
-    """``cfg[key]`` as a float array; null, non-numeric or non-finite
-    entries raise ``ValidationError`` naming ``innovations.<key>``."""
-    try:
-        values = np.asarray(cfg[key], dtype=float)
-        finite = bool(np.all(np.isfinite(values)))
-    except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise ValidationError(f"config: invalid 'innovations.{key}': {cfg[key]!r}")
-    return values
+    return MemoryFunction(cfg["values"])   # "table"
 
 
 def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> InnovationModel:
-    kind = _kind(cfg, "innovations")
-    kw = {}
-    if "law" in cfg:
-        kw["law"] = cfg["law"]
-    if "pareto_alpha" in cfg:
-        kw["pareto_alpha"] = float(cfg["pareto_alpha"])
-    if kind == "white":
+    kw = {key: cfg[key] for key in ("law", "pareto_alpha") if key in cfg}
+    if cfg["kind"] == "white":
         if "sigma2" in cfg and "sigma" in cfg:
             raise ValidationError("white innovations take 'sigma2' or 'sigma', not both")
-        if "sigma2" in cfg:
-            sigma2 = _finite_array(cfg, "sigma2")
-        elif "sigma" in cfg:
-            sigma = np.atleast_2d(_finite_array(cfg, "sigma"))
+        sigma2 = cfg.get("sigma2", 1.0)
+        if "sigma" in cfg:
+            sigma = np.atleast_2d(cfg["sigma"])
             sigma2 = np.diagonal(sigma)
             if sigma.shape != (sigma2.size,) * 2 or np.any(sigma != np.diag(sigma2)):
                 raise ValidationError("white innovations need a square diagonal sigma")
-        else:
-            sigma2 = 1.0
         return InnovationModel.white(sigma2, q=grid.q, **kw)
-    if kind == "wiener":
+    if cfg["kind"] == "wiener":
         return InnovationModel.wiener(grid.points, **kw)
     if "sigma_file" in cfg and "sigma" in cfg:   # "custom"
         raise ValidationError("custom innovations take 'sigma_file' or 'sigma', not both")
     if "sigma_file" in cfg:
-        sigma = np.loadtxt(base_dir / cfg["sigma_file"], delimiter=",")
-        if not np.all(np.isfinite(sigma)):
-            raise ValidationError(f"config: invalid 'innovations.sigma_file': "
-                                  f"{cfg['sigma_file']!r} holds non-finite entries")
-    else:
-        sigma = _finite_array(cfg, "sigma")
-    return InnovationModel(sigma, **kw)
+        return InnovationModel(np.loadtxt(base_dir / cfg["sigma_file"], delimiter=","), **kw)
+    return InnovationModel(cfg["sigma"], **kw)
 
 
 def _section(cfg: dict, name: str, build, *args):
-    """``build(cfg[name], *args)``; a missing key, a section that is not a
-    JSON object or a value of the wrong type in it, or one that does not
-    convert, raises ``ValidationError`` naming the section."""
+    """``build`` of section ``name`` of ``cfg``, read by the table of its
+    kind; a missing key, an unknown kind, a section that is not a JSON
+    object or one that does not build raises ``ValidationError`` naming the
+    section."""
     if name not in cfg:
         raise ValidationError(f"config: missing key {name!r}")
-    if not isinstance(cfg[name], dict):
+    section = cfg[name]
+    if not isinstance(section, dict):
         raise ValidationError(f"config: {name!r} must be a JSON object")
     try:
-        return build(cfg[name], *args)
+        table = name if name in _CONFIG_KEYS else f"{name}.{section['kind']}"
+        if table not in _CONFIG_KEYS:
+            raise ValidationError(f"config: invalid '{name}.kind': {section['kind']!r}")
+        return build(_read(section, _CONFIG_KEYS[table], f"{name}."), *args)
     except KeyError as exc:
         raise ValidationError(f"{name}: missing key {exc.args[0]!r}") from None
     except ValidationError:
@@ -510,54 +531,23 @@ def _section(cfg: dict, name: str, build, *args):
         raise ValidationError(f"{name}: {exc}") from None
 
 
-def _config_value(cfg: dict, name: str, default, cast):
-    """``cast(cfg.get(name, default))``; a value ``cast`` cannot convert
-    raises ``ValidationError`` naming the key."""
-    value = cfg.get(name, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"config: invalid {name!r}: {value!r}") from None
-
-
-def _integer(value) -> int:
-    """``int(value)``, refusing a non-integral float instead of truncating it,
-    and a bool (JSON ``true``/``false``) instead of reading it as 1 or 0."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
-
-
-def _refuse_booleans(cfg: dict, prefix: str = "") -> None:
-    """Raise ``ValidationError`` naming the key path of a JSON ``true`` or
-    ``false`` at any depth: no config key takes one, and Python reads it as 1 or 0."""
-    for key, value in cfg.items():
-        if isinstance(value, dict):
-            _refuse_booleans(value, f"{prefix}{key}.")
-        elif _holds_bool(value):
-            raise ValidationError(f"config: invalid '{prefix}{key}': {value!r}")
+def _read_config(cfg: dict, base_dir: Path | str = ".") -> tuple[ProcessSpec, dict]:
+    """The spec a parsed JSON config describes, and its top level with every
+    value read by ``_CONFIG_KEYS``: the run keys, for the commands."""
+    run = _read(cfg, _CONFIG_KEYS[""])
+    grid = _section(run, "grid", _grid_from_dict)
+    memory = _section(run, "memory", _memory_from_dict, grid)
+    innovations = _section(run, "innovations", _innovations_from_dict, grid, Path(base_dir))
+    return ProcessSpec(grid=grid, memory=memory, innovations=innovations,
+                       tail_tol=run.get("tail_tol", DEFAULT_TAIL_TOL),
+                       horizon=run.get("horizon", 1)), run
 
 
 def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
-    """Build a ProcessSpec from a parsed JSON config dictionary.  A key that
-    ``_CONFIG_KEYS`` does not list is refused; once the sections build, so is
-    a boolean anywhere in it, run keys included."""
-    _refuse_unknown_keys(cfg, "")
-    grid = _section(cfg, "grid", _grid_from_dict)
-    memory = _section(cfg, "memory", _memory_from_dict, grid)
-    innovations = _section(cfg, "innovations", _innovations_from_dict, grid, Path(base_dir))
-    _refuse_booleans(cfg)
-    return ProcessSpec(
-        grid=grid,
-        memory=memory,
-        innovations=innovations,
-        tail_tol=_config_value(cfg, "tail_tol", DEFAULT_TAIL_TOL, float),
-        horizon=_config_value(cfg, "horizon", 1, _integer),
-    )
+    """Build a ProcessSpec from a parsed JSON config dictionary.  Every key,
+    run keys included, is read by its caster in ``_CONFIG_KEYS``, and a key
+    that it does not list is refused."""
+    return _read_config(cfg, base_dir)[0]
 
 
 def load_spec(path: Path | str) -> ProcessSpec:

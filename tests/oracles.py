@@ -11,13 +11,16 @@ library sums as a binomial series, and ``scale_integral_quad`` the QUADPACK
 route to the scale integral, which the library evaluates on a fixed
 tanh-sinh rule.  ``scale_integral_upper_bound`` and
 ``partial_sums_direct`` are closed-form and direct routes that only the
-tests call.  ``partial_sum_covariance_asymptotic`` is the pointwise form of
-the library's limit law ``limit_kernel(spec) * np.outer(b, b)``.
+tests call, and ``dominating_bound`` the integrable bound on the normalized
+partial-sum variance that A7 checks.  ``partial_sum_covariance_asymptotic``
+is the pointwise form of the library's limit law
+``limit_kernel(spec) * np.outer(b, b)``.
 ``write_table_csv_rows`` writes a table row by row, formatting every field,
 where ``io.write_table_csv`` takes columns and formats each distinct value
 once.
 """
 
+import functools
 import math
 import re
 import warnings
@@ -27,7 +30,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from longmem.analytics import (RegimeError, _check_scale_regime, _lag_series,
-                               partial_sum_weights, scale_integral_closed_form)
+                               partial_sum_covariance_series, partial_sum_weights,
+                               scale_integral_closed_form)
 from longmem.io import FLOAT_FMT
 
 QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -164,6 +168,37 @@ def scale_integral_upper_bound(d: float) -> float:
     if not (0.5 < d < 1.0):
         raise RegimeError(f"upper bound stated for 1/2 < d < 1; got d={d:g}")
     return 1.0 / (1.0 - d) + 1.0 / (2.0 * d - 1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _boundary_variance_constant() -> float:
+    """Empirical sup over n of Var(S_n)/(sigma^2 n ln^2 n) at d = 1, times 1.05.
+
+    The boundary dominating bound is stated with an unspecified positive
+    constant; the normalized variance sequence is largest at small n, so
+    the supremum over a dense-then-dyadic ladder is a faithful stand-in.
+    """
+    ns = list(range(2, 65)) + [2 ** k for k in range(7, 17)]
+    sup = max(partial_sum_covariance_series(1.0, 1.0, n)[0] / (n * math.log(n) ** 2)
+              for n in ns)
+    return 1.05 * sup
+
+
+def dominating_bound(d: float, sigma2: float) -> float:
+    """Integrable bound dominating Var(S_n(t))/b_n(t)^2 for every n >= 1.
+
+    Power regime: sigma^2 [1 + 1/(2d-1)] + sigma^2 c(d,d)/((1-d)(3-2d)).
+    Boundary regime (d = 1): C sigma^2 with the empirical constant.
+    """
+    if sigma2 == 0.0:
+        return 0.0
+    if d == 1.0:
+        return _boundary_variance_constant() * sigma2
+    if 0.5 < d < 1.0:
+        c = scale_integral_closed_form(d, d)
+        return sigma2 * (1.0 + 1.0 / (2.0 * d - 1.0)) \
+            + sigma2 * c / ((1.0 - d) * (3.0 - 2.0 * d))
+    raise RegimeError(f"dominating bound stated for 1/2 < d < 1 or d = 1; got d={d:g}")
 
 
 def partial_sums_direct(values: np.ndarray) -> np.ndarray:

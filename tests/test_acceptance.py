@@ -16,8 +16,8 @@ import pytest
 import longmem as lm
 from longmem.analytics import _prefix_powers
 from longmem.cli import main as cli_main
-from oracles import (partial_sum_covariance_lagsum, partial_sums_direct,
-                     scale_integral_upper_bound)
+from oracles import (dominating_bound, partial_sum_covariance_lagsum,
+                     partial_sums_direct, scale_integral_upper_bound)
 
 
 def _report(name, ok, detail=""):
@@ -210,7 +210,7 @@ def test_A7_bounds():
         ok &= lm.scale_integral(float(d), float(d)) \
             <= scale_integral_upper_bound(float(d))
     for d in (0.6, 0.75, 0.9):
-        bound = lm.dominating_bound(d, 1.0)
+        bound = dominating_bound(d, 1.0)
         for n in range(1, 4097):
             v, _ = lm.partial_sum_covariance_series(d, d, n, past_terms=max(1024, 4 * n))
             if v / n ** (3 - 2 * d) > bound:

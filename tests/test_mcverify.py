@@ -367,8 +367,8 @@ class TestNormalityDiagnostics:
     def test_statistics_equal_scipy_stats(self, law, given_variances):
         # a C-ordered array in one row block and one over several blocks (the
         # moments are streamed), a single column, an F-ordered array (streamed
-        # a column at a time) and a strided view (one block); the KS distance
-        # crosses normal CDF blocks at the larger N
+        # a column at a time) and a strided view (streamed by rows); the KS
+        # distance crosses normal CDF blocks at the larger N
         rng = np.random.default_rng(8)
         for N, q, order in ((2000, 3, "C"), (2 * (ROW_BLOCK_WORDS // 3) + 501, 3, "C"),
                             (2000, 1, "C"), (2000, 3, "F"), (ROW_BLOCK_WORDS + 501, 3, "F"),
@@ -407,13 +407,15 @@ class TestNormalityDiagnostics:
 
     @pytest.mark.parametrize("q", [1, 4])
     def test_allocates_two_columns_beside_its_input(self, q):
-        # the moments stream two row blocks of a C-ordered array, or two
-        # columns of an F-ordered one; the KS distance sorts one column at a
-        # time and takes its normal CDF a block at a time.  The input is not
-        # written to
+        # the moments stream two row blocks of a C-ordered array or of a
+        # column slice of one, or two columns of an F-ordered one; the KS
+        # distance sorts one column at a time and takes its normal CDF a
+        # block at a time.  The input is not written to
         N = 200_000
-        for order in ("C", "F"):
-            x = np.asarray(np.random.default_rng(4).standard_normal((N, q)), order=order)
+        for order in ("C", "F", "column slice"):
+            x = np.random.default_rng(4).standard_normal((N, 2 * q if order == "column slice"
+                                                          else q))
+            x = x[:, :q] if order == "column slice" else np.asarray(x, order=order)
             before = x.copy()
             tracemalloc.start()
             try:

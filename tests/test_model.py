@@ -22,27 +22,35 @@ HASH_CONFIG = {"grid": {"points": [0.25, 0.5], "weights": [0.4, 0.6]},
                "memory": {"kind": "constant", "values": 0.7},
                "innovations": {"kind": "white", "sigma2": [1.0, 2.0]},
                "tail_tol": 0.05, "horizon": 16}
-# one case per message of the checks a spec runs when it is built: the parts
-# that violate it and, where a config reaches that check, the config section
+# one case per message of the checks a spec runs when it is built: a function
+# building the parts that violate it (a part may refuse itself) and, where a
+# config reaches that check, the config section
 VIOLATIONS = [
     ("memory field has 3 values for 2 grid points",
-     {"memory": lm.MemoryFunction([0.7, 0.7, 0.7])},
+     lambda: {"memory": lm.MemoryFunction([0.7, 0.7, 0.7])},
      {"memory": {"kind": "table", "values": [0.7, 0.7, 0.7]}}),
     ("innovation covariance is 3x3 for 2 grid points",
-     {"innovations": lm.InnovationModel.white(1.0, q=3)},
+     lambda: {"innovations": lm.InnovationModel.white(1.0, q=3)},
      {"innovations": {"kind": "custom", "sigma": np.eye(3).tolist()}}),
     (r"d\(t\)=0.5 <= 1/2 at grid point t=0.5 \(index 1\)",
-     {"memory": lm.MemoryFunction([0.7, 0.5])},
+     lambda: {"memory": lm.MemoryFunction([0.7, 0.5])},
      {"memory": {"kind": "table", "values": [0.7, 0.5]}}),
     ("innovation covariance is not symmetric",
-     {"innovations": lm.InnovationModel([[1.0, 0.5], [0.4, 1.0]])},
+     lambda: {"innovations": lm.InnovationModel([[1.0, 0.5], [0.4, 1.0]])},
      {"innovations": {"kind": "custom", "sigma": [[1.0, 0.5], [0.4, 1.0]]}}),
     (r"not positive semidefinite \(min eigenvalue -1.000e\+00\)",
-     {"innovations": lm.InnovationModel(NON_PSD)},
+     lambda: {"innovations": lm.InnovationModel(NON_PSD)},
      {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
     (r"violates \|sigma\(s,t\)\| <= sqrt\(sigma2\(s\) sigma2\(t\)\)",
-     {"innovations": lm.InnovationModel(NON_PSD)},
+     lambda: {"innovations": lm.InnovationModel(NON_PSD)},
      {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
+    # refused by the innovation model itself, like a non-finite grid or exponent
+    ("innovation covariance must be finite",
+     lambda: {"innovations": lm.InnovationModel([[math.inf, 0.0], [0.0, 1.0]])},
+     {"innovations": {"kind": "custom", "sigma": [[math.inf, 0.0], [0.0, 1.0]]}}),
+    ("innovation covariance must be finite",
+     lambda: {"innovations": lm.InnovationModel([[1.0, math.nan], [math.nan, 1.0]])},
+     {"innovations": {"kind": "custom", "sigma": [[1.0, math.nan], [math.nan, 1.0]]}}),
 ]
 
 
@@ -182,15 +190,17 @@ class TestValidate:
     @pytest.mark.parametrize("message, parts, section", VIOLATIONS)
     def test_every_check_raises_on_each_route_to_a_spec(self, message, parts, section):
         with pytest.raises(lm.ValidationError, match=message):
-            lm.ProcessSpec(**dict(VALID_PARTS, **parts))
+            lm.ProcessSpec(**dict(VALID_PARTS, **parts()))
         with pytest.raises(lm.ValidationError, match=message):
-            dataclasses.replace(lm.ProcessSpec(**VALID_PARTS), **parts)
+            dataclasses.replace(lm.ProcessSpec(**VALID_PARTS), **parts())
         if section is not None:
             with pytest.raises(lm.ValidationError, match=message):
                 lm.spec_from_dict(dict(VALID_CONFIG, **section))
 
     def test_violation_cases_cover_every_check(self):
-        assert inspect.getsource(lm.model._check).count("fatal.append(") == len(VIOLATIONS)
+        # each message of _check, and the innovation model's own finiteness
+        # check on an infinite and on a NaN entry
+        assert inspect.getsource(lm.model._check).count("fatal.append(") + 2 == len(VIOLATIONS)
 
     def test_spec_has_no_later_check(self):
         # a spec is checked when it is built, so it offers no method that
