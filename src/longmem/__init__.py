@@ -22,7 +22,6 @@ from .model import (
     validate,
 )
 from .analytics import (
-    CoefficientTable,
     RegimeError,
     classify_summability,
     cross_covariance_asymptotic,
@@ -49,10 +48,9 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
-    "CoefficientTable",
     "CovarianceReport",
     "ExponentFit",
     "InnovationModel",

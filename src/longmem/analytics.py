@@ -251,34 +251,8 @@ def l2_membership(spec: ProcessSpec) -> L2Report:
 
 
 # ---------------------------------------------------------------------------
-# partial-sum coefficient tables
+# partial-sum weights
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class CoefficientTable:
-    """Weights z_{n,j} of innovation eps_j in the partial sum S_n(t).
-
-    They depend on t only through d(t): rows are the distinct exponents of
-    ``spec.memory.distinct``, grid point i reads row ``idx[i]``, and the
-    truncated covariance of S_n is ``sigma * (z @ z.T)[np.ix_(idx, idx)]``.
-    The n + window columns are j = 1 - window .. n, so j sits in column
-    j + window - 1.  Weights are those of the window-M truncated model
-    (M = ``window``), so they coincide with the two defining formulas
-
-        z_{n,j} = sum_{k=1}^{n-j+1} k^{-d}          (2 <= j <= n)
-        z_{n,j} = sum_{k=1}^{n} (k-j+1)^{-d}        (j < 2)
-
-    wherever the window does not bite.  ``tail_var`` certifies, per grid
-    point, an upper bound on the variance the truncation discarded relative
-    to the untruncated model: the untruncated series plus its certified
-    error, minus the table's variance.
-    """
-
-    n: int
-    window: int
-    z: np.ndarray
-    tail_var: np.ndarray
-
 
 def _prefix_powers(d: float, m: int) -> np.ndarray:
     """P with P[k] = sum_{i=1}^{k} i^{-d}, k = 0..m."""
@@ -302,21 +276,26 @@ def _windowed_weights(d: float, n: int, M: int) -> np.ndarray:
 
 
 def partial_sum_weights(spec: ProcessSpec, n: int,
-                        window: int | None = None) -> CoefficientTable:
-    """Build the coefficient table of S_n, one row per distinct exponent.
+                        window: int | None = None) -> np.ndarray:
+    """Weights z_{n,j} of eps_j in the partial sum S_n(t), a (nu, n + M) array.
 
-    ``window`` defaults to the spec's truncation window, the one the
-    simulator uses, so that the independent-summands identity is exact.
+    They depend on t only through d(t): rows are the distinct exponents of
+    ``spec.memory.distinct``, grid point i reads row ``idx[i]``, and the
+    truncated covariance of S_n is ``sigma * (z @ z.T)[np.ix_(idx, idx)]``.
+    Columns are j = 1 - M .. n, so j sits in column j + M - 1.  M is
+    ``window``, by default the spec's, which the simulator uses, so that the
+    independent-summands identity is exact.  The weights coincide with the
+    two defining formulas
+
+        z_{n,j} = sum_{k=1}^{n-j+1} k^{-d}          (2 <= j <= n)
+        z_{n,j} = sum_{k=1}^{n} (k-j+1)^{-d}        (j < 2)
+
+    wherever the window does not bite.
     """
     if n < 2:
         raise ValueError("coefficient table defined for n >= 2")
     M = spec.window if window is None else window
-    u, idx = spec.memory.distinct
-    z = np.stack([_windowed_weights(float(d), n, M) for d in u])
-    series = [partial_sum_covariance_series(float(d), float(d), n) for d in u]
-    tail_var = np.array([value + bound for value, bound in series]) - np.sum(z ** 2, axis=1)
-    return CoefficientTable(n=n, window=int(M), z=z,
-                            tail_var=spec.innovations.sigma2 * tail_var[idx])
+    return np.stack([_windowed_weights(float(d), n, M) for d in spec.memory.distinct[0]])
 
 
 # ---------------------------------------------------------------------------

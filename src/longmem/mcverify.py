@@ -121,14 +121,14 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
                          * _words_per_index(spec.q) * 8)})
     b = normalization_plan(spec, n)
     K = limit_kernel(spec)
-    table = partial_sum_weights(spec, n)
-    _, idx = spec.memory.distinct   # the table's rows are the distinct exponents
+    z = partial_sum_weights(spec, n)
+    u, idx = spec.memory.distinct   # the rows of z are the distinct exponents u
     pair = np.ix_(idx, idx)
-    finite = model.sigma * (table.z @ table.z.T)[pair] / np.outer(b, b)
+    finite = model.sigma * (z @ z.T)[pair] / np.outer(b, b)
 
     # the shards write the partial sums into one array, normalized in place:
     # the (N, q) samples are the run's only N-sized array
-    sample, _ = _replication_sampler(spec, table, seed)
+    sample = _replication_sampler(spec, z, seed)
     samples = np.empty((N, spec.q))
     bounds = [(N * s) // shards for s in range(shards + 1)]
     if shards == 1:
@@ -149,7 +149,7 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     # Var(S_i S_j) = C_ii C_jj + C_ij^2 + the fourth cumulant of draws of
     # excess kurtosis kappa through the factor F: kappa [(F o F)(F o F)^T]_ij
     # sum_m z_im^2 z_jm^2 / (b_i b_j)^2, the sum once per distinct exponent
-    z2 = np.square(table.z)
+    z2 = np.square(z)
     f2 = np.square(model.factor)
     kappa = _excess_kurtosis(model.law, model.pareto_alpha)
     se = np.sqrt((np.outer(np.diag(finite), np.diag(finite)) + finite ** 2
@@ -157,10 +157,13 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
 
     verdicts = np.abs(empirical - finite) <= z_star * se
     gap_rel = np.abs(finite - K) / np.where(np.abs(K) > 0, np.abs(K), 1.0)
+    # certified truncation loss per exponent: untruncated series + bound - sum z^2
+    tail_var = np.array([sum(partial_sum_covariance_series(float(d), float(d), n))
+                         for d in u]) - np.sum(z2, axis=1)
     return CovarianceReport(regime=regime, empirical=empirical,
                             finite_n_exact=finite, limit=K, se=se,
                             verdicts=verdicts, gap_rel=gap_rel, samples=samples,
-                            truncation_tail_var=table.tail_var / b ** 2,
+                            truncation_tail_var=model.sigma2 * tail_var[idx] / b ** 2,
                             innovations_drawn=N * rows)
 
 

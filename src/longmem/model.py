@@ -467,6 +467,8 @@ def _read(cfg: dict, table: dict, prefix: str = "") -> dict:
 
 
 def _grid_from_dict(cfg: dict) -> SpaceGrid:
+    if "linspace" in cfg and "points" in cfg:
+        raise ValidationError("grid takes 'linspace' or 'points', not both")
     points = cfg["linspace"] if "linspace" in cfg else cfg["points"]
     if "weights" in cfg:
         return SpaceGrid(points, cfg["weights"])
@@ -496,6 +498,8 @@ def _innovations_from_dict(cfg: dict, grid: SpaceGrid, base_dir: Path) -> Innova
         if "sigma" in cfg:
             sigma = np.atleast_2d(cfg["sigma"])
             sigma2 = np.diagonal(sigma)
+            if not np.all(np.isfinite(sigma)):
+                raise ValidationError("innovation covariance must be finite")
             if sigma.shape != (sigma2.size,) * 2 or np.any(sigma != np.diag(sigma2)):
                 raise ValidationError("white innovations need a square diagonal sigma")
         return InnovationModel.white(sigma2, q=grid.q, **kw)

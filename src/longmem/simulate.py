@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import (InnovationModel, ProcessSpec, ValidationError, _factor_psd,
                     tail_variance_bound)
-from .analytics import CoefficientTable, partial_sum_weights
+from .analytics import partial_sum_weights
 
 # time indices are shifted by ORIGIN inside the counter so that past
 # innovations (index >= 1 - M, M capped at 1e7) stay nonnegative
@@ -206,7 +206,7 @@ def _contract(z: np.ndarray, idx: np.ndarray, factor: np.ndarray,
     """sum_m z_{n,m}(t_i) eps_m(t_i) per replication of the standardized
     draws ``g`` (k, rows, q), as (k, q), with eps_m = F g_m for the factor F.
 
-    The table's rows ``z`` (one per distinct exponent, ``rows`` columns) meet
+    The weight rows ``z`` (one per distinct exponent, ``rows`` columns) meet
     the draws first, Y = z @ g, and then S_i = sum_j F_ij Y[idx_i, j]: the
     innovations themselves are never formed.  Each replication's arithmetic
     is the same whatever k.
@@ -215,10 +215,10 @@ def _contract(z: np.ndarray, idx: np.ndarray, factor: np.ndarray,
     return np.sum(y[:, idx] * factor, axis=-1)
 
 
-def _past_factor(spec: ProcessSpec, table: CoefficientTable) -> np.ndarray:
+def _past_factor(spec: ProcessSpec, z: np.ndarray) -> np.ndarray:
     """L with L L^T = sigma o Z_past Z_past^T, the covariance of the past
-    term sum_{m<=0} z_{n,m} eps_m of the truncated partial sum."""
-    z_past = table.z[:, :table.window]
+    term sum_{m<=0} z_{n,m} eps_m of the truncated partial sum of weights z."""
+    z_past = z[:, :spec.window]
     _, idx = spec.memory.distinct
     return _factor_psd(spec.innovations.sigma * (z_past @ z_past.T)[np.ix_(idx, idx)])
 
@@ -232,13 +232,13 @@ def _draw_plan(model: InnovationModel, n: int, M: int) -> tuple[int, int, int]:
     return start, rows, max(1, REPLICATION_BLOCK * (n + 1) // rows)
 
 
-def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
-    """``((rep_start, count[, out]) -> (count, q) S_n, rows)``: the partial
-    sums of replications rep_start .. rep_start+count-1, written into ``out``
-    when it is given, and the innovation rows one replication draws.
+def _replication_sampler(spec: ProcessSpec, z: np.ndarray, seed: int):
+    """``(rep_start, count[, out]) -> (count, q) S_n``: the partial sums of
+    replications rep_start .. rep_start+count-1 for the weights ``z`` of
+    ``partial_sum_weights``, written into ``out`` when it is given.
 
     A non-Gaussian law takes the pathwise route: it draws the window's
-    indices 1-M..n and contracts them with the table through ``_contract``,
+    indices 1-M..n and contracts them with ``z`` through ``_contract``,
     as ``partial_sums_via_z`` does.  Under the Gaussian law the past term
     sum_{m<=0} z_{n,m} eps_m is exactly N(0, sigma o Z_past Z_past^T), so a
     replication draws indices 0..n only: rows 1..n times ``factor.T`` are
@@ -248,15 +248,13 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
     REPLICATION_BLOCK Gaussian replications, or than one replication; each
     replication's arithmetic is the same whatever its block.
     """
-    model = spec.innovations
-    n, M = table.n, table.window
+    model, M = spec.innovations, spec.window
     factor = _factor(model)
     _, idx = spec.memory.distinct
-    start, rows, block = _draw_plan(model, n, M)
-    if model.law != "gaussian":
-        z, past_factor = table.z, None
-    else:
-        z, past_factor = table.z[:, M:], _past_factor(spec, table)
+    start, rows, block = _draw_plan(model, z.shape[1] - M, M)
+    past_factor = None
+    if model.law == "gaussian":
+        z, past_factor = z[:, M:], _past_factor(spec, z)
 
     def sample(rep_start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -273,7 +271,7 @@ def _replication_sampler(spec: ProcessSpec, table: CoefficientTable, seed: int):
                 out[lo:lo + len(g)] = _contract(z, idx, factor, g[:, 1:]) + past
         return out
 
-    return sample, rows
+    return sample
 
 
 def generate_paths(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +304,7 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np
 def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np.ndarray:
     """S_n via the independent-summands identity S_n(t) = sum_j z_{n,j}(t) eps_j(t).
 
-    The coefficient table times the innovations of indices 1-M..n, those of
+    The weights times the innovations of indices 1-M..n, those of
     ``innovation_block``: the same truncation window and the same addressable
     innovations as ``generate_paths``, so the result matches the sum of the
     paths over k to floating-point reassociation error (<= 1e-12 relative).
@@ -315,9 +313,7 @@ def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np
     """
     if n < 2:
         raise ValueError("the independent-summands identity is stated for n >= 2")
-    table = partial_sum_weights(spec, n)
-    M = table.window
-    model = spec.innovations
+    model, M = spec.innovations, spec.window
     factor = _factor(model)
     g, = _standard_draws(model, seed, range(rep, rep + 1), 1 - M, n + M, 1)
-    return _contract(table.z, spec.memory.distinct[1], factor, g)[0]
+    return _contract(partial_sum_weights(spec, n), spec.memory.distinct[1], factor, g)[0]

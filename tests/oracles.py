@@ -1,8 +1,9 @@
 """Pointwise covariance routes, kept as independent oracles for the tests.
 
 The library computes covariances as q x q kernels: ``cross_covariance_matrix``
-for lag covariances and ``sigma * (table.z @ table.z.T)[np.ix_(idx, idx)]``,
-with ``idx`` of ``spec.memory.distinct``, for the truncated partial sums.
+for lag covariances and ``sigma * (z @ z.T)[np.ix_(idx, idx)]``, with
+``z = partial_sum_weights(spec, n)`` and ``idx`` of ``spec.memory.distinct``,
+for the truncated partial sums.
 The routes here resolve one pair of grid points at a time, looked up by
 value, and the partial-sum ones sum lag covariances instead of contracting
 coefficient tables.  ``window_tail_quad`` is the QUADPACK
@@ -110,11 +111,12 @@ def partial_sum_covariance_exact(spec, n: int, s: float, t: float,
         return partial_sum_covariance_lagsum(spec, 1, s, t, window=window)
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
-    table = partial_sum_weights(spec, n, window=window)
+    z = partial_sum_weights(spec, n, window=window)
+    M = spec.window if window is None else window
     _, idx = spec.memory.distinct   # rows are distinct exponents
-    vb = sig * float(np.dot(table.z[idx[i]], table.z[idx[j]]))
-    if n * table.window <= CROSS_CHECK_BUDGET:
-        va = partial_sum_covariance_lagsum(spec, n, s, t, window=table.window)
+    vb = sig * float(np.dot(z[idx[i]], z[idx[j]]))
+    if n * M <= CROSS_CHECK_BUDGET:
+        va = partial_sum_covariance_lagsum(spec, n, s, t, window=M)
         scale = max(abs(va), abs(vb), 1e-300)
         if abs(va - vb) > CROSS_CHECK_RTOL * scale:
             raise RuntimeError(

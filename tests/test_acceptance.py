@@ -53,7 +53,7 @@ def test_A2_variance_identity():
     pts = spec.grid.points
     worst = 0.0
     for n in range(2, 65):
-        z = lm.partial_sum_weights(spec, n, window=window).z[spec.memory.distinct[1]]
+        z = lm.partial_sum_weights(spec, n, window=window)[spec.memory.distinct[1]]
         for i in range(4):
             for j in range(4):
                 vb = float(spec.innovations.sigma[i, j] * np.dot(z[i], z[j]))

@@ -291,25 +291,25 @@ class TestClassifiers:
         assert math.isfinite(r.integral_weighted) and r.integral_weighted > 1e14
 
 
-def _column(table, j):
-    """z_{n,j} per distinct exponent: the table's columns are j = 1 - window .. n."""
-    return table.z[:, j + table.window - 1]
+def _column(z, M, j):
+    """z_{n,j} per distinct exponent: the columns of z are j = 1 - M .. n."""
+    return z[:, j + M - 1]
 
 
 class TestCoefficientTable:
     def test_hand_values_n2_d1(self, boundary_spec):
-        table = lm.partial_sum_weights(boundary_spec, 2)
-        assert _column(table, 2)[0] == pytest.approx(1.0)
-        assert _column(table, 1)[0] == pytest.approx(1.5)
-        assert _column(table, 0)[0] == pytest.approx(1 / 2 + 1 / 3)
+        z, M = lm.partial_sum_weights(boundary_spec, 2), boundary_spec.window
+        assert _column(z, M, 2)[0] == pytest.approx(1.0)
+        assert _column(z, M, 1)[0] == pytest.approx(1.5)
+        assert _column(z, M, 0)[0] == pytest.approx(1 / 2 + 1 / 3)
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_against_brute_force_accumulation(self, mixed_spec, n, rel):
         # brute-force oracle: accumulate (j+1)^{-d} over the double loop of
         # the truncated model
-        table = lm.partial_sum_weights(mixed_spec, n)
-        M = table.window
-        assert table.z.shape == (4, n + M)
+        z = lm.partial_sum_weights(mixed_spec, n)
+        M = mixed_spec.window
+        assert z.shape == (4, n + M)
         for i, d in enumerate(mixed_spec.memory.distinct[0]):
             acc = {}
             for k in range(1, n + 1):
@@ -317,27 +317,27 @@ class TestCoefficientTable:
                     m = k - j
                     acc[m] = acc.get(m, 0.0) + (j + 1.0) ** (-d)
             for pos, m in enumerate(range(1 - M, n + 1)):
-                assert rel(table.z[i, pos], acc.get(int(m), 0.0)) < 1e-10
+                assert rel(z[i, pos], acc.get(int(m), 0.0)) < 1e-10
 
     def test_defining_formulas_when_window_covers(self, mixed_spec, rel):
         n = 8
-        table = lm.partial_sum_weights(mixed_spec, n)
+        z, M = lm.partial_sum_weights(mixed_spec, n), mixed_spec.window
         # the window only bites for j < n - window; all js below are inside
-        assert n - table.window < -3
+        assert n - M < -3
         for i, d in enumerate(mixed_spec.memory.distinct[0]):
             for j in range(2, n + 1):
                 ref = sum(k ** (-d) for k in range(1, n - j + 2))
-                assert rel(_column(table, j)[i], ref) < 1e-10
+                assert rel(_column(z, M, j)[i], ref) < 1e-10
             for j in (1, 0, -3):
                 ref = sum((k - j + 1.0) ** (-d) for k in range(1, n + 1))
-                assert rel(_column(table, j)[i], ref) < 1e-10
+                assert rel(_column(z, M, j)[i], ref) < 1e-10
 
     def test_rows_are_the_weights_of_their_exponent(self, repeated_spec):
         n = 16
-        table = lm.partial_sum_weights(repeated_spec, n)
+        z, M = lm.partial_sum_weights(repeated_spec, n), repeated_spec.window
         _, idx = repeated_spec.memory.distinct
         for i, d in enumerate(repeated_spec.memory.values):
-            assert np.array_equal(table.z[idx[i]], _windowed_weights(float(d), n, table.window))
+            assert np.array_equal(z[idx[i]], _windowed_weights(float(d), n, M))
 
     def test_one_row_per_distinct_exponent(self):
         spec = lm.spec_from_dict({
@@ -347,25 +347,27 @@ class TestCoefficientTable:
             "tail_tol": 0.3,
         })
         n = 16
-        table = lm.partial_sum_weights(spec, n)
+        z = lm.partial_sum_weights(spec, n)
         assert len(spec.memory.distinct[0]) == 2
-        assert table.z.shape == (2, n + table.window)
-        assert table.tail_var.shape == (8,)
+        assert z.shape == (2, n + spec.window)
+        assert lm.run_clt_experiment(spec, n, 100, seed=1).truncation_tail_var.shape == (8,)
 
     @pytest.mark.parametrize("fixture", ["constant8_spec", "repeated_spec"])
     def test_weights_built_once_per_distinct_exponent(self, fixture, request,
                                                       count_calls):
         spec = request.getfixturevalue(fixture)
         weights = count_calls(lm.analytics, "_windowed_weights")
-        series = count_calls(lm.analytics, "partial_sum_covariance_series")
         lm.partial_sum_weights(spec, 16)
         exponents = spec.memory.distinct[0].tolist()
         assert [args[0] for args in weights] == exponents
+        # the truncation certificate: one untruncated series per exponent
+        series = count_calls(lm.mcverify, "partial_sum_covariance_series")
+        lm.run_clt_experiment(spec, 16, 100, seed=1)
         assert [args[:2] for args in series] == [(d, d) for d in exponents]
 
     def test_tail_var_certifies_untruncated_gap(self):
         # the lag-sum oracle at a window of 12,500 n: its loss against the
-        # table is a lower bound on the true loss, which tail_var certifies
+        # weights is a lower bound on the true loss, which tail_var certifies
         spec = lm.spec_from_dict({
             "grid": {"points": [0.5]},
             "memory": {"kind": "constant", "values": 0.8},
@@ -373,19 +375,20 @@ class TestCoefficientTable:
             "tail_tol": 0.2,
         })
         n = 16
-        table = lm.partial_sum_weights(spec, n)
-        assert table.window == 8
+        z = lm.partial_sum_weights(spec, n)
+        assert spec.window == 8
         wide = partial_sum_covariance_lagsum(spec, n, 0.5, 0.5, window=200_000)
-        loss = wide - float(np.dot(table.z[0], table.z[0]))
-        assert 0 < loss <= table.tail_var[0] <= 1.01 * loss
+        b = lm.normalization_plan(spec, n)
+        loss = (wide - float(np.dot(z[0], z[0]))) / b[0] ** 2
+        tail_var = lm.run_clt_experiment(spec, n, 100, seed=1).truncation_tail_var
+        assert 0 < loss <= tail_var[0] <= 1.01 * loss
 
     def test_tail_var_is_tight_on_long_reference(self):
         # the loss actually incurred is 0.476 of sigma^2 b_n^2 at every point
         spec = lm.load_spec("src/longmem/configs/clt_long_reference.json")
         n = 4096
-        table = lm.partial_sum_weights(spec, n)
-        b = lm.normalization_plan(spec, n)
-        normalized = table.tail_var / (spec.innovations.sigma2 * b ** 2)
+        report = lm.run_clt_experiment(spec, n, 100, seed=1)
+        normalized = report.truncation_tail_var / spec.innovations.sigma2
         assert np.all((0.476 <= normalized) & (normalized <= 0.6))
 
 

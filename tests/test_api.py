@@ -8,7 +8,7 @@ import pytest
 import longmem as lm
 
 PUBLIC_NAMES = [
-    "CoefficientTable", "CovarianceReport", "ExponentFit",
+    "CovarianceReport", "ExponentFit",
     "InnovationModel", "MemoryFunction", "NormalityReport",
     "ProcessSpec", "RegimeError", "SpaceGrid",
     "TailBudgetError", "ValidationError", "ValidationReport", "__version__",
@@ -31,12 +31,14 @@ PUBLIC_NAMES = [
 # (value, error_bound) everywhere, and a one-line wrapper of _binomial_tail)
 # and in 0.19.0 (the paths record, which generate_paths now returns as the
 # tuple (values, truncation_tail_var)) and in 0.22.0 (a bound that no library
-# code called, now a test oracle)
+# code called, now a test oracle) and in 0.23.0 (the weight-table record, whose
+# weights partial_sum_weights now returns as an array; run_clt_experiment
+# computes the truncation certificate it reports)
 REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact",
                  "partial_sums_direct", "scale_integral_upper_bound",
                  "partial_sum_covariance_asymptotic", "LimitKernel", "NormalizationPlan",
                  "BATCH_COUNT", "L2_FINITE_THRESHOLD", "CertifiedValue", "_window_tail",
-                 "PathEnsemble", "dominating_bound"]
+                 "PathEnsemble", "dominating_bound", "CoefficientTable"]
 
 
 def test_public_names_are_pinned_and_resolve():

@@ -250,6 +250,16 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, N=600.5), "config: invalid 'N': 600.5"),
         ("analyze", dict(SMALL_LONG, n_list=None), "config: invalid 'n_list': None"),
         ("simulate", dict(SMALL_LONG, z_star="wide"), "config: invalid 'z_star': 'wide'"),
+        # a grid with both spellings, and a white sigma with a NaN on or off
+        # its diagonal: the fault is named, not a shape
+        ("simulate", dict(SMALL_LONG, grid={"linspace": [0, 1, 3], "points": [0.25, 0.5]}),
+         "grid takes 'linspace' or 'points', not both"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5]}, innovations={
+            "kind": "white", "sigma": [[math.nan, 0.0], [0.0, 1.0]]}),
+         "innovation covariance must be finite"),
+        ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5]}, innovations={
+            "kind": "white", "sigma": [[1.0, math.nan], [math.nan, 1.0]]}),
+         "innovation covariance must be finite"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
@@ -624,11 +634,14 @@ class TestVerifyClt:
                      "--out", str(out)]) in (0, 1)
         m = _manifest_without_timestamp(out)
         spec = lm.spec_from_dict(cfg)
-        table = lm.partial_sum_weights(spec, cfg["n"])
-        window = table.window
+        n, window = cfg["n"], spec.window
         assert m["window"] == window
-        b = lm.normalization_plan(spec, cfg["n"])
-        assert m["truncation_tail_var"] == (table.tail_var / b ** 2).tolist()
+        z2 = np.square(lm.partial_sum_weights(spec, n))
+        tail_var = np.array([sum(lm.partial_sum_covariance_series(float(d), float(d), n))
+                             for d in spec.memory.distinct[0]]) - np.sum(z2, axis=1)
+        b = lm.normalization_plan(spec, n)
+        sigma2, idx = spec.innovations.sigma2, spec.memory.distinct[1]
+        assert m["truncation_tail_var"] == (sigma2 * tail_var[idx] / b ** 2).tolist()
         # a Gaussian replication draws one q-vector for the whole past
         rows = cfg["n"] + (window if law == "pareto" else 1)
         assert m["innovations_drawn"] == cfg["N"] * rows

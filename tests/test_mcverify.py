@@ -8,8 +8,9 @@ from scipy import special, stats
 
 import longmem as lm
 from longmem.mcverify import ROW_BLOCK_WORDS, _ndtr
-from longmem.simulate import (REPLICATION_BLOCK, _excess_kurtosis, _past_factor,
-                              _replication_sampler, _standard_draws, innovation_block)
+from longmem.simulate import (REPLICATION_BLOCK, _draw_plan, _excess_kurtosis,
+                              _past_factor, _replication_sampler, _standard_draws,
+                              innovation_block)
 from oracles import partial_sum_covariance_lagsum
 
 # passes the PSD tolerance of validate() but not a jittered Cholesky
@@ -101,13 +102,13 @@ class TestRunCltExperiment:
         {"kind": "constant", "values": 0.7},
         {"kind": "step", "breakpoints": [0.5], "levels": [0.6, 0.8]}])
     def test_finite_n_exact_is_the_gram_of_the_grid_rows(self, memory):
-        # the table has a row per distinct exponent; gathered per grid point
-        # its Gram is the finite-n covariance, up to the sums' association
+        # the weights have a row per distinct exponent; gathered per grid
+        # point their Gram is the finite-n covariance, up to the sums' association
         spec = lm.spec_from_dict(dict(WIENER_07, grid={"linspace": [0.125, 1.0, 8]},
                                       memory=memory))
         n = 32
         report = lm.run_clt_experiment(spec, n, 100, seed=5)
-        z = lm.partial_sum_weights(spec, n).z[spec.memory.distinct[1]]
+        z = lm.partial_sum_weights(spec, n)[spec.memory.distinct[1]]
         b = lm.normalization_plan(spec, n)
         expected = spec.innovations.sigma * (z @ z.T) / np.outer(b, b)
         assert np.max(np.abs(report.finite_n_exact / expected - 1.0)) <= 1e-14
@@ -167,7 +168,7 @@ def _fourth_cumulant(spec, n, kappa):
     """kappa sum_k F_ik^2 F_jk^2 sum_m z_im^2 z_jm^2 / (b_i b_j)^2, entry by
     entry with exactly rounded sums."""
     F = spec.innovations.factor
-    z = lm.partial_sum_weights(spec, n).z[spec.memory.distinct[1]]
+    z = lm.partial_sum_weights(spec, n)[spec.memory.distinct[1]]
     b = lm.normalization_plan(spec, n)
     return np.array([[kappa * math.fsum(F[i] ** 2 * F[j] ** 2)
                       * math.fsum(z[i] ** 2 * z[j] ** 2) / (b[i] * b[j]) ** 2
@@ -225,20 +226,21 @@ def _lagsum_target(spec, n):
     return cov / np.outer(b, b)
 
 
-def _assembled(spec, table, seed, rep):
-    """S_n of one replication, drawn and contracted on its own: the table's
-    distinct rows meet the standardized draws, y = z @ g, and grid point i
-    reads S_i = sum_j F_ij y[idx_i, j] for the covariance factor F."""
+def _assembled(spec, z, seed, rep):
+    """S_n of one replication, drawn and contracted on its own: the distinct
+    rows of the weights z meet the standardized draws, y = z @ g, and grid
+    point i reads S_i = sum_j F_ij y[idx_i, j] for the covariance factor F."""
     model = spec.innovations
-    M = table.window
+    M = spec.window
+    n = z.shape[1] - M
     idx = spec.memory.distinct[1]
     if model.law != "gaussian":
-        g, = _standard_draws(model, seed, range(rep, rep + 1), 1 - M, table.n + M, 1)
-        y = table.z @ g[0]
+        g, = _standard_draws(model, seed, range(rep, rep + 1), 1 - M, n + M, 1)
+        y = z @ g[0]
         return np.sum(y[idx] * model.factor, axis=1)
-    g, = _standard_draws(model, seed, range(rep, rep + 1), 0, table.n + 1, 1)
-    y = table.z[:, M:] @ g[0, 1:]
-    return np.sum(y[idx] * model.factor, axis=1) + _past_factor(spec, table) @ g[0, 0]
+    g, = _standard_draws(model, seed, range(rep, rep + 1), 0, n + 1, 1)
+    y = z[:, M:] @ g[0, 1:]
+    return np.sum(y[idx] * model.factor, axis=1) + _past_factor(spec, z) @ g[0, 0]
 
 
 def _count_draw_blocks(monkeypatch):
@@ -260,15 +262,15 @@ class TestReplicationSampler:
     def test_gaussian_rows_are_the_innovation_block(self, cfg, n):
         spec = lm.spec_from_dict(cfg)
         model = spec.innovations
-        table = lm.partial_sum_weights(spec, n)
-        sample, rows = _replication_sampler(spec, table, seed=71)
-        assert rows == n + 1
+        z = lm.partial_sum_weights(spec, n)
+        sample = _replication_sampler(spec, z, seed=71)
+        assert _draw_plan(model, n, spec.window)[1] == n + 1
         sums = sample(0, 600)
         for rep in (0, 3, 599):
             g, = _standard_draws(model, 71, range(rep, rep + 1), 0, n + 1, 1)
             eps = innovation_block(model, 71, start=1, count=n, rep=rep)
             assert np.array_equal(g[0, 1:] @ model.factor.T, eps)
-            assert np.array_equal(sums[rep], _assembled(spec, table, 71, rep))
+            assert np.array_equal(sums[rep], _assembled(spec, z, 71, rep))
 
     def test_blocks_and_shards_change_no_bit(self, monkeypatch):
         # N replications end inside a block, and 2 or 3 shards cut through
@@ -279,9 +281,9 @@ class TestReplicationSampler:
                                  (PARETO_BOUNDARY, 512, 100, 7)):
             spec = lm.spec_from_dict(cfg)
             assert N % block != 0 and (N // 3) % block != 0
-            table = lm.partial_sum_weights(spec, n)
+            z = lm.partial_sum_weights(spec, n)
             b = lm.normalization_plan(spec, n)
-            expected = np.array([_assembled(spec, table, 9, rep) for rep in range(N)]) / b
+            expected = np.array([_assembled(spec, z, 9, rep) for rep in range(N)]) / b
             blocks.clear()
             for shards in (1, 2, 3):
                 report = lm.run_clt_experiment(spec, n, N, seed=9, shards=shards)
@@ -291,9 +293,9 @@ class TestReplicationSampler:
     @pytest.mark.parametrize("cfg, n", [(BOUNDARY, 512), (WIENER_07, 64)])
     def test_past_factor_reproduces_past_covariance(self, cfg, n):
         spec = lm.spec_from_dict(cfg)
-        table = lm.partial_sum_weights(spec, n)
-        past = _past_factor(spec, table)
-        z_past = table.z[spec.memory.distinct[1], :table.window]
+        z = lm.partial_sum_weights(spec, n)
+        past = _past_factor(spec, z)
+        z_past = z[spec.memory.distinct[1], :spec.window]
         target = spec.innovations.sigma * (z_past @ z_past.T)
         assert np.max(np.abs(past @ past.T - target)) <= 1e-12 * np.max(np.abs(target))
 
@@ -303,12 +305,11 @@ class TestReplicationSampler:
                                     "law": "pareto", "pareto_alpha": 4.5}))
         n, N = 64, 200
         report = lm.run_clt_experiment(spec, n, N, seed=13, shards=3)
-        table = lm.partial_sum_weights(spec, n)
         b = lm.normalization_plan(spec, n)
         expected = np.array([lm.partial_sums_via_z(spec, n, 13, rep=r) / b
                              for r in range(N)])
         assert np.array_equal(report.samples, expected)
-        assert report.innovations_drawn == N * (n + table.window)
+        assert report.innovations_drawn == N * (n + spec.window)
 
     def test_long_window_draws_one_replication_at_a_time(self, monkeypatch):
         # n + M > REPLICATION_BLOCK (n + 1): no block holds more rows than one

@@ -289,11 +289,11 @@ class TestPartialSums:
     def test_z_hand_examples(self, boundary_spec):
         # with innovations (eps_1, eps_2) = (1, 0) and zeroed past, the
         # partial sum is z_{2,1} = 1.5; with (0, 1) it is z_{2,2} = 1
-        table = lm.partial_sum_weights(boundary_spec, 2)
-        # columns are j = 1 - window .. n, so j sits at j + window - 1
-        eps = np.zeros(table.z.shape[1])
-        eps[table.window] = 1.0  # j = 1
-        assert float(table.z[0] @ eps) == pytest.approx(1.5)
+        z, M = lm.partial_sum_weights(boundary_spec, 2), boundary_spec.window
+        # columns are j = 1 - M .. n, so j sits at j + M - 1
+        eps = np.zeros(z.shape[1])
+        eps[M] = 1.0  # j = 1
+        assert float(z[0] @ eps) == pytest.approx(1.5)
         eps[:] = 0.0
-        eps[table.window + 1] = 1.0  # j = 2
-        assert float(table.z[0] @ eps) == pytest.approx(1.0)
+        eps[M + 1] = 1.0  # j = 2
+        assert float(z[0] @ eps) == pytest.approx(1.0)
