@@ -8,15 +8,15 @@ truncating the infinite moving-average filter, and a time horizon.
 
 from __future__ import annotations
 
-import difflib
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .io import sha256
 
 DEFAULT_TAIL_TOL = 1e-3
 HARD_CAP = 10_000_000
@@ -239,8 +239,8 @@ class ProcessSpec:
         """Content identity of the process: its scalars and the bytes of its
         arrays (q fixes their lengths), whatever config spelling built them."""
         model = self.innovations
-        h = hashlib.sha256(repr((self.q, model.law, float(model.pareto_alpha),
-                                 float(self.tail_tol), int(self.horizon))).encode())
+        h = sha256(repr((self.q, model.law, float(model.pareto_alpha),
+                         float(self.tail_tol), int(self.horizon))).encode())
         for a in (self.grid.points, self.grid.weights, self.memory.values, model.sigma):
             h.update(a.tobytes())
         return h.hexdigest()[:16]
@@ -458,6 +458,7 @@ def _read(cfg: dict, table: dict, prefix: str = "") -> dict:
     is left to ``_section``, which reads it by the table of its kind."""
     for key in map(str, cfg):
         if key not in table:
+            import difflib   # the error path only: 2.4 ms of import per process
             near = difflib.get_close_matches(key, table, n=1)
             hint = (f"did you mean '{prefix}{near[0]}'?" if near
                     else "known keys: " + ", ".join(table))
@@ -479,7 +480,9 @@ def _grid_from_dict(cfg: dict) -> SpaceGrid:
 
 def _memory_from_dict(cfg: dict, grid: SpaceGrid) -> MemoryFunction:
     if cfg["kind"] == "constant":
-        values = np.unique(cfg["values"])
+        # with no return_* flag np.unique would load numpy.ma to ask whether
+        # the array is masked (numpy 2.4); asking for the counts skips that
+        values = np.unique(cfg["values"], return_counts=True)[0]
         if values.size != 1:
             raise ValidationError(f"constant memory needs one exponent; got "
                                   f"{values.size} distinct values")

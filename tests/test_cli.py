@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -110,6 +111,11 @@ class TestSimulate:
         ok = dict(SMALL_LONG, memory={"kind": "constant", "values": [0.7] * 4})
         assert main(["simulate", "--config", _write(tmp_path, ok),
                      "--out", str(tmp_path / "ok")]) == 0
+        # so does one value in any shape
+        for values in (0.7, [0.7, 0.7], [[0.7], [0.7]]):
+            spec = lm.spec_from_dict(dict(SMALL_LONG, memory={"kind": "constant",
+                                                              "values": values}))
+            assert spec.memory.values.tolist() == [0.7] * 4
 
     def test_white_sigma_with_off_diagonal_exits_2(self, tmp_path, capsys):
         grid = {"points": [0.5, 1.0]}
@@ -260,6 +266,16 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, grid={"points": [0.25, 0.5]}, innovations={
             "kind": "white", "sigma": [[1.0, math.nan], [math.nan, 1.0]]}),
          "innovation covariance must be finite"),
+        # constant memory counts its distinct values, NaN as one value
+        ("simulate", dict(SMALL_LONG, memory={"kind": "constant", "values": []}),
+         "constant memory needs one exponent; got 0 distinct values"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "constant", "values": [0.6, 0.9]}),
+         "constant memory needs one exponent; got 2 distinct values"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "constant", "values": [0.7, math.nan]}),
+         "constant memory needs one exponent; got 2 distinct values"),
+        ("simulate", dict(SMALL_LONG, memory={"kind": "constant",
+                                              "values": [math.nan, math.nan]}),
+         "memory exponents and breakpoints must be finite"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
@@ -656,13 +672,19 @@ def _fresh_env() -> dict:
 
 def test_fresh_process_writes_the_analyze_bytes_of_this_one(tmp_path):
     # the test oracles load scipy.integrate into this process, and a fresh
-    # one runs on numpy alone: both write the same bytes
-    run = subprocess.run([sys.executable, "-c",
-                          "import sys, longmem.cli; sys.exit(longmem.cli.main(sys.argv[1:]))",
+    # one runs on numpy alone: both write the same bytes.  The fresh one
+    # loads neither OpenSSL (hashlib's _hashlib, 3.7 MB), numpy.ma,
+    # numpy.random nor difflib: analyze uses none of them
+    code = ("import sys, longmem.cli\n"
+            "status = longmem.cli.main(sys.argv[1:])\n"
+            "print([m for m in ('_hashlib', 'numpy.ma', 'numpy.random', 'difflib')\n"
+            "       if m in sys.modules])\n"
+            "sys.exit(status)\n")
+    run = subprocess.run([sys.executable, "-c", code,
                           "analyze", "--config", _config_path("fig1a.json"),
                           "--out", str(tmp_path / "a")],
                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
     assert main(["analyze", "--config", _config_path("fig1a.json"),
                  "--out", str(tmp_path / "here")]) == 0
     for name in ("c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"):
@@ -672,22 +694,25 @@ def test_fresh_process_writes_the_analyze_bytes_of_this_one(tmp_path):
 def test_commands_leave_scipy_unloaded(tmp_path):
     # scipy is a test dependency only.  Its special module alone costs a
     # process about 20 MB; the library's one normal CDF and its zeta are
-    # in-house ports, so no command loads any scipy module
+    # in-house ports, so no command loads any scipy module.  Nor does any
+    # load numpy.ma (about 1.5 MB), which a plain np.unique would import;
+    # verify-clt reads a constant memory section
     code = ("import sys, longmem.cli\n"
             "def scipy_loaded():\n"
             "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
             "def run(command, config, out):\n"
             "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
-            "    print(command, status, scipy_loaded())\n"
-            "print('import', 0, scipy_loaded())\n"
+            "    print(command, status, scipy_loaded(), 'numpy.ma' in sys.modules)\n"
+            "print('import', 0, scipy_loaded(), 'numpy.ma' in sys.modules)\n"
             "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
             "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n"
             "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n")
     run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
                           _config_path("clt_boundary_reference.json"), str(tmp_path)],
                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
-    assert run.stdout.splitlines() == ["import 0 False", "simulate 0 False",
-                                       "analyze 0 False", "verify-clt 0 False"], run.stderr
+    assert run.stdout.splitlines() == ["import 0 False False", "simulate 0 False False",
+                                       "analyze 0 False False", "verify-clt 0 False False"], \
+        run.stderr
     assert (tmp_path / "v" / "normality.csv").exists()
 
 
@@ -712,6 +737,26 @@ def test_fresh_processes_write_the_same_bytes_at_any_thread_count(tmp_path):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
     assert (_manifest_without_timestamp(tmp_path / "1")
             == _manifest_without_timestamp(tmp_path / "2"))
+
+
+@pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 16) + 17])
+def test_sha256_file_is_hashlib_sha256(tmp_path, size):
+    # empty, under one 64 KiB read, and over three of them
+    data = np.random.default_rng(size).bytes(size)
+    (tmp_path / "f").write_bytes(data)
+    assert io.sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_is_the_interpreters_own_module():
+    # _sha2 on Python 3.12 and later, _sha256 on 3.10 and 3.11
+    assert io._sha256_constructor().__module__ in ("_sha2", "_sha256")
+
+
+def test_sha256_falls_back_to_hashlib(monkeypatch):
+    # an interpreter built without either module still hashes
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert io._sha256_constructor.__wrapped__() is hashlib.sha256
 
 
 def test_table_csv_quotes_only_text_that_needs_it(tmp_path):
