@@ -80,7 +80,7 @@ def write_table_csv(path: Path, header, columns) -> None:
 def _sha256_constructor():
     """The SHA-256 constructor of the interpreter's own module: ``_sha2`` on
     Python 3.12 and later, ``_sha256`` on 3.10 and 3.11, and ``hashlib``'s
-    only if neither imports.  ``hashlib`` loads OpenSSL, 3.7 MB of resident
+    only if neither imports.  ``hashlib`` loads OpenSSL, 3.4 MB of resident
     memory in every process; the built-in code has no SHA-NI path and is
     about 5x slower per byte, some 5 ms per MB."""
     for name in ("_sha2", "_sha256"):

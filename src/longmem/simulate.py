@@ -11,7 +11,10 @@ a partial sum S_n.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import os
+import sys
+import threading
 
 import numpy as np
 
@@ -25,7 +28,7 @@ ORIGIN = 1 << 40
 
 _WORD = (1 << 64) - 1
 REPLICATION_BLOCK = 16  # Gaussian replications (n + 1 rows each) sampled together
-CHUNK_WORDS = 1 << 15   # uniforms transformed per pass of _standardized_draws
+CHUNK_WORDS = 1 << 15   # most uniforms transformed per pass of _standardized_draws
 
 
 def _words_per_index(q: int) -> int:
@@ -33,11 +36,45 @@ def _words_per_index(q: int) -> int:
     return 4 * ((q + 3) // 4)
 
 
+# hashlib's fallbacks when OpenSSL's _hashlib is absent: it logs an error
+# at import for each of its always-supported hashes that none provides
+_BUILTIN_HASHES = ("_md5", "_sha1", "_blake2", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512"))
+_OPENSSL_USERS = ("_hashlib", "hashlib", "hmac", "secrets")
+_RANDOM_IMPORT = threading.Lock()
+
+
+@functools.cache
+def _numpy_random():
+    """``numpy.random``, the one route by which this module reaches it.
+
+    numpy's ``bit_generator`` imports ``secrets`` for seedless entropy, and
+    through it ``hmac``, ``hashlib`` and OpenSSL's ``_hashlib``, about 3.4 MB
+    of resident memory; every generator here is seeded, and ``secrets.randbits``
+    needs no hash.  So when none of those modules is loaded yet and the
+    interpreter has each of hashlib's built-in hashes, ``_hashlib`` is masked
+    for the import and the four modules built without it are dropped after,
+    so that a later ``import hashlib`` loads them afresh, OpenSSL and
+    ``pbkdf2_hmac`` included.  Otherwise numpy.random is imported plainly.
+    """
+    with _RANDOM_IMPORT:
+        if (any(name in sys.modules for name in ("numpy.random",) + _OPENSSL_USERS)
+                or any(importlib.util.find_spec(name) is None for name in _BUILTIN_HASHES)):
+            return importlib.import_module("numpy.random")
+        sys.modules["_hashlib"] = None
+        try:
+            return importlib.import_module("numpy.random")
+        finally:
+            for name in _OPENSSL_USERS:
+                sys.modules.pop(name, None)
+
+
 @functools.lru_cache(maxsize=64)
 def _philox_key(seed: int) -> tuple:
     """Philox key words of a master seed, hashed once: a Monte Carlo run
     seeks one generator per replication under the same seed."""
-    return tuple(int(w) for w in np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    seeds = _numpy_random().SeedSequence(seed)
+    return tuple(int(w) for w in seeds.generate_state(2, np.uint64))
 
 
 def _philox_state(seed: int) -> dict:
@@ -74,17 +111,20 @@ def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndar
     """Map the uniforms of ``u``, a (rows, words) array, to i.i.d. mean-zero
     unit-variance draws of the given law, in place, and return ``u``.
 
-    Rows are transformed CHUNK_WORDS words at a time, so the temporaries stay
-    small beside ``u``.  Gaussian draws come in pairs of words (2p, 2p+1) of
-    a row, by Box-Muller with the tangent half-angle: for R = sqrt(-2 ln(1 - u0))
-    and t = tan(pi (u1 - 1/2)), the pair (R cos theta, R sin theta) at
-    theta = 2 pi (u1 - 1/2) is ((1 - t)(1 + t) s, 2 t s) with s = R / (1 + t^2).
-    No sin or cos is evaluated.  1 - u0 lies in [2^-53, 1] and is exact, and
+    Rows are transformed in the fewest chunks of at most CHUNK_WORDS words,
+    their row counts equal to within one, so the temporaries stay small
+    beside ``u`` and no pass runs on a sliver of rows.  Gaussian draws come
+    in pairs of words (2p, 2p+1) of a row, by Box-Muller with the tangent
+    half-angle: for R = sqrt(-2 ln(1 - u0)) and t = tan(pi (u1 - 1/2)), the
+    pair (R cos theta, R sin theta) at theta = 2 pi (u1 - 1/2) is
+    ((1 - t)(1 + t) s, 2 t s) with s = R / (1 + t^2).  No sin or cos is
+    evaluated.  1 - u0 lies in [2^-53, 1] and is exact, and
     |t| <= 1.7e16, so every draw is finite.
     """
-    step = max(1, CHUNK_WORDS // u.shape[1])
-    for lo in range(0, len(u), step):
-        chunk = u[lo:lo + step]
+    rows = len(u)
+    chunks = -(-rows // max(1, CHUNK_WORDS // u.shape[1]))
+    for i in range(chunks):
+        chunk = u[i * rows // chunks:(i + 1) * rows // chunks]
         if law == "gaussian":
             _box_muller(chunk[:, 0::2], chunk[:, 1::2])
         else:
@@ -153,7 +193,8 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     W = _words_per_index(model.q)
-    gen = np.random.Generator(np.random.Philox(int(seed)))
+    random = _numpy_random()
+    gen = random.Generator(random.Philox(int(seed)))
     state = _philox_state(seed)
     u = np.empty((min(block, len(reps)), count, W))
     for lo in range(0, len(reps), block):

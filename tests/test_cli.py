@@ -696,24 +696,61 @@ def test_commands_leave_scipy_unloaded(tmp_path):
     # process about 20 MB; the library's one normal CDF and its zeta are
     # in-house ports, so no command loads any scipy module.  Nor does any
     # load numpy.ma (about 1.5 MB), which a plain np.unique would import;
-    # verify-clt reads a constant memory section
+    # verify-clt reads a constant memory section.  Nor OpenSSL's _hashlib
+    # (about 3.4 MB), which numpy.random would load through secrets; a
+    # later import of hashlib and hmac still gets it, pbkdf2_hmac included
     code = ("import sys, longmem.cli\n"
             "def scipy_loaded():\n"
             "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "def loaded():\n"
+            "    return scipy_loaded(), 'numpy.ma' in sys.modules, '_hashlib' in sys.modules\n"
             "def run(command, config, out):\n"
             "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
-            "    print(command, status, scipy_loaded(), 'numpy.ma' in sys.modules)\n"
-            "print('import', 0, scipy_loaded(), 'numpy.ma' in sys.modules)\n"
+            "    print(command, status, *loaded())\n"
+            "print('import', 0, *loaded())\n"
             "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
             "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n"
-            "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n")
+            "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n"
+            "import hashlib, hmac\n"
+            "print(hashlib.sha256(b'abc').hexdigest())\n"
+            "print(hmac.new(b'k', b'm', 'sha256').hexdigest())\n"
+            "print(hasattr(hashlib, 'pbkdf2_hmac'))\n")
     run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
                           _config_path("clt_boundary_reference.json"), str(tmp_path)],
                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
-    assert run.stdout.splitlines() == ["import 0 False False", "simulate 0 False False",
-                                       "analyze 0 False False", "verify-clt 0 False False"], \
-        run.stderr
+    assert run.stdout.splitlines() == [
+        "import 0 False False False", "simulate 0 False False False",
+        "analyze 0 False False False", "verify-clt 0 False False False",
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec", "True"], run.stderr
+    assert run.stderr == ""
     assert (tmp_path / "v" / "normality.csv").exists()
+
+
+def test_verify_clt_without_a_builtin_hash_writes_the_same_bytes(tmp_path):
+    # an interpreter that lacks one of hashlib's built-in hashes imports
+    # numpy.random plainly, OpenSSL included: hashlib would otherwise log
+    # "code for hash md5 was not found" on stderr
+    code = ("import sys\n"
+            "if sys.argv[1] == 'masked':\n"
+            "    sys.modules['_md5'] = None\n"
+            "import longmem.cli\n"
+            "status = longmem.cli.main(sys.argv[2:])\n"
+            "print(status, '_hashlib' in sys.modules)\n")
+    cfg = _config_path("clt_boundary_reference.json")
+    for mode, openssl in (("masked", True), ("plain", False)):
+        run = subprocess.run([sys.executable, "-c", code, mode, "verify-clt", "--config", cfg,
+                              "--out", str(tmp_path / mode), "--threads", "1"],
+                             env=_fresh_env(), capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (0, f"0 {openssl}\n", "")
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "masked").iterdir())
+    for name in names:
+        if name != "manifest.json":   # it holds a timestamp
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "masked" / name).read_bytes())
+    assert (_manifest_without_timestamp(tmp_path / "plain")
+            == _manifest_without_timestamp(tmp_path / "masked"))
 
 
 def test_fresh_processes_write_the_same_bytes_at_any_thread_count(tmp_path):

@@ -7,8 +7,9 @@ from scipy import stats
 
 import longmem as lm
 from longmem.model import tail_variance_bound
-from longmem.simulate import (ORIGIN, _excess_kurtosis, _philox_key, _seek,
-                              _standard_draws, _standardized_draws, innovation_block)
+from longmem.simulate import (ORIGIN, REPLICATION_BLOCK, _excess_kurtosis, _philox_key,
+                              _seek, _standard_draws, _standardized_draws,
+                              innovation_block)
 from oracles import cross_covariance_exact, partial_sums_direct
 
 
@@ -144,6 +145,29 @@ class TestInnovations:
             tracemalloc.stop()
         assert g.shape == (1, rows, 4)
         assert peak <= 1.25 * g.nbytes
+
+    @pytest.mark.parametrize("law, transform", [("gaussian", "_box_muller"),
+                                                ("pareto", "_pareto")])
+    def test_block_chunks_have_equal_row_counts(self, monkeypatch, law, transform):
+        # a Gaussian block of 16 replications of 513 rows of 4 words is 64
+        # words over CHUNK_WORDS: two chunks of 4,104 rows, not 8,192 and a
+        # 16-row sliver
+        rows, W = REPLICATION_BLOCK * 513, 4
+        assert rows * W > lm.simulate.CHUNK_WORDS
+        chunks = []
+        original = getattr(lm.simulate, transform)
+
+        def record(u, *args):
+            chunks.append(len(u))
+            original(u, *args)
+
+        monkeypatch.setattr(lm.simulate, transform, record)
+        u = np.random.default_rng(6).random((rows, W))
+        _standardized_draws(u, law, 6.0)
+        assert sum(chunks) == rows
+        assert max(chunks) * W <= lm.simulate.CHUNK_WORDS
+        assert max(chunks) - min(chunks) <= 1
+        assert chunks == [4104, 4104]
 
     @pytest.mark.parametrize("alpha", [4.5, 6.0])
     def test_pareto_transform_is_the_inverse_cdf_bit_for_bit(self, alpha):
