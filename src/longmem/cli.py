@@ -71,12 +71,8 @@ def _load(args):
     cfg_path = Path(args.config)
     with cfg_path.open() as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError("config: the top level must be a JSON object")
     seed, out, threads, tail_tol = _resolve(args)
-    if tail_tol is not None:
-        cfg = dict(cfg, tail_tol=tail_tol)
-    spec, run = _read_config(cfg, base_dir=cfg_path.parent)
+    cfg, spec, run = _read_config(cfg, cfg_path.parent, tail_tol)
     seed = run.get("seed", 0) if seed is None else seed
     if seed < 0:
         raise ValueError(f"--seed / {ENV_PREFIX}SEED / config 'seed' must be non-negative; "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -13,6 +12,18 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 TABLE_BLOCK = 1024  # rows formatted and written at a time
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+# SHA-256 from the interpreter's own module: _sha2 on Python 3.12 and later,
+# _sha256 on 3.10 and 3.11, and hashlib's only if neither imports.  hashlib
+# loads OpenSSL, 3.4 MB of resident memory in every process; the built-in
+# code has no SHA-NI path and is about 5x slower per byte, some 5 ms per MB
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def format_float(x: float) -> str:
@@ -74,27 +85,6 @@ def write_table_csv(path: Path, header, columns) -> None:
         for start in range(0, rows, TABLE_BLOCK):
             fields = [_format_column(column[start:start + TABLE_BLOCK]) for column in columns]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-
-@functools.cache
-def _sha256_constructor():
-    """The SHA-256 constructor of the interpreter's own module: ``_sha2`` on
-    Python 3.12 and later, ``_sha256`` on 3.10 and 3.11, and ``hashlib``'s
-    only if neither imports.  ``hashlib`` loads OpenSSL, 3.4 MB of resident
-    memory in every process; the built-in code has no SHA-NI path and is
-    about 5x slower per byte, some 5 ms per MB."""
-    for name in ("_sha2", "_sha256"):
-        try:
-            return __import__(name).sha256
-        except ImportError:
-            pass
-    import hashlib
-    return hashlib.sha256
-
-
-def sha256(data: bytes = b""):
-    """A SHA-256 hash object over ``data``, as ``hashlib.sha256(data)``."""
-    return _sha256_constructor()(data)
 
 
 def sha256_file(path: Path) -> str:

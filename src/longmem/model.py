@@ -538,23 +538,30 @@ def _section(cfg: dict, name: str, build, *args):
         raise ValidationError(f"{name}: {exc}") from None
 
 
-def _read_config(cfg: dict, base_dir: Path | str = ".") -> tuple[ProcessSpec, dict]:
-    """The spec a parsed JSON config describes, and its top level with every
-    value read by ``_CONFIG_KEYS``: the run keys, for the commands."""
+def _read_config(cfg: dict, base_dir: Path | str = ".",
+                 tail_tol: float | None = None) -> tuple[dict, ProcessSpec, dict]:
+    """A parsed JSON config as resolved, with ``tail_tol`` in place of its
+    own when given; the spec it describes; and its top level with every
+    value read by ``_CONFIG_KEYS``: the run keys, for the commands.  A top
+    level that is not a JSON object is refused before anything reads it."""
+    if not isinstance(cfg, dict):
+        raise ValidationError("config: the top level must be a JSON object")
+    if tail_tol is not None:
+        cfg = dict(cfg, tail_tol=tail_tol)
     run = _read(cfg, _CONFIG_KEYS[""])
     grid = _section(run, "grid", _grid_from_dict)
     memory = _section(run, "memory", _memory_from_dict, grid)
     innovations = _section(run, "innovations", _innovations_from_dict, grid, Path(base_dir))
-    return ProcessSpec(grid=grid, memory=memory, innovations=innovations,
-                       tail_tol=run.get("tail_tol", DEFAULT_TAIL_TOL),
-                       horizon=run.get("horizon", 1)), run
+    return cfg, ProcessSpec(grid=grid, memory=memory, innovations=innovations,
+                            tail_tol=run.get("tail_tol", DEFAULT_TAIL_TOL),
+                            horizon=run.get("horizon", 1)), run
 
 
 def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
     """Build a ProcessSpec from a parsed JSON config dictionary.  Every key,
     run keys included, is read by its caster in ``_CONFIG_KEYS``, and a key
     that it does not list is refused."""
-    return _read_config(cfg, base_dir)[0]
+    return _read_config(cfg, base_dir)[1]
 
 
 def load_spec(path: Path | str) -> ProcessSpec:

@@ -11,10 +11,12 @@ a partial sum S_n.
 from __future__ import annotations
 
 import functools
-import importlib.util
+import importlib
 import os
+import random
 import sys
 import threading
+import types
 
 import numpy as np
 
@@ -36,11 +38,6 @@ def _words_per_index(q: int) -> int:
     return 4 * ((q + 3) // 4)
 
 
-# hashlib's fallbacks when OpenSSL's _hashlib is absent: it logs an error
-# at import for each of its always-supported hashes that none provides
-_BUILTIN_HASHES = ("_md5", "_sha1", "_blake2", "_sha3") + (
-    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512"))
-_OPENSSL_USERS = ("_hashlib", "hashlib", "hmac", "secrets")
 _RANDOM_IMPORT = threading.Lock()
 
 
@@ -48,60 +45,39 @@ _RANDOM_IMPORT = threading.Lock()
 def _numpy_random():
     """``numpy.random``, the one route by which this module reaches it.
 
-    numpy's ``bit_generator`` imports ``secrets`` for seedless entropy, and
-    through it ``hmac``, ``hashlib`` and OpenSSL's ``_hashlib``, about 3.4 MB
-    of resident memory; every generator here is seeded, and ``secrets.randbits``
-    needs no hash.  So when none of those modules is loaded yet and the
-    interpreter has each of hashlib's built-in hashes, ``_hashlib`` is masked
-    for the import and the four modules built without it are dropped after,
-    so that a later ``import hashlib`` loads them afresh, OpenSSL and
-    ``pbkdf2_hmac`` included.  Otherwise numpy.random is imported plainly.
+    numpy's ``bit_generator`` imports ``randbits`` from ``secrets`` for
+    seedless entropy, and ``secrets`` loads ``hmac``, ``hashlib`` and
+    OpenSSL's ``_hashlib``, about 3.4 MB of resident memory; every generator
+    here is seeded.  So unless ``secrets`` or ``numpy.random`` is loaded
+    already, a stand-in ``secrets`` holding what ``secrets.randbits`` is,
+    ``random.SystemRandom().getrandbits``, serves the one import and is then
+    removed: a later ``import secrets`` loads the standard module.
     """
     with _RANDOM_IMPORT:
-        if (any(name in sys.modules for name in ("numpy.random",) + _OPENSSL_USERS)
-                or any(importlib.util.find_spec(name) is None for name in _BUILTIN_HASHES)):
+        if "secrets" in sys.modules or "numpy.random" in sys.modules:
             return importlib.import_module("numpy.random")
-        sys.modules["_hashlib"] = None
+        stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
+        sys.modules["secrets"] = stand_in
         try:
             return importlib.import_module("numpy.random")
         finally:
-            for name in _OPENSSL_USERS:
-                sys.modules.pop(name, None)
+            del sys.modules["secrets"]
 
 
-@functools.lru_cache(maxsize=64)
-def _philox_key(seed: int) -> tuple:
-    """Philox key words of a master seed, hashed once: a Monte Carlo run
-    seeks one generator per replication under the same seed."""
-    seeds = _numpy_random().SeedSequence(seed)
-    return tuple(int(w) for w in seeds.generate_state(2, np.uint64))
-
-
-def _philox_state(seed: int) -> dict:
-    """A Philox state dict under the key of ``seed``, with an empty output
-    buffer: ``_seek`` sets its counter words, one dict serving a whole call."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": _philox_key(int(seed))},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _seek(gen: np.random.Generator, seed: int, rep: int, start: int, W: int,
-          state: dict | None = None) -> None:
+def _seek(gen: np.random.Generator, state: dict, rep: int, start: int, W: int) -> None:
     """Point ``gen`` (Philox) at time index ``start`` of replication ``rep``.
 
-    The one map from (seed, rep, index) to generator state: the key hashes
-    the seed, the counter's high words hold the replication, and each time
-    index owns W/4 consecutive 4-word counter blocks.  Philox is counter
-    based, so resetting its state is the same stream as a new generator.
-    ``state``, a ``_philox_state(seed)`` dict, is reused: only its counter
-    words are written.
+    The one map from (seed, rep, index) to generator state: ``state``, that
+    of a new ``Philox(seed)``, holds the seed's key and an empty buffer, and
+    only its counter words are written.  The counter's high words hold the
+    replication, and each time index owns W/4 consecutive 4-word counter
+    blocks.  Philox is counter based, so this is a new generator's stream.
     """
     counter = (int(rep) << 128) + (int(start) + ORIGIN) * (W // 4)
     if not 0 <= counter < 1 << 256:
         raise ValueError(f"replication {rep}, index {start}: counter must be "
                          f"positive and less than 2**256")
-    if state is None:
-        state = _philox_state(seed)
     state["state"]["counter"] = [counter & _WORD, counter >> 64 & _WORD,
                                  counter >> 128 & _WORD, counter >> 192]
     gen.bit_generator.state = state
@@ -193,14 +169,14 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     W = _words_per_index(model.q)
-    random = _numpy_random()
-    gen = random.Generator(random.Philox(int(seed)))
-    state = _philox_state(seed)
+    npr = _numpy_random()
+    gen = npr.Generator(npr.Philox(int(seed)))
+    state = gen.bit_generator.state
     u = np.empty((min(block, len(reps)), count, W))
     for lo in range(0, len(reps), block):
         k = min(block, len(reps) - lo)
         for r in range(k):
-            _seek(gen, seed, reps[lo + r], start, W, state)
+            _seek(gen, state, reps[lo + r], start, W)
             gen.random(out=u[r])
         _standardized_draws(u[:k].reshape(-1, W), model.law, model.pareto_alpha)
         yield u[:k, :, :model.q]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -691,46 +692,67 @@ def test_fresh_process_writes_the_analyze_bytes_of_this_one(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
+# numpy.random would load OpenSSL's _hashlib through secrets, hmac and hashlib
+OPENSSL_MODULES = ("_hashlib", "hashlib", "hmac", "secrets")
+# argv: fig1a, clt_boundary_reference, an output directory, and "masked" to
+# run without the built-in _md5
+_EVERY_COMMAND = (
+    "import sys\n"
+    "if sys.argv[4] == 'masked':\n"
+    "    sys.modules['_md5'] = None\n"
+    "import longmem.cli\n"
+    "def loaded():\n"
+    "    return (any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
+    "            'numpy.ma' in sys.modules,\n"
+    f"            any(m in sys.modules for m in {OPENSSL_MODULES!r}))\n"
+    "def run(command, config, out):\n"
+    "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
+    "    print(command, status, *loaded())\n"
+    "print('import', 0, *loaded())\n"
+    "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
+    "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n"
+    "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n"
+    "import hashlib, hmac, secrets\n"
+    "print(hashlib.sha256(b'abc').hexdigest())\n"
+    "print(hmac.new(b'k', b'm', 'sha256').hexdigest())\n"
+    "print(hasattr(hashlib, 'pbkdf2_hmac'), len(secrets.token_hex(4)))\n")
+
+
+def _run_every_command(tmp_path, mode: str) -> None:
+    run = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, _config_path("fig1a.json"),
+                          _config_path("clt_boundary_reference.json"), str(tmp_path), mode],
+                         env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert run.stdout.splitlines() == [
+        "import 0 False False False", "simulate 0 False False False",
+        "analyze 0 False False False", "verify-clt 0 False False False",
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec", "True 8"], run.stderr
+    assert run.stderr == ""
+    assert (tmp_path / "v" / "normality.csv").exists()
+
+
 def test_commands_leave_scipy_unloaded(tmp_path):
     # scipy is a test dependency only.  Its special module alone costs a
     # process about 20 MB; the library's one normal CDF and its zeta are
     # in-house ports, so no command loads any scipy module.  Nor does any
     # load numpy.ma (about 1.5 MB), which a plain np.unique would import;
     # verify-clt reads a constant memory section.  Nor OpenSSL's _hashlib
-    # (about 3.4 MB), which numpy.random would load through secrets; a
-    # later import of hashlib and hmac still gets it, pbkdf2_hmac included
-    code = ("import sys, longmem.cli\n"
-            "def scipy_loaded():\n"
-            "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-            "def loaded():\n"
-            "    return scipy_loaded(), 'numpy.ma' in sys.modules, '_hashlib' in sys.modules\n"
-            "def run(command, config, out):\n"
-            "    status = longmem.cli.main([command, '--config', config, '--out', out])\n"
-            "    print(command, status, *loaded())\n"
-            "print('import', 0, *loaded())\n"
-            "run('simulate', sys.argv[1], sys.argv[3] + '/s')\n"
-            "run('analyze', sys.argv[1], sys.argv[3] + '/a')\n"
-            "run('verify-clt', sys.argv[2], sys.argv[3] + '/v')\n"
-            "import hashlib, hmac\n"
-            "print(hashlib.sha256(b'abc').hexdigest())\n"
-            "print(hmac.new(b'k', b'm', 'sha256').hexdigest())\n"
-            "print(hasattr(hashlib, 'pbkdf2_hmac'))\n")
-    run = subprocess.run([sys.executable, "-c", code, _config_path("fig1a.json"),
-                          _config_path("clt_boundary_reference.json"), str(tmp_path)],
-                         env=_fresh_env(), capture_output=True, text=True, timeout=120)
-    assert run.stdout.splitlines() == [
-        "import 0 False False False", "simulate 0 False False False",
-        "analyze 0 False False False", "verify-clt 0 False False False",
-        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-        "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec", "True"], run.stderr
-    assert run.stderr == ""
-    assert (tmp_path / "v" / "normality.csv").exists()
+    # (about 3.4 MB) or the modules that load it, which numpy.random would
+    # import through secrets; a later import of hashlib, hmac and secrets
+    # still gets them, pbkdf2_hmac included
+    _run_every_command(tmp_path, "plain")
+
+
+def test_commands_without_a_builtin_hash_leave_openssl_unloaded(tmp_path):
+    # hashlib is never imported, so an interpreter that lacks one of its
+    # built-in hashes logs nothing, and a later hashlib still finds md5
+    _run_every_command(tmp_path, "masked")
 
 
 def test_verify_clt_without_a_builtin_hash_writes_the_same_bytes(tmp_path):
     # an interpreter that lacks one of hashlib's built-in hashes imports
-    # numpy.random plainly, OpenSSL included: hashlib would otherwise log
-    # "code for hash md5 was not found" on stderr
+    # numpy.random without OpenSSL too: hashlib, which would log "code for
+    # hash md5 was not found" on stderr, is never imported
     code = ("import sys\n"
             "if sys.argv[1] == 'masked':\n"
             "    sys.modules['_md5'] = None\n"
@@ -738,11 +760,11 @@ def test_verify_clt_without_a_builtin_hash_writes_the_same_bytes(tmp_path):
             "status = longmem.cli.main(sys.argv[2:])\n"
             "print(status, '_hashlib' in sys.modules)\n")
     cfg = _config_path("clt_boundary_reference.json")
-    for mode, openssl in (("masked", True), ("plain", False)):
+    for mode in ("masked", "plain"):
         run = subprocess.run([sys.executable, "-c", code, mode, "verify-clt", "--config", cfg,
                               "--out", str(tmp_path / mode), "--threads", "1"],
                              env=_fresh_env(), capture_output=True, text=True, timeout=120)
-        assert (run.returncode, run.stdout, run.stderr) == (0, f"0 {openssl}\n", "")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0 False\n", "")
     names = sorted(p.name for p in (tmp_path / "plain").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "masked").iterdir())
     for name in names:
@@ -776,6 +798,27 @@ def test_fresh_processes_write_the_same_bytes_at_any_thread_count(tmp_path):
             == _manifest_without_timestamp(tmp_path / "2"))
 
 
+@pytest.mark.parametrize("prelude, expected", [
+    ("", "True False\nTrue\n"),
+    ("import secrets as first\nprint(first is __import__('sys').modules['secrets'])\n",
+     "True\nTrue True\nTrue\n"),
+], ids=["stand-in", "loaded-before"])
+def test_numpy_random_leaves_secrets_as_it_found_it(prelude, expected):
+    # a fresh process runs the prelude, imports numpy.random through
+    # _numpy_random and asks for OS entropy; it prints whether secrets is
+    # loaded then, and whether a later import of it has token_hex.  A
+    # stand-in serves numpy's one import and is gone after it; a secrets
+    # module loaded before is the one kept
+    code = (prelude + "import sys, longmem.simulate\n"
+            "npr = longmem.simulate._numpy_random()\n"
+            "print(npr.SeedSequence().entropy > 0, 'secrets' in sys.modules)\n"
+            "import secrets\n"
+            "print(hasattr(secrets, 'token_hex'))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, expected, "")
+
+
 @pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 16) + 17])
 def test_sha256_file_is_hashlib_sha256(tmp_path, size):
     # empty, under one 64 KiB read, and over three of them
@@ -786,14 +829,19 @@ def test_sha256_file_is_hashlib_sha256(tmp_path, size):
 
 def test_sha256_is_the_interpreters_own_module():
     # _sha2 on Python 3.12 and later, _sha256 on 3.10 and 3.11
-    assert io._sha256_constructor().__module__ in ("_sha2", "_sha256")
+    assert io.sha256.__module__ in ("_sha2", "_sha256")
 
 
 def test_sha256_falls_back_to_hashlib(monkeypatch):
-    # an interpreter built without either module still hashes
+    # an interpreter built without either module still hashes: longmem.io
+    # imported afresh takes hashlib's, and this one is put back after
     for name in ("_sha2", "_sha256"):
         monkeypatch.setitem(sys.modules, name, None)
-    assert io._sha256_constructor.__wrapped__() is hashlib.sha256
+    monkeypatch.delitem(sys.modules, "longmem.io")
+    monkeypatch.setattr(lm, "io", io)
+    fresh = importlib.import_module("longmem.io")
+    assert fresh is not io
+    assert fresh.sha256 is hashlib.sha256
 
 
 def test_table_csv_quotes_only_text_that_needs_it(tmp_path):

@@ -302,6 +302,17 @@ class TestConfigLoading:
         assert spec.tail_tol == 0.05
         assert np.allclose(spec.innovations.sigma2, [1.0, 2.0])
 
+    @pytest.mark.parametrize("top", [None, 5, 1.5, True, [1, 2], "grid"])
+    def test_top_level_that_is_not_an_object_is_refused_on_both_routes(self, tmp_path, top):
+        # a list or a string would otherwise be read key by key, and a
+        # scalar would not iterate
+        message = "config: the top level must be a JSON object"
+        with pytest.raises(lm.ValidationError, match=message):
+            lm.spec_from_dict(top)
+        (tmp_path / "spec.json").write_text(json.dumps(top))
+        with pytest.raises(lm.ValidationError, match=message):
+            lm.load_spec(tmp_path / "spec.json")
+
     def test_sigma_file_csv(self, tmp_path):
         np.savetxt(tmp_path / "sigma.csv", np.eye(2), delimiter=",")
         cfg = {

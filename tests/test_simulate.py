@@ -7,9 +7,8 @@ from scipy import stats
 
 import longmem as lm
 from longmem.model import tail_variance_bound
-from longmem.simulate import (ORIGIN, REPLICATION_BLOCK, _excess_kurtosis, _philox_key,
-                              _seek, _standard_draws, _standardized_draws,
-                              innovation_block)
+from longmem.simulate import (ORIGIN, REPLICATION_BLOCK, _excess_kurtosis, _seek,
+                              _standard_draws, _standardized_draws, innovation_block)
 from oracles import cross_covariance_exact, partial_sums_direct
 
 
@@ -40,10 +39,11 @@ class TestInnovations:
     @pytest.mark.parametrize("q", [3, 5])
     def test_seek_reproduces_a_fresh_generator(self, rep, q):
         # the counter a new Philox generator starts from, word by word; rep
-        # 2^64 + 3 sets both high words of the counter
+        # 2^64 + 3 sets both high words of the counter.  The key of seed 7
+        # is numpy's hash of it, taken here from SeedSequence directly
         model = lm.InnovationModel.white(1.0, q=q)
         W = 4 * ((q + 3) // 4)
-        key = np.array(_philox_key(7), dtype=np.uint64)
+        key = np.random.SeedSequence(7).generate_state(2, np.uint64)
         reused = np.random.Generator(np.random.Philox(1))
         reused.integers(0, 2 ** 32, size=3, dtype=np.uint32)   # leave a half-used word
         for start in (-5, 0, 17):
@@ -52,7 +52,7 @@ class TestInnovations:
                 counter = (r << 128) + (start + ORIGIN) * (W // 4)
                 fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
                 expected.append(fresh.random((9, W)))
-            _seek(reused, 7, rep, start, W)
+            _seek(reused, np.random.Philox(7).state, rep, start, W)
             assert np.array_equal(reused.random((9, W)), expected[0])
             # three replications in blocks of two: one generator, reset per
             # replication; a block lives in the buffer the next one refills
@@ -67,7 +67,7 @@ class TestInnovations:
     def test_seek_refuses_a_negative_replication(self):
         gen = np.random.Generator(np.random.Philox(1))
         with pytest.raises(ValueError, match="counter must be positive"):
-            _seek(gen, 7, -1, 0, 4)
+            _seek(gen, gen.bit_generator.state, -1, 0, 4)
 
     def test_replication_index_splits_stream(self, long_spec):
         a = innovation_block(long_spec.innovations, seed=4, start=1, count=20, rep=0)
