@@ -1,11 +1,12 @@
 """Seeded generation of innovation fields, truncated paths, and partial sums.
 
-Innovations are addressed by (seed, replication, time index) through a
-counter-based generator, so any consumer — the direct path filter, the
-coefficient-table partial sum, or a shard of the Monte Carlo replication
-sampler — sees the identical draw for a given index regardless of
-evaluation order.  This module is the one map from (seed, replication) to
-a partial sum S_n.
+Innovations are addressed by (seed, replication, time index): word w of
+index m of replication rep is word rep 2^64 + (m + ORIGIN) W + w of the
+sequence of ``PCG64DXSM(seed)``, reached in O(1) calls by ``advance``.  So
+any consumer — the direct path filter, the coefficient-table partial sum,
+or a shard of the Monte Carlo replication sampler — sees the identical draw
+for a given index regardless of evaluation order.  This module is the one
+map from (seed, replication) to a partial sum S_n.
 """
 
 from __future__ import annotations
@@ -24,18 +25,19 @@ from .model import (InnovationModel, ProcessSpec, ValidationError, _factor_psd,
                     tail_variance_bound)
 from .analytics import partial_sum_weights
 
-# time indices are shifted by ORIGIN inside the counter so that past
-# innovations (index >= 1 - M, M capped at 1e7) stay nonnegative
+# time indices are shifted by ORIGIN inside a replication's 2^64-word region
+# so that past innovations (index >= 1 - M, M capped at 1e7) sit at
+# nonnegative offsets
 ORIGIN = 1 << 40
 
-_WORD = (1 << 64) - 1
 REPLICATION_BLOCK = 16  # Gaussian replications (n + 1 rows each) sampled together
 CHUNK_WORDS = 1 << 15   # most uniforms transformed per pass of _standardized_draws
 
 
 def _words_per_index(q: int) -> int:
-    # one 64-bit word per double, rounded up to whole 4-word counter blocks
-    return 4 * ((q + 3) // 4)
+    # one 64-bit word per double, rounded up to an even count: Box-Muller
+    # maps the words of an index in pairs
+    return q + (q & 1)
 
 
 _RANDOM_IMPORT = threading.Lock()
@@ -65,22 +67,27 @@ def _numpy_random():
             del sys.modules["secrets"]
 
 
-def _seek(gen: np.random.Generator, state: dict, rep: int, start: int, W: int) -> None:
-    """Point ``gen`` (Philox) at time index ``start`` of replication ``rep``.
+def _seek(bit_gen, at: int, rep: int, start: int, count: int, W: int) -> int:
+    """Move ``bit_gen``, a PCG64DXSM at word ``at`` of its seed's sequence, to
+    word 0 of time index ``start`` of replication ``rep``, and return the word
+    it sits at once ``count`` indices of W words are drawn from there.
 
-    The one map from (seed, rep, index) to generator state: ``state``, that
-    of a new ``Philox(seed)``, holds the seed's key and an empty buffer, and
-    only its counter words are written.  The counter's high words hold the
-    replication, and each time index owns W/4 consecutive 4-word counter
-    blocks.  Philox is counter based, so this is a new generator's stream.
+    The one map from (seed, rep, index) to generator state: word w of index
+    m of replication rep is word rep 2^64 + (m + ORIGIN) W + w, reached by
+    one relative ``advance`` (mod 2^128), which also drops a buffered half
+    word.  A replication owns 2^64 words, so ``rep`` must be below 2^64 and
+    the indices drawn must stay inside its region; anything else would
+    alias another replication and is refused.
     """
-    counter = (int(rep) << 128) + (int(start) + ORIGIN) * (W // 4)
-    if not 0 <= counter < 1 << 256:
-        raise ValueError(f"replication {rep}, index {start}: counter must be "
-                         f"positive and less than 2**256")
-    state["state"]["counter"] = [counter & _WORD, counter >> 64 & _WORD,
-                                 counter >> 128 & _WORD, counter >> 192]
-    gen.bit_generator.state = state
+    rep, start = int(rep), int(start)
+    first, end = (start + ORIGIN) * W, (start + count + ORIGIN) * W
+    if not (0 <= rep < 1 << 64 and 0 <= first and end <= 1 << 64):
+        raise ValueError(f"replication {rep}, indices {start}..{start + count - 1}: the "
+                         f"replication must lie in [0, 2**64) and its words in its "
+                         f"own 2**64-word region")
+    word = (rep << 64) + first
+    bit_gen.advance((word - at) % (1 << 128))
+    return word + count * W
 
 
 def _standardized_draws(u: np.ndarray, law: str, pareto_alpha: float) -> np.ndarray:
@@ -160,23 +167,23 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
     replications (fewer in the last).
 
     Entries are i.i.d. mean zero, unit variance, of the model's law; one
-    Philox generator and one uniform buffer serve the whole call, reset to
-    each replication's counter, so a replication's draws do not depend on
-    the block it falls in.  A block is that buffer, all W words of each
-    index transformed in place, viewed at its first q words: use it before
-    asking for the next one.
+    PCG64DXSM generator and one uniform buffer serve the whole call, moved
+    to each replication's first word, so a replication's draws do not
+    depend on the block it falls in.  A block is that buffer, all W words of
+    each index transformed in place, viewed at its first q words: use it
+    before asking for the next one.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     W = _words_per_index(model.q)
     npr = _numpy_random()
-    gen = npr.Generator(npr.Philox(int(seed)))
-    state = gen.bit_generator.state
+    bit_gen = npr.PCG64DXSM(int(seed))
+    gen, at = npr.Generator(bit_gen), 0
     u = np.empty((min(block, len(reps)), count, W))
     for lo in range(0, len(reps), block):
         k = min(block, len(reps) - lo)
         for r in range(k):
-            _seek(gen, state, reps[lo + r], start, W)
+            at = _seek(bit_gen, at, reps[lo + r], start, count, W)
             gen.random(out=u[r])
         _standardized_draws(u[:k].reshape(-1, W), model.law, model.pareto_alpha)
         yield u[:k, :, :model.q]

@@ -35,26 +35,27 @@ class TestInnovations:
         small = innovation_block(model, seed=4, start=0, count=50)
         assert np.array_equal(big[100:], small)
 
-    @pytest.mark.parametrize("rep", [0, 1, 2 ** 64 + 3])
+    @pytest.mark.parametrize("rep", [0, 1, 2 ** 64 - 3])
     @pytest.mark.parametrize("q", [3, 5])
     def test_seek_reproduces_a_fresh_generator(self, rep, q):
-        # the counter a new Philox generator starts from, word by word; rep
-        # 2^64 + 3 sets both high words of the counter.  The key of seed 7
-        # is numpy's hash of it, taken here from SeedSequence directly
+        # word w of index m of replication r is word r 2^64 + (m + ORIGIN) W + w
+        # of PCG64DXSM(seed), W being q rounded up to even; rep 2^64 - 3
+        # draws the last three replications of the domain
         model = lm.InnovationModel.white(1.0, q=q)
-        W = 4 * ((q + 3) // 4)
-        key = np.random.SeedSequence(7).generate_state(2, np.uint64)
-        reused = np.random.Generator(np.random.Philox(1))
-        reused.integers(0, 2 ** 32, size=3, dtype=np.uint32)   # leave a half-used word
+        W = q + q % 2
+        reused = np.random.PCG64DXSM(7)
+        # three 32-bit draws take two words and leave half of the second
+        np.random.Generator(reused).integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        assert reused.state["has_uint32"] == 1
+        at = 2
         for start in (-5, 0, 17):
             expected = []
             for r in range(rep, rep + 3):
-                counter = (r << 128) + (start + ORIGIN) * (W // 4)
-                fresh = np.random.Generator(np.random.Philox(key=key, counter=counter))
-                expected.append(fresh.random((9, W)))
-            _seek(reused, np.random.Philox(7).state, rep, start, W)
-            assert np.array_equal(reused.random((9, W)), expected[0])
-            # three replications in blocks of two: one generator, reset per
+                fresh = np.random.PCG64DXSM(7).advance((r << 64) + (start + ORIGIN) * W)
+                expected.append(np.random.Generator(fresh).random((9, W)))
+            at = _seek(reused, at, rep, start, 9, W)
+            assert np.array_equal(np.random.Generator(reused).random((9, W)), expected[0])
+            # three replications in blocks of two: one generator, moved per
             # replication; a block lives in the buffer the next one refills
             blocks = [g.copy() for g in _standard_draws(model, 7, range(rep, rep + 3),
                                                         start, 9, 2)]
@@ -64,10 +65,50 @@ class TestInnovations:
             _standardized_draws(full.reshape(-1, W), "gaussian", model.pareto_alpha)
             assert np.array_equal(np.concatenate(blocks), full[:, :, :q])
 
-    def test_seek_refuses_a_negative_replication(self):
-        gen = np.random.Generator(np.random.Philox(1))
-        with pytest.raises(ValueError, match="counter must be positive"):
-            _seek(gen, gen.bit_generator.state, -1, 0, 4)
+    @pytest.mark.parametrize("rep, start, count", [
+        (-1, 0, 1), (2 ** 64, 0, 1), (0, -ORIGIN - 1, 1),
+        # the last index of replication 0 and the first of replication 1
+        (0, 2 ** 62 - ORIGIN - 1, 2)])
+    def test_seek_refuses_an_address_outside_the_replication(self, rep, start, count):
+        bit_gen = np.random.PCG64DXSM(1)
+        with pytest.raises(ValueError, match="own 2\\*\\*64-word region"):
+            _seek(bit_gen, 0, rep, start, count, 4)
+        # the region's last index is inside it
+        assert _seek(bit_gen, 0, 2 ** 64 - 1, 2 ** 62 - ORIGIN - 1, 1, 4) == 2 ** 128
+        model = lm.InnovationModel.white(1.0, q=4)
+        with pytest.raises(ValueError, match="own 2\\*\\*64-word region"):
+            innovation_block(model, seed=1, start=start, count=count, rep=rep)
+
+    def test_pinned_words(self):
+        # the first eight words of seed 5, replication 2, index -3 at q = 4,
+        # taken from a bare PCG64DXSM(5) advanced by 2 2^64 + (2^40 - 3) 4:
+        # integers, not transformed floats, which may differ across CPUs
+        pinned = np.array([12296317186755429450, 9619148739288694765,
+                           14560782317110687186, 13431114192297405896,
+                           850821097343963300, 10125327522617097181,
+                           1889368172068521489, 11241335242007177118], dtype=np.uint64)
+        bit_gen = np.random.PCG64DXSM(5)
+        assert _seek(bit_gen, 0, 2, -3, 2, 4) == 2 * 2 ** 64 + (2 ** 40 - 1) * 4
+        assert np.array_equal(bit_gen.random_raw(8), pinned)
+
+    def test_replication_streams_are_independent(self, monkeypatch):
+        # replications start 2^64 words apart on one PCG64DXSM, whose output
+        # function keeps such streams uncorrelated (plain PCG64's does not):
+        # over 4,096 replications of 256 uniforms, the pooled correlation of
+        # replications r and r + lag and the mean of each word over the
+        # replications, standardized, stay within 4 standard errors
+        monkeypatch.setattr(lm.simulate, "_standardized_draws", lambda u, law, alpha: u)
+        reps, count = 4096, 128
+        model = lm.InnovationModel.white(1.0, q=2)
+        u, = _standard_draws(model, 71, range(reps), 0, count, reps)
+        x = u.reshape(reps, -1)
+        x -= 0.5
+        x *= np.sqrt(12.0)          # mean 0, variance 1
+        words = x.shape[1]
+        for lag in (1, 2, 64, 1024):
+            z = np.vdot(x[:-lag], x[lag:]) / np.sqrt((reps - lag) * words)
+            assert abs(z) < 4, (lag, z)
+        assert np.max(np.abs(x.mean(axis=0))) * np.sqrt(reps) < 4
 
     def test_replication_index_splits_stream(self, long_spec):
         a = innovation_block(long_spec.innovations, seed=4, start=1, count=20, rep=0)
