@@ -173,26 +173,32 @@ def _lag_series(d_s: float, d_t: float, h: int) -> tuple[float, float, float]:
     return partial + tail, midpoint_err + tail_err, partial
 
 
+def _pair_blocks(spec: ProcessSpec):
+    """``(d_s, d_t, block)`` once per distinct exponent pair, row-major; the
+    ``np.ix_`` block selects the grid pairs (i, j) with d(t_i), d(t_j) = d_s, d_t."""
+    u, idx = spec.memory.distinct
+    for a, b in np.ndindex(len(u), len(u)):
+        yield float(u[a]), float(u[b]), np.ix_(idx == a, idx == b)
+
+
 def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Lag-h cross-covariances and certified bounds over the whole grid, as q x q arrays.
 
     Entry (i, j) is E[X_0(t_i) X_h(t_j)] = sigma(t_i, t_j) sum_{k>=0}
-    (k+1)^{-d(t_i)} (k+h+1)^{-d(t_j)}.  The series depends on a grid pair
-    only through its exponents, so it is summed once per distinct pair and
-    then scaled by sigma(t_i, t_j); the bound adds roundoff proportional to
-    the partial sum to the series' certified error.
+    (k+1)^{-d(t_i)} (k+h+1)^{-d(t_j)}.  The series is summed once per
+    distinct exponent pair with a nonzero sigma entry and then scaled by
+    sigma(t_i, t_j); the bound adds roundoff proportional to the partial
+    sum to the series' certified error.
     """
     if h < 0:
         raise ValueError("lag h must be nonnegative")
     if h > MAX_LAG:
         raise ValueError(f"lag h={h} exceeds MAX_LAG={MAX_LAG}, the largest certified lag")
     sigma = spec.innovations.sigma
-    u, idx = spec.memory.distinct
-    rows, cols = np.nonzero(sigma)
-    series = np.zeros((3, len(u), len(u)))
-    for a, b in set(zip(idx[rows], idx[cols])):
-        series[:, a, b] = _lag_series(float(u[a]), float(u[b]), h)
-    value, err, partial = series[:, idx[:, None], idx]
+    value, err, partial = np.zeros((3, *sigma.shape))
+    for d_s, d_t, block in _pair_blocks(spec):
+        if sigma[block].any():
+            value[block], err[block], partial[block] = _lag_series(d_s, d_t, h)
     values = sigma * value
     bounds = np.abs(sigma) * err + 1e-15 * np.abs(sigma) * partial
     nonzero = sigma != 0.0
@@ -363,11 +369,11 @@ def limit_kernel(spec: ProcessSpec) -> np.ndarray:
     else:
         # sigma is symmetric only to roundoff, so its upper triangle decides
         # both halves
-        u, idx = spec.memory.distinct
-        c = np.array([[scale_integral_closed_form(a, b) for b in u] for a in u])
-        D = u[:, None] + u
-        pair = np.ix_(idx, idx)
-        K = np.where(sigma == 0.0, 0.0, (c + c.T)[pair] * sigma / ((2.0 - D) * (3.0 - D))[pair])
+        c = np.empty_like(sigma)
+        for d_s, d_t, block in _pair_blocks(spec):
+            c[block] = scale_integral_closed_form(d_s, d_t)
+        D = spec.memory.values[:, None] + spec.memory.values
+        K = np.where(sigma == 0.0, 0.0, (c + c.T) * sigma / ((2.0 - D) * (3.0 - D)))
         K = np.triu(K) + np.triu(K, 1).T
     return (K + K.T) / 2.0
 

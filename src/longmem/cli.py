@@ -25,6 +25,7 @@ from . import __version__
 from .model import TailBudgetError, ValidationError, _read_config
 from .analytics import (
     RegimeError,
+    _pair_blocks,
     classify_summability,
     cross_covariance_asymptotic,
     cross_covariance_matrix,
@@ -120,24 +121,20 @@ def _pair_rows(ds: float, dt: float) -> tuple:
 
 
 def _asymptotic(spec, h: int):
-    """Lag-h asymptotic covariance of every grid pair, and the note of each
-    distinct exponent pair as a (nu, nu) object array ("" where the law
-    applies); the closed form runs once per distinct pair, on its whole
-    sigma block."""
+    """Lag-h asymptotic covariances and notes ("" where the law applies), q x q;
+    the closed form runs once per distinct exponent pair, on its sigma block."""
     sigma = spec.innovations.sigma
-    u, idx = spec.memory.distinct
     values = np.zeros_like(sigma)
-    notes = np.full((len(u), len(u)), "lag too small for asymptotics", dtype=object)
+    notes = np.empty(sigma.shape, dtype=object)
+    notes[...] = "lag too small for asymptotics"   # one str object for every entry
     if h < 2:
         return values, notes
-    for a, b in np.ndindex(notes.shape):
-        block = np.ix_(idx == a, idx == b)
+    for d_s, d_t, block in _pair_blocks(spec):
         try:
-            values[block] = cross_covariance_asymptotic(float(u[a]), float(u[b]),
-                                                        sigma[block], h)
-            notes[a, b] = ""
+            values[block] = cross_covariance_asymptotic(d_s, d_t, sigma[block], h)
+            notes[block] = ""
         except RegimeError as exc:
-            notes[a, b] = str(exc)
+            notes[block] = str(exc)
     return values, notes
 
 
@@ -146,15 +143,12 @@ def cmd_analyze(args) -> int:
     pts = spec.grid.points
     q = spec.grid.q
     lags = run.get("lags", [0, 1, 10, 100])
-    u, idx = spec.memory.distinct
-    # one row per grid pair (i, j), j fastest; per-pair fields are looked up
-    # by the pair's distinct exponents
+    # one row per grid pair (i, j), j fastest
     i, j = divmod(np.arange(q * q), q)
-    pair = (idx[i], idx[j])
-    fields = np.empty((len(u), len(u), 5), dtype=object)
-    for a, b in np.ndindex(len(u), len(u)):
-        fields[a, b] = _pair_rows(float(u[a]), float(u[b]))
-    c_quad, c_closed, delta, c_note, summability = fields[pair].T
+    fields = np.empty((q, q, 5), dtype=object)
+    for d_s, d_t, block in _pair_blocks(spec):
+        fields[block] = _pair_rows(d_s, d_t)
+    c_quad, c_closed, delta, c_note, summability = fields.reshape(q * q, 5).T
 
     # covariances.csv: one row per (i, j, lag), lag fastest
     exact, bound, asym = (np.empty((q * q, len(lags))) for _ in range(3))
@@ -163,7 +157,7 @@ def cmd_analyze(args) -> int:
         values, bounds = cross_covariance_matrix(spec, h)
         asymptotic, notes = _asymptotic(spec, h)
         exact[:, k], bound[:, k], asym[:, k] = values.ravel(), bounds.ravel(), asymptotic.ravel()
-        note[:, k] = notes[pair]
+        note[:, k] = notes.ravel()
     asym = asym.astype(object)
     asym[note != ""] = ""
     s, t = np.repeat(pts[i], len(lags)), np.repeat(pts[j], len(lags))

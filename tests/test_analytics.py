@@ -210,6 +210,24 @@ class TestCrossCovarianceMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             lm.cross_covariance_matrix(mixed_spec, -1)
 
+    @pytest.mark.parametrize("innovations, pairs", [
+        # nonzero everywhere: all 9 distinct pairs, row-major
+        ({"kind": "wiener"}, [(a, b) for a in (0.6, 0.8, 1.2) for b in (0.6, 0.8, 1.2)]),
+        # diagonal: 3 pairs, not 9
+        ({"kind": "white", "sigma2": 1.0}, [(0.6, 0.6), (0.8, 0.8), (1.2, 1.2)]),
+        ({"kind": "custom", "sigma": np.zeros((4, 4)).tolist()}, []),
+    ], ids=["wiener", "white", "zero"])
+    def test_lag_series_once_per_distinct_pair_with_nonzero_sigma(self, innovations, pairs,
+                                                                   count_calls):
+        spec = lm.spec_from_dict({
+            "grid": {"points": [0.2, 0.4, 0.6, 0.8]},
+            "memory": {"kind": "table", "values": [1.2, 0.6, 0.8, 0.6]},
+            "innovations": innovations,
+        })
+        calls = count_calls(lm.analytics, "_lag_series")
+        lm.cross_covariance_matrix(spec, 7)
+        assert calls == [(d_s, d_t, 7) for d_s, d_t in pairs]
+
 
 class TestCrossCovarianceAsymptotic:
     def test_power_law_form(self, rel):

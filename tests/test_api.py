@@ -141,6 +141,11 @@ def test_exponents_are_decomposed_only_by_memory_distinct():
     package = Path(lm.__file__).resolve().parent
     assert {name for name in ("analytics", "simulate", "mcverify")
             if "unique" in _called_names((package / f"{name}.py").read_text())} == set()
+    # the command line reaches exponent pairs through analytics' pair blocks
+    # and reads no index of its own
+    cli = ast.parse((package / "cli.py").read_text())
+    assert [node.lineno for node in ast.walk(cli)
+            if isinstance(node, ast.Attribute) and node.attr == "distinct"] == []
 
 
 def test_pyproject_version_is_the_package_version():

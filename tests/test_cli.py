@@ -438,11 +438,17 @@ class TestAnalyze:
         assert "1/2 < d_s < 1" in body  # the rejected entries carry the reason
 
 
-    def test_kernel_route_matches_pointwise_oracles(self, tmp_path):
+    @pytest.mark.parametrize("innovations", [
+        {"kind": "wiener"},
+        # diagonal sigma: every off-diagonal exponent pair reads only zero
+        # entries, and c_matrix.csv and summability.csv still fill its rows
+        {"kind": "white", "sigma2": [1, 2, 3, 4, 5, 6, 7]},
+    ], ids=["wiener", "white"])
+    def test_kernel_route_matches_pointwise_oracles(self, tmp_path, innovations):
         cfg = {
             "grid": {"linspace": [0.125, 0.875, 7]},
             "memory": {"kind": "step", "breakpoints": [0.5], "levels": [0.6, 1.5]},
-            "innovations": {"kind": "wiener"},
+            "innovations": innovations,
             "tail_tol": 0.1,
             "lags": [0, 1, 10],
         }
@@ -469,6 +475,11 @@ class TestAnalyze:
                 assert (row["c_quadrature"], row["note"]) == ("", str(exc))
             else:
                 assert row["c_quadrature"] == expected
+        with (out / "summability.csv").open() as fh:
+            s_rows = list(csv.DictReader(fh))
+        assert len(s_rows) == 7 * 7
+        assert [row["classification"] for row in s_rows] == [
+            lm.classify_summability(d[float(row["s"])], d[float(row["t"])]) for row in s_rows]
 
     def test_asymptotic_once_per_distinct_pair_and_lag(self, tmp_path, count_calls):
         cfg = {
