@@ -1,9 +1,10 @@
 """Config-driven command line: simulate / analyze / verify-clt.
 
 Every run writes a ``manifest.json`` echoing the fully resolved
-configuration, the package version, the seed, and SHA-256 digests of all
-emitted files.  Only the manifest timestamp is nondeterministic; the data
-files are byte-identical for identical config + seed.
+configuration, the package version, the software stack, the seed, and the
+SHA-256 digest that each writer returned for the file it emitted.  Only the
+manifest timestamp is nondeterministic; the data files are byte-identical
+for identical config + seed on one software stack and SIMD dispatch.
 
 Exit codes: 0 = success / all verdicts pass, 1 = verdict failure,
 2 = configuration or validation error.
@@ -82,15 +83,19 @@ def _load(args):
     return cfg, run, spec, seed, out, threads
 
 
-def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None):
+def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs: dict, extra=None):
+    # byte-identical outputs are promised only on one software stack and one
+    # SIMD dispatch: numpy's log and tan loops differ by target
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
     payload = {
         "command": command,
         "version": __version__,
-        # byte-identical outputs are promised only on one software stack
-        "software": {"python": platform.python_version(), "numpy": np.__version__},
+        "software": {"python": platform.python_version(), "numpy": np.__version__,
+                     "simd_baseline": simd.get("baseline", []),
+                     "simd_found": simd.get("found", [])},
         "seed": seed,
         "resolved_config": cfg,
-        "outputs": {name: io.sha256_file(out / name) for name in outputs},
+        "outputs": outputs,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if extra:
@@ -101,9 +106,10 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs, extra=None
 def cmd_simulate(args) -> int:
     cfg, _, spec, seed, out, _ = _load(args)
     values, tail_var = generate_paths(spec, spec.horizon, seed)
-    io.write_table_csv(out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
-                       [np.arange(1, len(values) + 1), *values.T])
-    _manifest(out, "simulate", cfg, seed, ["paths.csv"],
+    outputs = {"paths.csv": io.write_table_csv(
+        out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
+        [np.arange(1, len(values) + 1), *values.T])}
+    _manifest(out, "simulate", cfg, seed, outputs,
               extra={"window": spec.window, "spec_hash": spec.spec_hash,
                      "truncation_tail_var": tail_var.tolist()})
     return 0
@@ -143,14 +149,14 @@ def cmd_analyze(args) -> int:
     pts = spec.grid.points
     q = spec.grid.q
     lags = run.get("lags", [0, 1, 10, 100])
-    # one row per grid pair (i, j), j fastest
-    i, j = divmod(np.arange(q * q), q)
+    # one row per grid pair (s, t), t fastest
+    s_pair, t_pair = np.repeat(pts, q), np.tile(pts, q)
     fields = np.empty((q, q, 5), dtype=object)
     for d_s, d_t, block in _pair_blocks(spec):
         fields[block] = _pair_rows(d_s, d_t)
     c_quad, c_closed, delta, c_note, summability = fields.reshape(q * q, 5).T
 
-    # covariances.csv: one row per (i, j, lag), lag fastest
+    # covariances.csv: one row per (s, t, lag), lag fastest
     exact, bound, asym = (np.empty((q * q, len(lags))) for _ in range(3))
     note = np.empty((q * q, len(lags)), dtype=object)
     for k, h in enumerate(lags):
@@ -160,26 +166,23 @@ def cmd_analyze(args) -> int:
         note[:, k] = notes.ravel()
     asym = asym.astype(object)
     asym[note != ""] = ""
-    s, t = np.repeat(pts[i], len(lags)), np.repeat(pts[j], len(lags))
+    s, t = np.repeat(s_pair, len(lags)), np.repeat(t_pair, len(lags))
 
-    io.write_table_csv(out / "c_matrix.csv",
-                       ["s", "t", "c_quadrature", "c_closed_form",
-                        "relative_delta", "note"],
-                       [pts[i], pts[j], c_quad, c_closed, delta, c_note])
-    io.write_table_csv(out / "covariances.csv",
-                       ["s", "t", "h", "exact", "exact_error_bound",
-                        "asymptotic", "note"],
-                       [s, t, np.tile(lags, q * q),
-                        exact.ravel(), bound.ravel(), asym.ravel(), note.ravel()])
-    io.write_table_csv(out / "summability.csv", ["s", "t", "classification"],
-                       [pts[i], pts[j], summability])
+    outputs = {name: io.write_table_csv(out / name, header, columns)
+               for name, header, columns in (
+        ("c_matrix.csv", ["s", "t", "c_quadrature", "c_closed_form", "relative_delta", "note"],
+         [s_pair, t_pair, c_quad, c_closed, delta, c_note]),
+        ("covariances.csv", ["s", "t", "h", "exact", "exact_error_bound", "asymptotic", "note"],
+         [s, t, np.tile(lags, q * q),
+          exact.ravel(), bound.ravel(), asym.ravel(), note.ravel()]),
+        ("summability.csv", ["s", "t", "classification"], [s_pair, t_pair, summability]))}
     l2 = l2_membership(spec)
-    io.write_json(out / "l2_report.json",
-                  {"integral_sigma2": l2.integral_sigma2,
-                   "integral_sigma2_over_2d_minus_1": l2.integral_weighted,
-                   "min_d_minus_half": l2.min_d_minus_half, "min_d_point": l2.min_d_point})
-    _manifest(out, "analyze", cfg, seed,
-              ["c_matrix.csv", "covariances.csv", "summability.csv", "l2_report.json"])
+    outputs["l2_report.json"] = io.write_json(
+        out / "l2_report.json",
+        {"integral_sigma2": l2.integral_sigma2,
+         "integral_sigma2_over_2d_minus_1": l2.integral_weighted,
+         "min_d_minus_half": l2.min_d_minus_half, "min_d_point": l2.min_d_point})
+    _manifest(out, "analyze", cfg, seed, outputs)
     return 0
 
 
@@ -199,23 +202,21 @@ def cmd_verify_clt(args) -> int:
                                  variances=np.diag(report.finite_n_exact))
 
     pts = spec.grid.points
-    for name, matrix in (("covariance_empirical", report.empirical),
-                         ("covariance_finite_exact", report.finite_n_exact),
-                         ("covariance_limit", report.limit),
-                         ("covariance_se", report.se),
-                         ("verdicts", report.verdicts.astype(float)),
-                         ("gap_relative", report.gap_rel)):
-        # labelled on both axes by the grid points
-        io.write_table_csv(out / f"{name}.csv", ["s\\t", *map(io.format_float, pts)],
-                           [pts, *matrix.T])
-    io.write_table_csv(out / "normality.csv",
-                       ["t", "skewness", "excess_kurtosis", "ks_distance",
-                        "skew_ok", "kurt_ok"],
-                       [pts, norm.skewness, norm.excess_kurtosis, norm.ks_distance,
-                        norm.skew_ok, norm.kurt_ok])
-    io.write_table_csv(out / "exponent_fit.csv",
-                       ["t", "slope", "theoretical", "ln_corrected", "max_residual"],
-                       [pts, fit.slopes, fit.theoretical, fit.corrected, fit.max_residual])
+    grid = ["s\\t", *map(io.format_float, pts)]   # labelled on both axes by the points
+    outputs = {name: io.write_table_csv(out / name, header, columns)
+               for name, header, columns in (
+        ("covariance_empirical.csv", grid, [pts, *report.empirical.T]),
+        ("covariance_finite_exact.csv", grid, [pts, *report.finite_n_exact.T]),
+        ("covariance_limit.csv", grid, [pts, *report.limit.T]),
+        ("covariance_se.csv", grid, [pts, *report.se.T]),
+        ("verdicts.csv", grid, [pts, *report.verdicts.astype(float).T]),
+        ("gap_relative.csv", grid, [pts, *report.gap_rel.T]),
+        ("normality.csv",
+         ["t", "skewness", "excess_kurtosis", "ks_distance", "skew_ok", "kurt_ok"],
+         [pts, norm.skewness, norm.excess_kurtosis, norm.ks_distance,
+          norm.skew_ok, norm.kurt_ok]),
+        ("exponent_fit.csv", ["t", "slope", "theoretical", "ln_corrected", "max_residual"],
+         [pts, fit.slopes, fit.theoretical, fit.corrected, fit.max_residual]))}
     passed = report.passed and norm.passed
     summary = {
         "regime": report.regime,
@@ -226,12 +227,8 @@ def cmd_verify_clt(args) -> int:
         "skew_band": norm.skew_band, "kurt_band": norm.kurt_band,
         "overall_pass": passed,
     }
-    io.write_json(out / "summary.json", summary)
-    _manifest(out, "verify-clt", cfg, seed,
-              ["covariance_empirical.csv", "covariance_finite_exact.csv",
-               "covariance_limit.csv", "covariance_se.csv", "verdicts.csv",
-               "gap_relative.csv", "normality.csv", "exponent_fit.csv",
-               "summary.json"],
+    outputs["summary.json"] = io.write_json(out / "summary.json", summary)
+    _manifest(out, "verify-clt", cfg, seed, outputs,
               extra={"window": spec.window,
                      "truncation_tail_var": report.truncation_tail_var.tolist(),
                      "innovations_drawn": report.innovations_drawn})

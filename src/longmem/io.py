@@ -70,33 +70,36 @@ def _format_column(values) -> list[str]:
     return fields
 
 
-def write_table_csv(path: Path, header, columns) -> None:
+def _write(path: Path, texts) -> str:
+    """Write the texts to ``path`` in turn; the SHA-256 hex digest of their UTF-8 bytes."""
+    h = sha256()
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        for text in texts:
+            fh.write(text)
+            h.update(text.encode())
+            del text   # before the next block is formatted: a held block raises peak RSS
+    return h.hexdigest()
+
+
+def write_table_csv(path: Path, header, columns) -> str:
     """Generic table: header list plus equal-length columns, one per field.
 
     A column is a numpy array or a sequence; fields are written as
     ``_format_field`` gives them, ``TABLE_BLOCK`` rows at a time, so every
-    row has the header's width.
+    row has the header's width.  Returns the file's SHA-256 hex digest.
     """
     rows = len(columns[0]) if len(columns) else 0
     if any(len(column) != rows for column in columns):
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+
+    def blocks():
+        yield ",".join(header) + "\n"
         for start in range(0, rows, TABLE_BLOCK):
             fields = [_format_column(column[start:start + TABLE_BLOCK]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            yield "\n".join(map(",".join, zip(*fields))) + "\n"
+    return _write(path, blocks())
 
 
-def sha256_file(path: Path) -> str:
-    h = sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def write_json(path: Path, payload: dict) -> None:
-    """Indented, key-sorted JSON with a trailing newline."""
-    with Path(path).open("w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(path: Path, payload: dict) -> str:
+    """Indented, key-sorted JSON with a trailing newline; returns its digest."""
+    return _write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])

@@ -155,6 +155,17 @@ def test_pyproject_version_is_the_package_version():
         assert tomllib.load(fh)["project"]["version"] == lm.__version__
 
 
+def test_readme_library_example_runs(capsys):
+    # the python block under "## Library example", run as a user would paste it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    regime, verdict = capsys.readouterr().out.splitlines()
+    assert regime == "long"   # as the example's comment says
+    assert verdict.split()[0] in ("True", "False")
+
+
 def _module_imports(source: str, module: str, on_import: bool = False) -> list[int]:
     """Line numbers of the statements in ``source`` that import ``module``
     (a dotted module name); with ``on_import``, only those that run when the

@@ -374,9 +374,13 @@ class TestSimulate:
         cfg = _write(tmp_path, SMALL_LONG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
         m = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        # no output depends on scipy, so the stack is python and numpy
+        # no output depends on scipy, so the stack is python, numpy and the
+        # SIMD targets numpy dispatches to on this CPU
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
         assert m["software"] == {"python": platform.python_version(),
-                                 "numpy": np.__version__}
+                                 "numpy": np.__version__,
+                                 "simd_baseline": simd.get("baseline", []),
+                                 "simd_found": simd.get("found", [])}
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = _write(tmp_path, SMALL_LONG)
@@ -830,12 +834,75 @@ def test_numpy_random_leaves_secrets_as_it_found_it(prelude, expected):
     assert (run.returncode, run.stdout, run.stderr) == (0, expected, "")
 
 
-@pytest.mark.parametrize("size", [0, 1000, 3 * (1 << 16) + 17])
-def test_sha256_file_is_hashlib_sha256(tmp_path, size):
-    # empty, under one 64 KiB read, and over three of them
-    data = np.random.default_rng(size).bytes(size)
-    (tmp_path / "f").write_bytes(data)
-    assert io.sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+def _sha256_on_disk(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("rows", [1, io.TABLE_BLOCK + 1, 3 * io.TABLE_BLOCK + 17],
+                         ids=["1-row", "2-blocks", "4-blocks"])
+def test_table_csv_returns_the_sha256_of_its_bytes(tmp_path, rows):
+    # the digest runs over the header and every block, non-ASCII text and
+    # quoted fields included
+    rng = np.random.default_rng(rows)
+    columns = [np.arange(rows), rng.standard_normal(rows),
+               ["ℓ²(μ)" if k % 3 else 'a "b", c' for k in range(rows)]]
+    digest = io.write_table_csv(tmp_path / "t.csv", ["k", "x", "note"], columns)
+    assert digest == _sha256_on_disk(tmp_path / "t.csv")
+
+
+def test_json_returns_the_sha256_of_its_bytes(tmp_path):
+    payload = {"b": [1.5, None, True, math.pi], "a": {"ℓ": 'say "so"\n'}, "n": 10 ** 20}
+    assert io.write_json(tmp_path / "p.json", payload) == _sha256_on_disk(tmp_path / "p.json")
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "verify-clt"])
+def test_manifest_outputs_name_every_file_written(tmp_path, command):
+    # the manifest lists exactly the files of the run directory but itself,
+    # each with the SHA-256 of its bytes on disk
+    out = tmp_path / command
+    assert main([command, "--config", _write(tmp_path, SMALL_LONG), "--out", str(out)]) == 0
+    outputs = _manifest_without_timestamp(out)["outputs"]
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert outputs == {name: _sha256_on_disk(out / name) for name in outputs}
+
+
+# the files whose bytes do not depend on numpy's SIMD dispatch; analyze's
+# covariances.csv and every file derived from draws do
+DISPATCH_FREE = {
+    "analyze": ("c_matrix.csv", "summability.csv", "l2_report.json"),
+    "verify-clt": ("covariance_finite_exact.csv", "covariance_limit.csv", "covariance_se.csv",
+                   "gap_relative.csv", "exponent_fit.csv"),
+}
+
+
+def test_manifest_records_the_simd_dispatch(tmp_path):
+    # a child with every target above the baseline disabled writes the
+    # dispatch-free files byte for byte as this process does, and its
+    # manifests record other found targets.  On a host with nothing above
+    # the baseline only the files are compared.  A Monte Carlo verdict may
+    # move with the dispatch, so verify-clt may exit 1
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    code = ("import sys, longmem.cli\n"
+            "for command, config in zip(('analyze', 'verify-clt'), sys.argv[2:]):\n"
+            "    status = longmem.cli.main([command, '--config', config,\n"
+            "                               '--out', sys.argv[1] + '/' + command])\n"
+            "    print(command, status)\n")
+    configs = (_config_path("fig1a.json"), _config_path("clt_boundary_reference.json"))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "masked"), *configs],
+                         env=dict(_fresh_env(), NPY_DISABLE_CPU_FEATURES=" ".join(found)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout in ("analyze 0\nverify-clt 0\n", "analyze 0\nverify-clt 1\n")
+    for command, config in zip(DISPATCH_FREE, configs):
+        plain, masked = tmp_path / "plain" / command, tmp_path / "masked" / command
+        assert main([command, "--config", config, "--out", str(plain)]) in (0, 1)
+        for name in DISPATCH_FREE[command]:
+            assert (masked / name).read_bytes() == (plain / name).read_bytes(), name
+        software = [_manifest_without_timestamp(d)["software"] for d in (plain, masked)]
+        assert software[0]["simd_found"] == found
+        if found:
+            assert software[1]["simd_found"] != found
+            assert software[0]["simd_baseline"] == software[1]["simd_baseline"]
 
 
 def test_sha256_is_the_interpreters_own_module():
