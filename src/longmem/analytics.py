@@ -281,17 +281,15 @@ def _windowed_weights(d: float, n: int, M: int) -> np.ndarray:
     return P[hi] - P[lo]
 
 
-def partial_sum_weights(spec: ProcessSpec, n: int,
-                        window: int | None = None) -> np.ndarray:
+def partial_sum_weights(spec: ProcessSpec, n: int) -> np.ndarray:
     """Weights z_{n,j} of eps_j in the partial sum S_n(t), a (nu, n + M) array.
 
     They depend on t only through d(t): rows are the distinct exponents of
     ``spec.memory.distinct``, grid point i reads row ``idx[i]``, and the
     truncated covariance of S_n is ``sigma * (z @ z.T)[np.ix_(idx, idx)]``.
-    Columns are j = 1 - M .. n, so j sits in column j + M - 1.  M is
-    ``window``, by default the spec's, which the simulator uses, so that the
-    independent-summands identity is exact.  The weights coincide with the
-    two defining formulas
+    Columns are j = 1 - M .. n, so j sits in column j + M - 1.  M is the
+    spec's window, which the simulator uses, so that the independent-summands
+    identity is exact.  The weights coincide with the two defining formulas
 
         z_{n,j} = sum_{k=1}^{n-j+1} k^{-d}          (2 <= j <= n)
         z_{n,j} = sum_{k=1}^{n} (k-j+1)^{-d}        (j < 2)
@@ -300,40 +298,35 @@ def partial_sum_weights(spec: ProcessSpec, n: int,
     """
     if n < 2:
         raise ValueError("coefficient table defined for n >= 2")
-    M = spec.window if window is None else window
-    return np.stack([_windowed_weights(float(d), n, M) for d in spec.memory.distinct[0]])
+    return np.stack([_windowed_weights(float(d), n, spec.window)
+                     for d in spec.memory.distinct[0]])
 
 
 # ---------------------------------------------------------------------------
 # partial-sum covariances
 # ---------------------------------------------------------------------------
 
-def partial_sum_covariance_series(d_s: float, d_t: float, n: int, *,
-                                  past_terms: int | None = None) -> tuple[float, float]:
+def partial_sum_covariance_series(d_s: float, d_t: float, n: int) -> tuple[float, float]:
     """Converged (untruncated) E[S_n(s) S_n(t)] at unit sigma, semi-analytically,
     as (value, certified error); scale both by sigma(s, t).
 
     Writes the covariance through the independent-summands weights,
-    sums the first ``past_terms`` past weights exactly via prefix sums,
+    sums the first J = max(4096, 8n) past weights exactly via prefix sums,
     and replaces the remainder by its midpoint-rule integral
     int_A^inf F_s(y) F_t(y) dy with F_d(y) = int_y^{y+n} u^{-d} du and
-    A = past_terms + 1, summed as a power series in n/A (``_binomial_tail``):
+    A = J + 1, summed as a power series in n/A <= 1/8 (``_binomial_tail``):
 
         E[S_n S_n]/sigma = sum_{m=1}^{n-1} P_s(m) P_t(m)
                          + sum_{i>=0} [P_s(n+i)-P_s(i)][P_t(n+i)-P_t(i)].
 
     The certified error adds the midpoint-rule error, the series' own
-    error and roundoff in the prefix sums.  ``past_terms`` defaults to
-    max(4096, 8n) and must satisfy n/(past_terms+1) <= 1/4.
+    error and roundoff in the prefix sums.
     """
     if d_s <= 0.5 or d_t <= 0.5:
         raise ValidationError("series variance requires d_s, d_t > 1/2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    J = past_terms if past_terms is not None else max(4096, 8 * n)
-    if 4 * n > J + 1:
-        raise ValueError(f"past_terms={J} too few for n={n}: the tail series "
-                         f"needs n/(past_terms+1) <= 1/4")
+    J = max(4096, 8 * n)
     P_s = _prefix_powers(d_s, n + J)
     P_t = P_s if d_t == d_s else _prefix_powers(d_t, n + J)
     head = float(np.dot(P_s[1:n], P_t[1:n])) if n > 1 else 0.0

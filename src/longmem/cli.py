@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import TailBudgetError, ValidationError, _read_config
+from .model import ValidationError, _read_config
 from .analytics import (
     RegimeError,
     _pair_blocks,
@@ -263,8 +263,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, TailBudgetError, RegimeError, ValueError,
-            KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

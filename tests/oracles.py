@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from longmem.analytics import (RegimeError, _check_scale_regime, _lag_series,
-                               partial_sum_covariance_series, partial_sum_weights,
+                               _windowed_weights, partial_sum_covariance_series,
                                scale_integral_closed_form)
 from longmem.io import FLOAT_FMT
 
@@ -111,10 +111,10 @@ def partial_sum_covariance_exact(spec, n: int, s: float, t: float,
         return partial_sum_covariance_lagsum(spec, 1, s, t, window=window)
     i, j = _grid_index(spec, s), _grid_index(spec, t)
     sig = float(spec.innovations.sigma[i, j])
-    z = partial_sum_weights(spec, n, window=window)
     M = spec.window if window is None else window
-    _, idx = spec.memory.distinct   # rows are distinct exponents
-    vb = sig * float(np.dot(z[idx[i]], z[idx[j]]))
+    d = spec.memory.values
+    vb = sig * float(np.dot(_windowed_weights(float(d[i]), n, M),
+                            _windowed_weights(float(d[j]), n, M)))
     if n * M <= CROSS_CHECK_BUDGET:
         va = partial_sum_covariance_lagsum(spec, n, s, t, window=M)
         scale = max(abs(va), abs(vb), 1e-300)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import longmem as lm
-from longmem.analytics import _prefix_powers
+from longmem.analytics import _prefix_powers, _windowed_weights
 from longmem.cli import main as cli_main
 from oracles import (dominating_bound, partial_sum_covariance_lagsum,
                      partial_sums_direct, scale_integral_upper_bound)
@@ -53,7 +53,7 @@ def test_A2_variance_identity():
     pts = spec.grid.points
     worst = 0.0
     for n in range(2, 65):
-        z = lm.partial_sum_weights(spec, n, window=window)[spec.memory.distinct[1]]
+        z = np.stack([_windowed_weights(float(d), n, window) for d in spec.memory.values])
         for i in range(4):
             for j in range(4):
                 vb = float(spec.innovations.sigma[i, j] * np.dot(z[i], z[j]))
@@ -212,7 +212,7 @@ def test_A7_bounds():
     for d in (0.6, 0.75, 0.9):
         bound = dominating_bound(d, 1.0)
         for n in range(1, 4097):
-            v, _ = lm.partial_sum_covariance_series(d, d, n, past_terms=max(1024, 4 * n))
+            v, _ = lm.partial_sum_covariance_series(d, d, n)
             if v / n ** (3 - 2 * d) > bound:
                 ok = False
                 break

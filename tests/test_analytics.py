@@ -543,13 +543,6 @@ class TestWindowTail:
         assert rel(window_tail_quad(*d, n, A)[0],
                    _binomial_tail(*_window_sides(d, n), A)[0]) < 1e-8
 
-    def test_past_terms_must_keep_the_series_ratio_at_most_a_quarter(self):
-        with pytest.raises(ValueError, match="past_terms=30 too few for n=8"):
-            lm.partial_sum_covariance_series(0.7, 0.7, 8, past_terms=30)
-        value, bound = lm.partial_sum_covariance_series(0.7, 0.7, 8, past_terms=31)
-        default, default_bound = lm.partial_sum_covariance_series(0.7, 0.7, 8)
-        assert abs(value - default) <= bound + default_bound
-
 
 # int_A^inf y^{-d_s} (y+h)^{-d_t} dy, the tail of the lag-h series at
 # A = max(4096, 4h) + 1.5, to 40 digits.  Computed with mpmath 1.3.0 at 60

@@ -1,11 +1,15 @@
 import ast
 import dataclasses
+import importlib
 import inspect
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import longmem as lm
+from longmem.cli import main as cli_main
 
 PUBLIC_NAMES = [
     "CovarianceReport", "ExponentFit",
@@ -88,14 +92,17 @@ def _parameters(fn) -> list[tuple[str, str]]:
 
 
 def test_signatures_take_no_one_valued_options():
-    # the series runs at unit sigma and past_terms is keyword-only, so a call
+    # the series runs at unit sigma over max(4096, 8n) past terms, so a call
     # that still passes sigma 1.0 third raises TypeError instead of reading
-    # it as n; generate_paths draws replication 0, the only one it was asked for
+    # it as n; the weights use the spec's window, the one every caller used;
+    # generate_paths draws replication 0, the only one it was asked for
     assert _parameters(lm.partial_sum_covariance_series) == [
         ("d_s", "POSITIONAL_OR_KEYWORD"), ("d_t", "POSITIONAL_OR_KEYWORD"),
-        ("n", "POSITIONAL_OR_KEYWORD"), ("past_terms", "KEYWORD_ONLY")]
+        ("n", "POSITIONAL_OR_KEYWORD")]
     with pytest.raises(TypeError):
         lm.partial_sum_covariance_series(0.7, 0.7, 1.0, 8)
+    assert _parameters(lm.partial_sum_weights) == [
+        ("spec", "POSITIONAL_OR_KEYWORD"), ("n", "POSITIONAL_OR_KEYWORD")]
     assert _parameters(lm.generate_paths) == [
         ("spec", "POSITIONAL_OR_KEYWORD"), ("n", "POSITIONAL_OR_KEYWORD"),
         ("seed", "POSITIONAL_OR_KEYWORD")]
@@ -157,13 +164,65 @@ def test_pyproject_version_is_the_package_version():
 
 def test_readme_library_example_runs(capsys):
     # the python block under "## Library example", run as a user would paste it
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
-    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    code = _readme_block("Library example", "python")
     exec(compile(code, "README.md", "exec"), {})
     regime, verdict = capsys.readouterr().out.splitlines()
     assert regime == "long"   # as the example's comment says
     assert verdict.split()[0] in ("True", "False")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under ``## heading`` in README.md."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
+
+
+# a test function cited by name (not a test file), and a module-level name
+# cited as module.NAME, bare or as longmem.module.NAME
+CITED_TEST = re.compile(r"(?<![\w/])(test_\w+)(?!\w|\.py)")
+CITED_NAME = re.compile(r"(?<![\w/.])(?:longmem\.)?(model|analytics|simulate|mcverify|io|cli)"
+                        r"\.([A-Za-z_]\w*)")
+
+
+def _defined_tests() -> set[str]:
+    tests = Path(__file__).resolve().parent
+    return {node.name for path in tests.glob("**/*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+
+
+def test_readme_cites_only_tests_and_names_that_exist():
+    # every promise names the test that pins it, and every module.NAME it
+    # cites resolves: a renamed test or constant fails here, not in a reader
+    readme = (ROOT / "README.md").read_text()
+    cited_tests = set(CITED_TEST.findall(readme))
+    cited_names = set(CITED_NAME.findall(readme))
+    assert "test_readme_library_example_runs" in _defined_tests()
+    assert ("simulate", "REPLICATION_BLOCK") in cited_names
+    assert len(cited_tests) >= 50
+    assert sorted(cited_tests - _defined_tests()) == []
+    assert sorted(f"{module}.{name}" for module, name in cited_names
+                  if not hasattr(importlib.import_module(f"longmem.{module}"), name)) == []
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # the sh block under "## CLI", each line run from a checkout: its
+    # configs are read from the repository and its outputs land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    statuses = {}
+    for line in _readme_block("CLI", "sh").splitlines():
+        program, command, *args = shlex.split(line)
+        assert program == "longmem"
+        statuses[command] = cli_main([command, *(str(ROOT / arg) if arg.startswith("src/")
+                                                 else arg for arg in args)])
+    assert sorted(statuses) == ["analyze", "simulate", "verify-clt"]
+    # a verdict may move with numpy's SIMD dispatch, so verify-clt may exit 1
+    assert statuses["simulate"] == statuses["analyze"] == 0
+    assert statuses["verify-clt"] in (0, 1)
 
 
 def _module_imports(source: str, module: str, on_import: bool = False) -> list[int]:

@@ -277,6 +277,9 @@ class TestSimulate:
         ("simulate", dict(SMALL_LONG, memory={"kind": "constant",
                                               "values": [math.nan, math.nan]}),
          "memory exponents and breakpoints must be finite"),
+        # a kind that no loader knows
+        ("simulate", dict(SMALL_LONG, memory={"kind": "x", "values": 0.7}),
+         "config: invalid 'memory.kind': 'x'"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, command, cfg, message):
         assert main([command, "--config", _write(tmp_path, cfg),
@@ -388,6 +391,13 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "e")])
         m = json.loads((tmp_path / "e" / "manifest.json").read_text())
         assert m["seed"] == 123
+
+    def test_flag_overrides_env(self, tmp_path, monkeypatch):
+        cfg = _write(tmp_path, SMALL_LONG)
+        monkeypatch.setenv("LONGMEM_SEED", "123")
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "f"), "--seed", "7"])
+        m = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        assert m["seed"] == 7
 
 
 class TestAnalyze:
@@ -594,6 +604,16 @@ class TestVerifyClt:
         limit = np.loadtxt(out / "covariance_limit.csv", delimiter=",",
                            skiprows=1, usecols=range(1, 5))
         assert np.allclose(limit, np.eye(4))  # boundary kernel equals sigma
+
+    def test_failed_verdict_exits_1(self, tmp_path):
+        # bands of 1e-9 standard errors: every covariance verdict fails, and
+        # the run still writes its files
+        out = tmp_path / "v"
+        assert main(["verify-clt", "--config", _write(tmp_path, dict(SMALL_LONG, z_star=1e-9)),
+                     "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["covariance_verdicts_pass"] is False
+        assert summary["overall_pass"] is False
 
     def test_mixed_regime_rejected(self, tmp_path, capsys):
         cfg = _write(tmp_path, dict(
