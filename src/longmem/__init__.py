@@ -48,7 +48,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 __all__ = [
     "CovarianceReport",

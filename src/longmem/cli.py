@@ -6,8 +6,9 @@ SHA-256 digest that each writer returned for the file it emitted.  Only the
 manifest timestamp is nondeterministic; the data files are byte-identical
 for identical config + seed on one software stack and SIMD dispatch.
 
-Exit codes: 0 = success / all verdicts pass, 1 = verdict failure,
-2 = configuration or validation error.
+Exit codes: 0 = success / all verdicts pass, 1 = verdict failure and
+nothing else, 2 = configuration, validation or usage error (one line on
+stderr), 3 = any other error, an internal fault (its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -266,6 +267,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback   # the error path only
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -190,17 +190,17 @@ class NormalityReport:
         return bool(np.all(self.skew_ok) and np.all(self.kurt_ok))
 
 
-def normality_diagnostics(samples: np.ndarray, variances=None,
+def normality_diagnostics(samples: np.ndarray, variances,
                           skew_z: float = 4.0,
                           kurt_z: float = 4.0) -> NormalityReport:
     """Sample skewness, excess kurtosis, and a KS distance per coordinate.
 
     Bands are Monte Carlo: +-skew_z sqrt(6/N) and +-kurt_z sqrt(24/N).
-    The KS distance is taken against the zero-mean normal with the exact
-    finite-n variance when ``variances`` is given, else the sample variance.
-    The statistics follow the arithmetic of ``scipy.stats.skew``,
-    ``kurtosis`` and ``kstest`` (biased moments; NaN where the second moment
-    vanishes against the mean), which the tests hold them to bit for bit.
+    The KS distance is taken against the zero-mean normal of the given
+    ``variances`` (the exact finite-n ones, for a CLT run).  The statistics
+    follow the arithmetic of ``scipy.stats.skew``, ``kurtosis`` and
+    ``kstest`` (biased moments; NaN where the second moment vanishes against
+    the mean), which the tests hold them to bit for bit.
     """
     samples = np.asarray(samples, dtype=float)
     N, q = samples.shape
@@ -223,8 +223,6 @@ def normality_diagnostics(samples: np.ndarray, variances=None,
     for rows, cols in blocks:
         _add_moment_sums(samples[rows, cols], mean[cols], sums[:, cols])
     m2, m3, m4 = sums / N
-    if variances is None:
-        variances = sums[0] / (N - 1)   # samples.var(axis=0, ddof=1), bit for bit
     variances = np.broadcast_to(np.asarray(variances, dtype=float), (q,))
     with np.errstate(all="ignore"):
         zero = m2 <= (np.finfo(float).eps * mean) ** 2

@@ -21,12 +21,6 @@ from .io import sha256
 DEFAULT_TAIL_TOL = 1e-3
 HARD_CAP = 10_000_000
 
-# regime labels for the per-point memory exponent
-REGIME_LONG = "long"          # 1/2 < d < 1
-REGIME_BOUNDARY = "boundary"  # d = 1
-REGIME_SHORT = "short"        # d > 1
-REGIME_INVALID = "invalid"    # d <= 1/2 (series does not converge a.s.)
-
 # PSD tolerance: smallest eigenvalue >= -PSD_RTOL * largest eigenvalue
 PSD_RTOL = 1e-10
 # factorization jitter cap: diagonal shift up to JITTER_RTOL * trace / q
@@ -145,12 +139,10 @@ class InnovationModel:
     ``law`` selects the marginal sampling distribution: "gaussian" (default)
     or "pareto" (symmetrized, scaled to unit variance; heavy-tailed but
     square integrable).  Either way the sampled vectors are mean zero with
-    covariance ``sigma`` (via ``factor``, always the jittered Cholesky
-    factor of ``sigma``, or None when ``sigma`` cannot be factorized).
+    covariance ``sigma``, through ``factor``.
     """
 
     sigma: np.ndarray
-    factor: np.ndarray = field(init=False, default=None)
     law: str = "gaussian"
     pareto_alpha: float = 4.5
 
@@ -168,12 +160,13 @@ class InnovationModel:
         if not np.all(np.isfinite(sigma)):
             raise ValidationError("innovation covariance must be finite")
         object.__setattr__(self, "sigma", _readonly(sigma))
-        # indefinite matrices are left unfactorized so that a ProcessSpec
-        # built on them reports them; sampling from such a model is fatal
-        try:
-            object.__setattr__(self, "factor", _readonly(_factor_psd(sigma)))
-        except ValidationError:
-            pass
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        """The jittered Cholesky factor of ``sigma``, read-only, computed on
+        first use (only sampling needs it); ``ValidationError`` when ``sigma``
+        has none."""
+        return _readonly(_factor_psd(self.sigma))
 
     @property
     def q(self) -> int:
@@ -219,10 +212,7 @@ class ProcessSpec:
             raise ValidationError("tail_tol must lie in (0, 1]")
         if self.horizon < 1:
             raise ValidationError("horizon must be at least 1")
-        report = _check(self)
-        if report.fatal:
-            raise ValidationError("; ".join(report.fatal))
-        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "report", _check(self))
 
     @property
     def q(self) -> int:
@@ -248,24 +238,10 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of checking a spec against the standing assumptions."""
+    """What checking a spec found besides its validity: the CLT regime."""
 
-    regime: str | None  # the CLT regime: "long" or "boundary" everywhere, else None
-    fatal: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.fatal
-
-
-def _classify_exponent(d: float) -> str:
-    if d <= 0.5:
-        return REGIME_INVALID
-    if d < 1.0:
-        return REGIME_LONG
-    if d == 1.0:
-        return REGIME_BOUNDARY
-    return REGIME_SHORT
+    regime: str | None  # "long" (1/2 < d < 1) or "boundary" (d = 1) everywhere, else None
+    ok = True           # a spec with a violation is never built; bench/run.py reads it
 
 
 def validate(spec: ProcessSpec) -> ValidationReport:
@@ -275,7 +251,8 @@ def validate(spec: ProcessSpec) -> ValidationReport:
 
 
 def _check(spec: ProcessSpec) -> ValidationReport:
-    """Check every standing assumption; list each violation with its grid location."""
+    """Check every standing assumption, raising ``ValidationError`` that lists
+    each violation with its grid location; else the spec's regime report."""
     fatal = []
     q = spec.grid.q
     if len(spec.memory.values) != q:
@@ -285,12 +262,10 @@ def _check(spec: ProcessSpec) -> ValidationReport:
                      f"for {q} grid points")
 
     d = spec.memory.values
-    regimes = tuple(_classify_exponent(float(x)) for x in d[:q])
-    for i, reg in enumerate(regimes):
-        if reg == REGIME_INVALID:
-            fatal.append(f"d(t)={float(d[i])!r} <= 1/2 at grid point "
-                         f"t={spec.grid.points[i]:g} (index {i}): defining series "
-                         f"does not converge")
+    for i in np.flatnonzero(d[:q] <= 0.5):
+        fatal.append(f"d(t)={float(d[i])!r} <= 1/2 at grid point "
+                     f"t={spec.grid.points[i]:g} (index {i}): defining series "
+                     f"does not converge")
 
     sigma = spec.innovations.sigma
     if sigma.shape[0] == q:
@@ -308,9 +283,11 @@ def _check(spec: ProcessSpec) -> ValidationReport:
                 fatal.append("innovation covariance violates |sigma(s,t)| <= "
                              "sqrt(sigma2(s) sigma2(t))")
 
+    if fatal:
+        raise ValidationError("; ".join(fatal))
     # the CLT is stated where every point is long, or every point is boundary
-    clt = not fatal and set(regimes) in ({REGIME_LONG}, {REGIME_BOUNDARY})
-    return ValidationReport(regime=regimes[0] if clt else None, fatal=tuple(fatal))
+    regime = "long" if np.all(d < 1.0) else "boundary" if np.all(d == 1.0) else None
+    return ValidationReport(regime)
 
 
 # B_2j / (2j)!, j = 1..8: the Euler-Maclaurin corrections of _zeta

@@ -205,14 +205,6 @@ def _require_memory(arrays: dict) -> None:
                               f"the {name}, takes {arrays[name]:,}")
 
 
-def _factor(model: InnovationModel) -> np.ndarray:
-    """``model.factor``, or ValidationError when sigma has no factor."""
-    if model.factor is None:
-        raise ValidationError("innovation covariance could not be factorized "
-                              "even with jitter; cannot sample")
-    return model.factor
-
-
 def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
                      rep: int = 0) -> np.ndarray:
     """Innovation vectors eps_m for m = start .. start+count-1, as (count, q).
@@ -220,7 +212,7 @@ def innovation_block(model: InnovationModel, seed: int, start: int, count: int,
     Deterministic in (seed, rep, m): overlapping blocks agree entry for
     entry, which is what makes the two partial-sum routes comparable.
     """
-    factor = _factor(model)
+    factor = model.factor   # a sigma with no factor is refused before any draw
     g, = _standard_draws(model, seed, range(rep, rep + 1), start, count, 1)
     return g[0] @ factor.T
 
@@ -273,7 +265,7 @@ def _replication_sampler(spec: ProcessSpec, z: np.ndarray, seed: int):
     replication's arithmetic is the same whatever its block.
     """
     model, M = spec.innovations, spec.window
-    factor = _factor(model)
+    factor = model.factor
     _, idx = spec.memory.distinct
     start, rows, block = _draw_plan(model, z.shape[1] - M, M)
     past_factor = None
@@ -338,6 +330,6 @@ def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np
     if n < 2:
         raise ValueError("the independent-summands identity is stated for n >= 2")
     model, M = spec.innovations, spec.window
-    factor = _factor(model)
+    factor = model.factor   # a sigma with no factor is refused before any draw
     g, = _standard_draws(model, seed, range(rep, rep + 1), 1 - M, n + M, 1)
     return _contract(partial_sum_weights(spec, n), spec.memory.distinct[1], factor, g)[0]

@@ -2,8 +2,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,7 +72,7 @@ def test_result_records_hold_only_what_their_call_computed():
         "ExponentFit": ["slopes", "theoretical", "corrected", "max_residual"],
         "L2Report": ["integral_sigma2", "integral_weighted", "min_d_minus_half",
                      "min_d_point"],
-        "ValidationReport": ["regime", "fatal"],
+        "ValidationReport": ["regime"],
     }
     assert not hasattr(lm.analytics.L2Report, "verdict")
 
@@ -81,7 +84,7 @@ def test_process_parts_hold_only_their_arrays():
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
               for cls in (lm.MemoryFunction, lm.InnovationModel)}
     assert fields == {"MemoryFunction": ["values"],
-                      "InnovationModel": ["sigma", "factor", "law", "pareto_alpha"]}
+                      "InnovationModel": ["sigma", "law", "pareto_alpha"]}
     removed = [(lm.MemoryFunction, "table"), (lm.InnovationModel, "custom"),
                (lm.ProcessSpec, "to_dict")]
     assert [name for cls, name in removed if hasattr(cls, name)] == []
@@ -106,6 +109,9 @@ def test_signatures_take_no_one_valued_options():
     assert _parameters(lm.generate_paths) == [
         ("spec", "POSITIONAL_OR_KEYWORD"), ("n", "POSITIONAL_OR_KEYWORD"),
         ("seed", "POSITIONAL_OR_KEYWORD")]
+    # the KS distance is taken against variances the caller gives
+    assert inspect.signature(lm.normality_diagnostics).parameters["variances"].default \
+        is inspect.Parameter.empty
 
 
 def _called_names(source: str) -> set[str]:
@@ -139,6 +145,21 @@ def test_public_functions_without_a_library_caller_are_the_listed_ones():
         # the benchmark checks the simulated paths against this route
         "partial_sums_via_z",
     }
+
+
+def test_benchmark_setup_runs_on_the_bundled_configs():
+    # bench/run.py times SETUP_CODE in a child on its configs and stops on a
+    # nonzero exit; the code reads validate(spec).ok, so that read must hold
+    root = Path(__file__).resolve().parent.parent
+    code, = [ast.literal_eval(node.value)
+             for node in ast.parse((root / "bench" / "run.py").read_text()).body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]]
+    configs = sorted(map(str, (root / "src" / "longmem" / "configs").glob("*.json")))
+    assert len(configs) == 4
+    run = subprocess.run([sys.executable, "-c", code, *configs], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert run.returncode == 0, run.stderr
 
 
 def test_exponents_are_decomposed_only_by_memory_distinct():

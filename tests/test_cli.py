@@ -549,6 +549,19 @@ class TestAnalyze:
         assert not (tmp_path / "a" / "covariances.csv").exists()
 
 
+    @pytest.mark.parametrize("name", ["clt_boundary_reference.json", "clt_long_reference.json",
+                                      "fig1a.json", "fig1b.json"])
+    def test_sigma_is_factored_only_on_sampling(self, tmp_path, monkeypatch, name):
+        # loading a spec and analyzing it never read sigma's Cholesky factor
+        calls = []
+        for module in (lm.model, lm.simulate):
+            monkeypatch.setattr(module, "_factor_psd", calls.append)
+        lm.load_spec(_config_path(name))
+        assert main(["analyze", "--config", _config_path(name),
+                     "--out", str(tmp_path / "a")]) == 0
+        assert calls == []
+
+
 class TestThreads:
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_flag_below_one_exits_2(self, tmp_path, capsys, threads):
@@ -677,6 +690,41 @@ class TestVerifyClt:
             assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "could not be factorized" in err
+
+    def test_allocation_failure_past_the_preflight_exits_2(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the run passes its memory preflight and then fails to allocate
+        def draws(*args):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array with shape "
+                              "(1073741824,) and data type float64")
+
+        monkeypatch.setattr(lm.simulate, "_standard_draws", draws)
+        assert main(["verify-clt", "--config", _write(tmp_path, SMALL_LONG),
+                     "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+
+    @pytest.mark.parametrize("error, code", [(RuntimeError, 3), (ValueError, 2)])
+    def test_uncaught_error_exits_by_kind(self, tmp_path, capsys, monkeypatch, error, code):
+        # exit 1 is a failed verdict only: invalid input is 2, with one line
+        # on stderr, and any other error is 3, with its traceback
+        def fault(*args, **kwargs):
+            raise error("injected fault")
+
+        monkeypatch.setattr("longmem.cli.run_clt_experiment", fault)
+        assert main(["verify-clt", "--config", _write(tmp_path, SMALL_LONG),
+                     "--out", str(tmp_path / "v")]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == "error: injected fault\n"
+        else:
+            assert err.startswith("Traceback") and err.endswith("RuntimeError: injected fault\n")
+
+    def test_usage_error_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-clt", "--config"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("law", ["gaussian", "pareto"])
     def test_manifest_records_window_and_draws(self, tmp_path, law):

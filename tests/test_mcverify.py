@@ -74,7 +74,8 @@ class TestRunCltExperiment:
         for memory in (WIENER_07["memory"], {"kind": "table", "values": [0.7, 0.9]}):
             spec = lm.spec_from_dict(dict(WIENER_07, grid={"points": [0.25, 0.5]},
                                           memory=memory, **UNFACTORIZABLE))
-            assert spec.innovations.factor is None
+            with pytest.raises(lm.ValidationError, match="could not be factorized"):
+                spec.innovations.factor
             with pytest.raises(lm.ValidationError, match="factoriz"):
                 lm.run_clt_experiment(spec, 8, 100, seed=1)
 
@@ -360,7 +361,7 @@ class TestNormalityDiagnostics:
     def test_detects_nonnormal(self):
         rng = np.random.default_rng(6)
         x = rng.exponential(size=(5000, 2)) - 1.0
-        rep = lm.normality_diagnostics(x)
+        rep = lm.normality_diagnostics(x, variances=x.var(axis=0, ddof=1))
         assert not rep.passed
 
     @pytest.mark.parametrize("law", ["gaussian", "pareto", "exponential"])
@@ -379,14 +380,15 @@ class TestNormalityDiagnostics:
                  "pareto": lambda: rng.pareto(4.5, shape) * rng.choice([-1.0, 1.0], shape),
                  "exponential": lambda: rng.exponential(size=shape) - 0.8}[law]()
             x = np.hstack([x, x])[:, ::2] if order == "strided" else np.asarray(x, order=order)
-            variances = rng.uniform(0.5, 2.0, q) if given_variances else None
+            variances = (rng.uniform(0.5, 2.0, q) if given_variances
+                         else x.var(axis=0, ddof=1))
             self._assert_equals_scipy(x, variances)
 
     @pytest.mark.parametrize("given_variances", [False, True])
     def test_constant_column_as_scipy_stats(self, given_variances):
         x = np.random.default_rng(9).standard_normal((700, 3))
         x[:, 1] = 2.5
-        variances = np.ones(3) if given_variances else None
+        variances = np.ones(3) if given_variances else x.var(axis=0, ddof=1)
         rep = self._assert_equals_scipy(x, variances)
         assert np.isnan(rep.skewness[1]) and np.isnan(rep.excess_kurtosis[1])
         assert np.isnan(rep.ks_distance[1]) != given_variances
@@ -394,7 +396,7 @@ class TestNormalityDiagnostics:
     @staticmethod
     def _assert_equals_scipy(x, variances):
         rep = lm.normality_diagnostics(x, variances=variances)
-        sd = np.sqrt(x.var(axis=0, ddof=1) if variances is None else variances)
+        sd = np.sqrt(variances)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")   # scipy warns on a constant column
             skew = stats.skew(x, axis=0)
@@ -417,10 +419,10 @@ class TestNormalityDiagnostics:
             x = np.random.default_rng(4).standard_normal((N, 2 * q if order == "column slice"
                                                           else q))
             x = x[:, :q] if order == "column slice" else np.asarray(x, order=order)
-            before = x.copy()
+            variances, before = x.var(axis=0, ddof=1), x.copy()
             tracemalloc.start()
             try:
-                lm.normality_diagnostics(x)
+                lm.normality_diagnostics(x, variances)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -429,7 +431,7 @@ class TestNormalityDiagnostics:
 
     def test_needs_500(self):
         with pytest.raises(ValueError):
-            lm.normality_diagnostics(np.zeros((100, 2)))
+            lm.normality_diagnostics(np.zeros((100, 2)), np.ones(2))
 
 
 def _neighbours(x: float, count: int = 20) -> list:

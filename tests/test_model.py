@@ -3,7 +3,9 @@ import hashlib
 import inspect
 import json
 import math
+from decimal import Decimal
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,15 @@ class TestTruncationLength:
         ms = [lm.truncation_length(0.8, tol) for tol in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
         assert ms == sorted(ms, reverse=True)
 
+    def test_zeta_within_2_ulps_of_the_exact_value(self):
+        # the reference holds zeta at 30 digits, tabulated once by mpmath
+        lines = Path(__file__).with_name("zeta_reference.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert len(rows) == 1100
+        ulps = [abs(Decimal(_zeta(float(s))) - Decimal(exact)) / Decimal(math.ulp(float(exact)))
+                for s, exact in rows]
+        assert max(ulps) <= 2
+
     def test_zeta_within_8_ulps_of_scipy(self):
         # scipy's own zeta is up to 7 ulps from the exact value near s = 1
         s = np.concatenate([np.linspace(1.0, 8.0, 20001)[1:], 1.0 + np.logspace(-12, -1, 200)])
@@ -377,8 +388,12 @@ class TestConfigLoading:
         assert spec.spec_hash == h.hexdigest()[:16] == digest
 
     def test_specs_hash_and_compare_by_identity(self):
-        # array fields make value equality ambiguous; content identity is spec_hash
+        # array fields make value equality ambiguous; content identity is
+        # spec_hash.  A spec's grid, exponent field and innovation model
+        # compare and hash by identity too
         a, b = lm.spec_from_dict(HASH_CONFIG), lm.spec_from_dict(HASH_CONFIG)
-        assert len({a, b}) == 2
-        assert a == a and a != b
+        for x, y in ((a, b), (a.grid, b.grid), (a.memory, b.memory),
+                     (a.innovations, b.innovations)):
+            assert len({x, y}) == 2
+            assert x == x and x != y
         assert a.spec_hash == b.spec_hash
