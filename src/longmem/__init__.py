@@ -13,7 +13,6 @@ from .model import (
     MemoryFunction,
     ProcessSpec,
     SpaceGrid,
-    TailBudgetError,
     ValidationError,
     ValidationReport,
     load_spec,
@@ -48,7 +47,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.31.0"
+__version__ = "0.32.0"
 
 __all__ = [
     "CovarianceReport",
@@ -59,7 +58,6 @@ __all__ = [
     "ProcessSpec",
     "RegimeError",
     "SpaceGrid",
-    "TailBudgetError",
     "ValidationError",
     "ValidationReport",
     "classify_summability",

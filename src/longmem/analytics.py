@@ -17,7 +17,7 @@ import numpy as np
 from .model import ProcessSpec, ValidationError
 
 
-class RegimeError(ValueError):
+class RegimeError(ValidationError):
     """The requested asymptotic law is not available in this regime."""
 
 
@@ -191,9 +191,9 @@ def cross_covariance_matrix(spec: ProcessSpec, h: int) -> tuple[np.ndarray, np.n
     sum to the series' certified error.
     """
     if h < 0:
-        raise ValueError("lag h must be nonnegative")
+        raise ValidationError("lag h must be nonnegative")
     if h > MAX_LAG:
-        raise ValueError(f"lag h={h} exceeds MAX_LAG={MAX_LAG}, the largest certified lag")
+        raise ValidationError(f"lag h={h} exceeds MAX_LAG={MAX_LAG}, the largest certified lag")
     sigma = spec.innovations.sigma
     value, err, partial = np.zeros((3, *sigma.shape))
     for d_s, d_t, block in _pair_blocks(spec):
@@ -214,7 +214,7 @@ def cross_covariance_asymptotic(d_s: float, d_t: float, sigma, h: float):
     these exponents, each entry scaled by the same arithmetic.
     """
     if h < 2:
-        raise ValueError("asymptotic law needs h >= 2")
+        raise ValidationError("asymptotic law needs h >= 2")
     if d_s == 1.0 and d_t == 1.0:
         return sigma * math.log(h) / h
     if 0.5 < d_s < 1.0 and d_t > 0.5:
@@ -297,7 +297,7 @@ def partial_sum_weights(spec: ProcessSpec, n: int) -> np.ndarray:
     wherever the window does not bite.
     """
     if n < 2:
-        raise ValueError("coefficient table defined for n >= 2")
+        raise ValidationError("coefficient table defined for n >= 2")
     return np.stack([_windowed_weights(float(d), n, spec.window)
                      for d in spec.memory.distinct[0]])
 
@@ -325,7 +325,7 @@ def partial_sum_covariance_series(d_s: float, d_t: float, n: int) -> tuple[float
     if d_s <= 0.5 or d_t <= 0.5:
         raise ValidationError("series variance requires d_s, d_t > 1/2")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     J = max(4096, 8 * n)
     P_s = _prefix_powers(d_s, n + J)
     P_t = P_s if d_t == d_s else _prefix_powers(d_t, n + J)
@@ -377,6 +377,6 @@ def normalization_plan(spec: ProcessSpec, n: int) -> np.ndarray:
     regime = _clt_regime(spec)
     if regime == "boundary":
         if n < 2:
-            raise ValueError("boundary normalization sqrt(n) ln n needs n >= 2")
+            raise ValidationError("boundary normalization sqrt(n) ln n needs n >= 2")
         return np.full(spec.grid.q, math.sqrt(n) * math.log(n))
     return n ** (1.5 - spec.memory.values)

@@ -7,15 +7,15 @@ manifest timestamp is nondeterministic; the data files are byte-identical
 for identical config + seed on one software stack and SIMD dispatch.
 
 Exit codes: 0 = success / all verdicts pass, 1 = verdict failure and
-nothing else, 2 = configuration, validation or usage error (one line on
-stderr), 3 = any other error, an internal fault (its traceback on stderr).
+nothing else, 2 = ``ValidationError``, ``OSError`` or ``MemoryError``, or a
+usage error (one line on stderr), 3 = anything else, a plain ``ValueError``
+included: an internal fault (its traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import platform
 import sys
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import ValidationError, _read_config
+from .model import ValidationError, _load_json, _read_config
 from .analytics import (
     RegimeError,
     _pair_blocks,
@@ -63,7 +63,7 @@ def _resolve(args):
     threads = _override("--threads", args.threads, "THREADS", int)
     threads = 1 if threads is None else threads
     if threads < 1:
-        raise ValueError(f"--threads / {ENV_PREFIX}THREADS must be at least 1; got {threads}")
+        raise ValidationError(f"--threads / {ENV_PREFIX}THREADS must be >= 1; got {threads}")
     return seed, out, threads, _override("--tail-tol", args.tail_tol, "TAIL_TOL", float)
 
 
@@ -72,14 +72,13 @@ def _load(args):
     keys), the spec, and the shared knobs: flag > environment > config
     file > default."""
     cfg_path = Path(args.config)
-    with cfg_path.open() as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(cfg_path)
     seed, out, threads, tail_tol = _resolve(args)
     cfg, spec, run = _read_config(cfg, cfg_path.parent, tail_tol)
     seed = run.get("seed", 0) if seed is None else seed
     if seed < 0:
-        raise ValueError(f"--seed / {ENV_PREFIX}SEED / config 'seed' must be non-negative; "
-                         f"got {seed}")
+        raise ValidationError(f"--seed / {ENV_PREFIX}SEED / config 'seed' must be "
+                              f"non-negative; got {seed}")
     out.mkdir(parents=True, exist_ok=True)
     return cfg, run, spec, seed, out, threads
 
@@ -197,7 +196,7 @@ def cmd_verify_clt(args) -> int:
     # everything that can reject the input runs before the Monte Carlo run
     fit = fit_variance_exponent(spec, n_list)
     if N < MIN_NORMALITY_N:
-        raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
+        raise ValidationError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
     report = run_clt_experiment(spec, n, N, seed, z_star=z_star, shards=threads)
     norm = normality_diagnostics(report.samples,
                                  variances=np.diag(report.finite_n_exact))
@@ -264,7 +263,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -102,13 +102,13 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     physical memory is refused (``ValidationError``) before any is allocated.
     """
     if N < 100:
-        raise ValueError("N must be >= 100")
+        raise ValidationError("N must be >= 100")
     if n < 2:
-        raise ValueError(f"n must be >= 2; got {n}")
+        raise ValidationError(f"n must be >= 2; got {n}")
     if shards < 1:
-        raise ValueError(f"shards must be at least 1; got {shards}")
+        raise ValidationError(f"shards must be at least 1; got {shards}")
     if not 0.0 < z_star < math.inf:
-        raise ValueError(f"z_star must be positive and finite; got {z_star}")
+        raise ValidationError(f"z_star must be positive and finite; got {z_star}")
     _require_nondegenerate(spec)
     regime = _clt_regime(spec)   # raises RegimeError on mixed regimes
     model = spec.innovations
@@ -205,7 +205,7 @@ def normality_diagnostics(samples: np.ndarray, variances,
     samples = np.asarray(samples, dtype=float)
     N, q = samples.shape
     if N < MIN_NORMALITY_N:
-        raise ValueError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
+        raise ValidationError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
 
     # the central moment sums, streamed in blocks.  x - mean keeps the stride
     # order of x.  numpy sums axis 0 of a row-major array with q > 1 (C order,
@@ -344,9 +344,9 @@ def fit_variance_exponent(spec: ProcessSpec, n_list) -> ExponentFit:
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 5:
-        raise ValueError(f"need at least 5 distinct horizons; got {sorted(set(n_list))}")
+        raise ValidationError(f"need at least 5 distinct horizons; got {sorted(set(n_list))}")
     if any(n < 2 or (n & (n - 1)) for n in n_list):
-        raise ValueError("horizons must be dyadic (powers of two, >= 2)")
+        raise ValidationError("horizons must be dyadic (powers of two, >= 2)")
     _require_nondegenerate(spec)
     log_n = np.log(n_list)
     u, idx = spec.memory.distinct

@@ -28,11 +28,7 @@ JITTER_RTOL = 1e-12
 
 
 class ValidationError(ValueError):
-    """A process spec (or one of its parts) violates a standing assumption."""
-
-
-class TailBudgetError(ValueError):
-    """The requested truncation budget cannot be met under the hard cap."""
+    """Refused input: a config, spec or argument outside its assumptions or range."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -302,8 +298,11 @@ def _zeta(s: float) -> float:
     Euler-Maclaurin at N = 12: sum_{k<N} k^-s + N^{1-s}/(s-1) + N^-s/2 +
     sum_j B_2j/(2j)! s(s+1)...(s+2j-2) N^{1-s-2j}, the smallest terms first.
     On (1, 8] it is within 2 ulps of the exact value, and the first omitted
-    term is below 2e-19.
+    term is below 2e-19.  From s = 54 on zeta(s) - 1 < 2^-53, so it rounds
+    to 1.0, returned before the rising factorial overflows (NaN past 1e20).
     """
+    if s >= 54.0:
+        return 1.0
     power = _ZETA_HEAD ** -s
     rising, scale, terms = s, power / _ZETA_HEAD, []
     for j, c in enumerate(_EULER_MACLAURIN):
@@ -327,7 +326,7 @@ def truncation_length(d: float, tail_tol: float) -> int:
 
     The budget is ``tail_tol`` times the total coefficient variance
     zeta(2d); the tail is bounded by integral comparison.  Deterministic
-    in (d, tail_tol); raises ``TailBudgetError`` when no M under
+    in (d, tail_tol); raises ``ValidationError`` when no M under
     ``HARD_CAP`` satisfies the budget (d near 1/2 with a tight tolerance).
     """
     if d <= 0.5:
@@ -346,7 +345,7 @@ def truncation_length(d: float, tail_tol: float) -> int:
     while tail_variance_bound(d, M) > budget and M <= HARD_CAP:
         M += 1
     if M > HARD_CAP:
-        raise TailBudgetError(
+        raise ValidationError(
             f"tail budget unreachable: d={float(d)!r}, tail_tol={tail_tol:g} needs "
             f"M>{HARD_CAP}; increase tail_tol")
     return M
@@ -541,9 +540,15 @@ def spec_from_dict(cfg: dict, base_dir: Path | str = ".") -> ProcessSpec:
     return _read_config(cfg, base_dir)[1]
 
 
+def _load_json(path: Path):
+    """The parsed config file ``path``, refusing text that is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:   # UnicodeDecodeError or json.JSONDecodeError
+        raise ValidationError(f"config {str(path)!r}: {exc}") from None
+
+
 def load_spec(path: Path | str) -> ProcessSpec:
     """Load a ProcessSpec from a JSON config file."""
     path = Path(path)
-    with path.open() as fh:
-        cfg = json.load(fh)
-    return spec_from_dict(cfg, base_dir=path.parent)
+    return spec_from_dict(_load_json(path), base_dir=path.parent)

@@ -301,7 +301,7 @@ def generate_paths(spec: ProcessSpec, n: int, seed: int) -> tuple[np.ndarray, np
     refused (``ValidationError``) before any is allocated.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValidationError("n must be >= 1")
     M = spec.window
     _require_memory({"draw buffer": (n + M) * _words_per_index(spec.q) * 8,
                      "innovations": (n + M) * spec.q * 8, "paths": n * spec.q * 8})
@@ -328,7 +328,7 @@ def partial_sums_via_z(spec: ProcessSpec, n: int, seed: int, rep: int = 0) -> np
     the replication sampler forms for ``rep`` under a non-Gaussian law.
     """
     if n < 2:
-        raise ValueError("the independent-summands identity is stated for n >= 2")
+        raise ValidationError("the independent-summands identity is stated for n >= 2")
     model, M = spec.innovations, spec.window
     factor = model.factor   # a sigma with no factor is refused before any draw
     g, = _standard_draws(model, seed, range(rep, rep + 1), 1 - M, n + M, 1)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import longmem as lm
@@ -18,7 +19,7 @@ PUBLIC_NAMES = [
     "CovarianceReport", "ExponentFit",
     "InnovationModel", "MemoryFunction", "NormalityReport",
     "ProcessSpec", "RegimeError", "SpaceGrid",
-    "TailBudgetError", "ValidationError", "ValidationReport", "__version__",
+    "ValidationError", "ValidationReport", "__version__",
     "classify_summability", "cross_covariance_asymptotic", "cross_covariance_matrix",
     "fit_variance_exponent", "generate_paths",
     "innovation_block", "l2_membership", "limit_kernel", "load_spec",
@@ -40,12 +41,13 @@ PUBLIC_NAMES = [
 # tuple (values, truncation_tail_var)) and in 0.22.0 (a bound that no library
 # code called, now a test oracle) and in 0.23.0 (the weight-table record, whose
 # weights partial_sum_weights now returns as an array; run_clt_experiment
-# computes the truncation certificate it reports)
+# computes the truncation certificate it reports) and in 0.32.0 (the second
+# refusal type of truncation_length, which raises ValidationError)
 REMOVED_NAMES = ["cross_covariance_exact", "partial_sum_covariance_exact",
                  "partial_sums_direct", "scale_integral_upper_bound",
                  "partial_sum_covariance_asymptotic", "LimitKernel", "NormalizationPlan",
                  "BATCH_COUNT", "L2_FINITE_THRESHOLD", "CertifiedValue", "_window_tail",
-                 "PathEnsemble", "dominating_bound", "CoefficientTable"]
+                 "PathEnsemble", "dominating_bound", "CoefficientTable", "TailBudgetError"]
 
 
 def test_public_names_are_pinned_and_resolve():
@@ -54,7 +56,7 @@ def test_public_names_are_pinned_and_resolve():
     assert [name for name in lm.__all__ if not hasattr(lm, name)] == []
     assert [name for name in REMOVED_NAMES
             if any(hasattr(module, name)
-                   for module in (lm, lm.analytics, lm.simulate, lm.mcverify))] == []
+                   for module in (lm, lm.model, lm.analytics, lm.simulate, lm.mcverify))] == []
 
 
 def test_result_records_hold_only_what_their_call_computed():
@@ -174,6 +176,65 @@ def test_exponents_are_decomposed_only_by_memory_distinct():
     cli = ast.parse((package / "cli.py").read_text())
     assert [node.lineno for node in ast.walk(cli)
             if isinstance(node, ast.Attribute) and node.attr == "distinct"] == []
+
+
+# one call per argument refusal of the library, on long_spec (s) and
+# boundary_spec (b); RegimeError is one of them
+ARGUMENT_REFUSALS = {
+    "lag-negative": (lambda s, b: lm.cross_covariance_matrix(s, -1), "nonnegative"),
+    "lag-max": (lambda s, b: lm.cross_covariance_matrix(s, lm.analytics.MAX_LAG + 1),
+                "exceeds MAX_LAG"),
+    "asymptotic-h": (lambda s, b: lm.cross_covariance_asymptotic(0.7, 0.7, 1.0, 1),
+                     "needs h >= 2"),
+    "regime": (lambda s, b: lm.scale_integral(0.4, 0.9), "requires 1/2 < d_s < 1"),
+    "weights-n": (lambda s, b: lm.partial_sum_weights(s, 1), "n >= 2"),
+    "series-n": (lambda s, b: lm.partial_sum_covariance_series(0.7, 0.7, 0), "n must be >= 1"),
+    "normalization-n": (lambda s, b: lm.normalization_plan(b, 1), "needs n >= 2"),
+    "paths-n": (lambda s, b: lm.generate_paths(s, 0, 0), "n must be >= 1"),
+    "via-z-n": (lambda s, b: lm.partial_sums_via_z(s, 1, 0), "stated for n >= 2"),
+    "clt-N": (lambda s, b: lm.run_clt_experiment(s, 8, 99, 0), "N must be >= 100"),
+    "clt-n": (lambda s, b: lm.run_clt_experiment(s, 1, 600, 0), "n must be >= 2; got 1"),
+    "clt-shards": (lambda s, b: lm.run_clt_experiment(s, 8, 600, 0, shards=0),
+                   "shards must be at least 1"),
+    "clt-z-star": (lambda s, b: lm.run_clt_experiment(s, 8, 600, 0, z_star=0.0),
+                   "z_star must be positive"),
+    "normality-N": (lambda s, b: lm.normality_diagnostics(np.zeros((499, 2)), np.ones(2)),
+                    "need N >= 500"),
+    "fit-distinct": (lambda s, b: lm.fit_variance_exponent(s, [64] * 5), "5 distinct"),
+    "fit-dyadic": (lambda s, b: lm.fit_variance_exponent(s, [3, 8, 16, 32, 64]), "dyadic"),
+    "tail-budget": (lambda s, b: lm.truncation_length(0.5000001, 1e-3), "unreachable"),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_REFUSALS)
+def test_argument_refusals_are_validation_errors(long_spec, boundary_spec, name):
+    # the one type that means refused input, which the command line exits 2 on
+    call, message = ARGUMENT_REFUSALS[name]
+    with pytest.raises(lm.ValidationError, match=message):
+        call(long_spec, boundary_spec)
+
+
+def _plain_value_errors(source: str) -> list[str]:
+    """The functions of ``source`` that raise a plain ``ValueError``."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            found += [func.name for node in ast.walk(func) if isinstance(node, ast.Raise)
+                      and getattr(getattr(node.exc, "func", node.exc), "id", None)
+                      == "ValueError"]
+    return found
+
+
+def test_plain_value_errors_are_internal_invariants_only():
+    # every refused input raises ValidationError (exit 2); a plain
+    # ValueError is an internal fault (exit 3)
+    package = Path(lm.__file__).resolve().parent
+    found = {path.stem: _plain_value_errors(path.read_text()) for path in package.glob("*.py")}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {
+        "io": ["write_table_csv"],                   # columns of unequal length
+        "model": ["_integer"],                       # which _cast refuses as input
+        "simulate": ["_seek", "_standard_draws"],    # address region, draw count
+    }
 
 
 def test_pyproject_version_is_the_package_version():

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import importlib
@@ -5,9 +6,11 @@ import json
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -359,6 +362,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_huge_exponent_simulates_with_no_window(self, tmp_path):
+        # zeta(2d) is 1.0 for any d past 27, and the tail bound at M = 0
+        # meets the budget: each X_k is its innovation
+        cfg = dict(BOUNDARY_REFERENCE, memory={"kind": "constant", "values": 1e308})
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert _manifest_without_timestamp(out)["window"] == 0
+
+    @pytest.mark.parametrize("text", [b'{"grid": ', b"\xff\xfe{}"], ids=["json", "utf8"])
+    def test_config_that_is_not_utf8_json_exits_2_naming_it(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_bytes(text)
+        assert main(["verify-clt", "--config", str(path), "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: config {str(path)!r}: ")
+
     def test_tail_tol_flag_changes_window(self, tmp_path):
         cfg = _write(tmp_path, SMALL_LONG)
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "w1"),
@@ -704,10 +723,12 @@ class TestVerifyClt:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
 
-    @pytest.mark.parametrize("error, code", [(RuntimeError, 3), (ValueError, 2)])
+    @pytest.mark.parametrize("error, code", [(lm.ValidationError, 2), (ValueError, 3),
+                                             (KeyError, 3), (RuntimeError, 3)])
     def test_uncaught_error_exits_by_kind(self, tmp_path, capsys, monkeypatch, error, code):
-        # exit 1 is a failed verdict only: invalid input is 2, with one line
-        # on stderr, and any other error is 3, with its traceback
+        # exit 1 is a failed verdict only: refused input is 2, with one line
+        # on stderr, and any other error is 3, with its traceback, a plain
+        # ValueError (numpy's internal faults among them) included
         def fault(*args, **kwargs):
             raise error("injected fault")
 
@@ -718,7 +739,8 @@ class TestVerifyClt:
         if code == 2:
             assert err == "error: injected fault\n"
         else:
-            assert err.startswith("Traceback") and err.endswith("RuntimeError: injected fault\n")
+            assert err.startswith("Traceback")
+            assert err.endswith(f"{error.__name__}: {error('injected fault')}\n")
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -745,6 +767,51 @@ class TestVerifyClt:
         # a Gaussian replication draws one q-vector for the whole past
         rows = cfg["n"] + (window if law == "pareto" else 1)
         assert m["innovations_drawn"] == cfg["N"] * rows
+
+
+# the values a mutation draws: JSON scalars of each type, extremes, and
+# empty or nested containers
+MUTANT_VALUES = [None, True, False, math.nan, 1e308, -1, 0, "x", "", [], [[]], [-1],
+                 [1e308], {}, {"kind": {}}, {"a": [[]]}]
+# every key a config may hold, as its path
+MUTANT_PATHS = sorted({f"{table.split('.')[0]}.{key}".lstrip(".")
+                       for table, keys in _CONFIG_KEYS.items() for key in keys})
+FIG1B = json.loads(Path(_config_path("fig1b.json")).read_text())
+MUTANTS = 400
+
+
+def _mutant(rng: random.Random) -> dict:
+    """SMALL_LONG or fig1b with one or two keys set to a value of
+    MUTANT_VALUES; a section that is not an object becomes one first."""
+    cfg = copy.deepcopy(rng.choice([SMALL_LONG, FIG1B]))
+    for _ in range(rng.choice((1, 2))):
+        *sections, key = rng.choice(MUTANT_PATHS).split(".")
+        node = cfg
+        for name in sections:
+            if not isinstance(node.get(name), dict):
+                node[name] = {}
+            node = node[name]
+        node[key] = copy.deepcopy(rng.choice(MUTANT_VALUES))
+    return cfg
+
+
+def test_mutated_configs_never_exit_3(tmp_path, capsys):
+    # a refused input exits 2 and is never an internal fault.  numpy's
+    # RuntimeWarnings (overflow at 1e308) are ignored, as in a command-line
+    # run, not raised as this suite's warning filter would
+    rng = random.Random(35)
+    failures = []
+    for _ in range(MUTANTS):
+        cfg = _mutant(rng)
+        path = _write(tmp_path, cfg)
+        for command in ("simulate", "analyze", "verify-clt"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2):
+                failures.append((command, cfg, code, err))
+    assert failures == []
 
 
 def _fresh_env() -> dict:

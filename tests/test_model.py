@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
@@ -228,13 +229,13 @@ class TestTruncationLength:
     def test_near_boundary_budget_unreachable(self):
         # d=0.6 with a 1e-2 budget needs M beyond the 1e7 hard cap once the
         # 1/(2d-1) factor of the certified bound is accounted for
-        with pytest.raises(lm.TailBudgetError):
+        with pytest.raises(lm.ValidationError):
             lm.truncation_length(0.6, 1e-2)
 
     @pytest.mark.parametrize("d", [0.5000001, 0.501, 0.504])
     def test_budget_unreachable_near_one_half(self, d):
         # the closed-form start alone would overflow a float here
-        with pytest.raises(lm.TailBudgetError, match=f"d={d!r}, tail_tol=0.001 needs"):
+        with pytest.raises(lm.ValidationError, match=f"d={d!r}, tail_tol=0.001 needs"):
             lm.truncation_length(d, 1e-3)
 
     def test_rejects_invalid_d(self):
@@ -280,6 +281,23 @@ class TestTruncationLength:
         got = np.array([_zeta(float(v)) for v in s])
         assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
 
+    @pytest.mark.parametrize("s", [54.0, 64.0, 1e21, 1e300, math.inf])
+    def test_zeta_is_one_where_it_rounds_to_one(self, s):
+        # zeta(s) - 1 < 2^-53 from s = 54 on; past s = 1e20 the
+        # Euler-Maclaurin terms overflow to inf * 0 = NaN
+        assert _zeta(s) == 1.0
+
+    def test_zeta_switches_to_one_where_the_sum_already_rounds_there(self):
+        # the early return moves no value: the sum gives 1.0 from 53.5 on
+        # and 1 + 2^-52 at 53, where zeta(53) - 1 > 2^-53
+        assert _zeta(53.0) == 1.0 + 2.0 ** -52
+        assert [_zeta(s) for s in (53.5, 53.9, 53.99)] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("d", [5e20, 1e300, 1e308])
+    def test_huge_exponent_needs_no_window(self, d):
+        # the tail bound 1/(2d - 1) at M = 0 is far below 1e-3 zeta(2d) = 1e-3
+        assert lm.truncation_length(d, 1e-3) == 0
+
     @pytest.mark.parametrize("name, window", [
         ("clt_boundary_reference.json", 607), ("clt_long_reference.json", 259_177),
         ("fig1a.json", 57_171), ("fig1b.json", 57_171)])
@@ -323,6 +341,14 @@ class TestConfigLoading:
         (tmp_path / "spec.json").write_text(json.dumps(top))
         with pytest.raises(lm.ValidationError, match=message):
             lm.load_spec(tmp_path / "spec.json")
+
+    @pytest.mark.parametrize("text", [b"", b'{"grid": ', b"{} {}", b"\xff\xfe{}"],
+                             ids=["empty", "cut", "two-values", "utf16"])
+    def test_text_that_is_not_utf8_json_is_refused_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_bytes(text)
+        with pytest.raises(lm.ValidationError, match=f"^config {re.escape(repr(str(path)))}: "):
+            lm.load_spec(path)
 
     def test_sigma_file_csv(self, tmp_path):
         np.savetxt(tmp_path / "sigma.csv", np.eye(2), delimiter=",")
