@@ -47,7 +47,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 __all__ = [
     "CovarianceReport",

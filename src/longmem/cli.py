@@ -83,6 +83,17 @@ def _load(args):
     return cfg, run, spec, seed, out, threads
 
 
+def _require_finite(values, name) -> None:
+    """Refuse a result with an entry that is not finite, naming the first by
+    ``name(i)``, i its flat index: the input lies beyond the float range, and
+    no file is written."""
+    values = np.ravel(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{name(bad[0])} is {values[bad[0]]:g}, not a finite float: "
+                              f"the input lies beyond the float range")
+
+
 def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs: dict, extra=None):
     # byte-identical outputs are promised only on one software stack and one
     # SIMD dispatch: numpy's log and tan loops differ by target
@@ -159,29 +170,36 @@ def cmd_analyze(args) -> int:
     # covariances.csv: one row per (s, t, lag), lag fastest
     exact, bound, asym = (np.empty((q * q, len(lags))) for _ in range(3))
     note = np.empty((q * q, len(lags)), dtype=object)
-    for k, h in enumerate(lags):
-        values, bounds = cross_covariance_matrix(spec, h)
-        asymptotic, notes = _asymptotic(spec, h)
-        exact[:, k], bound[:, k], asym[:, k] = values.ravel(), bounds.ravel(), asymptotic.ravel()
-        note[:, k] = notes.ravel()
+    with np.errstate(all="ignore"):   # what leaves the float range is refused below
+        for k, h in enumerate(lags):
+            values, bounds = cross_covariance_matrix(spec, h)
+            asymptotic, notes = _asymptotic(spec, h)
+            exact[:, k], bound[:, k], asym[:, k] = (values.ravel(), bounds.ravel(),
+                                                    asymptotic.ravel())
+            note[:, k] = notes.ravel()
+        l2 = l2_membership(spec)
+    s, t = np.repeat(s_pair, len(lags)), np.repeat(t_pair, len(lags))
+    h = np.tile(lags, q * q)
+    for column, values in (("exact", exact), ("exact_error_bound", bound),
+                           ("asymptotic", asym)):
+        _require_finite(values, lambda i: f"covariances.csv {column} at (s, t, h) = "
+                                          f"({s[i]:g}, {t[i]:g}, {h[i]})")
+    l2_fields = {"integral_sigma2": l2.integral_sigma2,
+                 "integral_sigma2_over_2d_minus_1": l2.integral_weighted,
+                 "min_d_minus_half": l2.min_d_minus_half, "min_d_point": l2.min_d_point}
+    for key, value in l2_fields.items():
+        _require_finite(value, lambda i: f"l2_report.json {key}")
     asym = asym.astype(object)
     asym[note != ""] = ""
-    s, t = np.repeat(s_pair, len(lags)), np.repeat(t_pair, len(lags))
 
     outputs = {name: io.write_table_csv(out / name, header, columns)
                for name, header, columns in (
         ("c_matrix.csv", ["s", "t", "c_quadrature", "c_closed_form", "relative_delta", "note"],
          [s_pair, t_pair, c_quad, c_closed, delta, c_note]),
         ("covariances.csv", ["s", "t", "h", "exact", "exact_error_bound", "asymptotic", "note"],
-         [s, t, np.tile(lags, q * q),
-          exact.ravel(), bound.ravel(), asym.ravel(), note.ravel()]),
+         [s, t, h, exact.ravel(), bound.ravel(), asym.ravel(), note.ravel()]),
         ("summability.csv", ["s", "t", "classification"], [s_pair, t_pair, summability]))}
-    l2 = l2_membership(spec)
-    outputs["l2_report.json"] = io.write_json(
-        out / "l2_report.json",
-        {"integral_sigma2": l2.integral_sigma2,
-         "integral_sigma2_over_2d_minus_1": l2.integral_weighted,
-         "min_d_minus_half": l2.min_d_minus_half, "min_d_point": l2.min_d_point})
+    outputs["l2_report.json"] = io.write_json(out / "l2_report.json", l2_fields)
     _manifest(out, "analyze", cfg, seed, outputs)
     return 0
 
@@ -200,8 +218,11 @@ def cmd_verify_clt(args) -> int:
     report = run_clt_experiment(spec, n, N, seed, z_star=z_star, shards=threads)
     norm = normality_diagnostics(report.samples,
                                  variances=np.diag(report.finite_n_exact))
-
     pts = spec.grid.points
+    for column in ("skewness", "excess_kurtosis", "ks_distance"):
+        _require_finite(getattr(norm, column), lambda i: f"normality.csv {column} at "
+                                                         f"t = {pts[i]:g}")
+
     grid = ["s\\t", *map(io.format_float, pts)]   # labelled on both axes by the points
     outputs = {name: io.write_table_csv(out / name, header, columns)
                for name, header, columns in (

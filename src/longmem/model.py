@@ -155,6 +155,13 @@ class InnovationModel:
                                   f"got shape {sigma.shape}")
         if not np.all(np.isfinite(sigma)):
             raise ValidationError("innovation covariance must be finite")
+        # a subnormal entry has lost significant bits before any arithmetic
+        subnormal = (sigma != 0.0) & (np.abs(sigma) < np.finfo(float).tiny)
+        if np.any(subnormal):
+            i, j = np.argwhere(subnormal)[0]
+            raise ValidationError(f"innovation covariance entry ({i}, {j}) is "
+                                  f"{float(sigma[i, j])!r}, subnormal: a nonzero entry "
+                                  f"must have |sigma| >= {float(np.finfo(float).tiny)!r}")
         object.__setattr__(self, "sigma", _readonly(sigma))
 
     @functools.cached_property
@@ -273,8 +280,8 @@ def _check(spec: ProcessSpec) -> ValidationReport:
             if lo < -PSD_RTOL * max(hi, 0.0):
                 fatal.append(f"innovation covariance is not positive semidefinite "
                              f"(min eigenvalue {lo:.3e})")
-            s2 = spec.innovations.sigma2
-            bound = np.sqrt(np.outer(s2, s2))
+            sd = np.sqrt(spec.innovations.sigma2)   # no square of sigma: it may overflow
+            bound = np.outer(sd, sd)
             if np.any(np.abs(sigma) > bound * (1 + 1e-9) + 1e-12):
                 fatal.append("innovation covariance violates |sigma(s,t)| <= "
                              "sqrt(sigma2(s) sigma2(t))")

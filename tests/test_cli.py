@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import longmem as lm
 from longmem import io
 from longmem.cli import main
+from longmem.mcverify import normality_diagnostics
 from longmem.model import _CONFIG_KEYS, tail_variance_bound
 from oracles import cross_covariance_exact, write_table_csv_rows
 
@@ -771,8 +774,8 @@ class TestVerifyClt:
 
 # the values a mutation draws: JSON scalars of each type, extremes, and
 # empty or nested containers
-MUTANT_VALUES = [None, True, False, math.nan, 1e308, -1, 0, "x", "", [], [[]], [-1],
-                 [1e308], {}, {"kind": {}}, {"a": [[]]}]
+MUTANT_VALUES = [None, True, False, math.nan, 1e308, 1e200, 1e-320, -1, 0, "x", "", [],
+                 [[]], [-1], [1e308], {}, {"kind": {}}, {"a": [[]]}]
 # every key a config may hold, as its path
 MUTANT_PATHS = sorted({f"{table.split('.')[0]}.{key}".lstrip(".")
                        for table, keys in _CONFIG_KEYS.items() for key in keys})
@@ -795,23 +798,89 @@ def _mutant(rng: random.Random) -> dict:
     return cfg
 
 
+# a CSV field that reads inf or nan, as io.format_float writes them
+NON_FINITE_FIELD = re.compile(r"(?:^|,)[+-]?(?:inf|nan)(?:,|$)", re.MULTILINE | re.IGNORECASE)
+
+
+def _non_finite_fields(out: Path) -> list:
+    """The CSV files under ``out`` with a field that reads inf or nan."""
+    texts = {path.name: path.read_text() for path in sorted(out.glob("*.csv"))}
+    # the plain substring test first: a regex over every byte is 10x slower
+    return [name for name, text in texts.items()
+            if ("inf" in text or "nan" in text) and NON_FINITE_FIELD.search(text)]
+
+
 def test_mutated_configs_never_exit_3(tmp_path, capsys):
-    # a refused input exits 2 and is never an internal fault.  numpy's
-    # RuntimeWarnings (overflow at 1e308) are ignored, as in a command-line
-    # run, not raised as this suite's warning filter would
+    # a refused input exits 2 and is never an internal fault, and a run that
+    # is not refused writes only finite numbers.  numpy's RuntimeWarnings
+    # (overflow at 1e308) are ignored, as in a command-line run, not raised
+    # as this suite's warning filter would
     rng = random.Random(35)
     failures = []
-    for _ in range(MUTANTS):
+    for m in range(MUTANTS):
         cfg = _mutant(rng)
         path = _write(tmp_path, cfg)
         for command in ("simulate", "analyze", "verify-clt"):
+            out = tmp_path / f"{m}-{command}"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+                code = main([command, "--config", path, "--out", str(out)])
             err = capsys.readouterr().err
-            if code not in (0, 1, 2):
-                failures.append((command, cfg, code, err))
+            non_finite = [] if code == 2 else _non_finite_fields(out)
+            if code not in (0, 1, 2) or non_finite:
+                failures.append((command, cfg, code, err, non_finite))
     assert failures == []
+
+
+@pytest.mark.parametrize("command, patch, message", [
+    ("analyze", {"innovations": {"kind": "white", "sigma2": 1e308}},
+     "covariances.csv asymptotic at (s, t, h) = (0.25, 0.25, 10) is inf,"),
+    ("analyze", {"memory": {"kind": "constant", "values": 1e308}},
+     "covariances.csv exact_error_bound at (s, t, h) = (0.25, 0.25, 0) is nan,"),
+    ("analyze", {"grid": {"points": [0.25, 0.5, 0.75, 1.0], "weights": [1e300] * 4},
+                 "innovations": {"kind": "white", "sigma2": 1e10}},
+     "l2_report.json integral_sigma2 is inf,"),
+    ("verify-clt", {"innovations": {"kind": "white", "sigma2": 1e200}},
+     "at (s, t) = (0.25, 0.25) the finite-n covariance is 9.52697e+199, the limit 1e+200 "
+     "and the standard error nan;"),
+    ("verify-clt", {"innovations": {"kind": "white", "sigma2": 1e-300}},
+     "the standard error 0;"),
+    ("simulate", {"innovations": {"kind": "white", "sigma2": 1e-320}},
+     "innovation covariance entry (0, 0) is 1e-320, subnormal"),
+    ("verify-clt", {"innovations": {"kind": "wiener"}, "grid": {"points": [1e-320, 1.0]}},
+     "innovation covariance entry (0, 0) is 1e-320, subnormal"),
+], ids=["analyze-1e308", "analyze-memory-1e308", "analyze-l2", "verify-clt-1e200",
+        "verify-clt-1e-300", "simulate-1e-320", "verify-clt-wiener-1e-320"])
+def test_results_beyond_the_float_range_exit_2_writing_nothing(tmp_path, capsys, monkeypatch,
+                                                               command, patch, message):
+    # refused input, not a verdict: one stderr line, no numpy warning, no
+    # data file, and for verify-clt no draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("the replications were drawn")
+
+    monkeypatch.setattr("longmem.mcverify._replication_sampler", refuse)
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, dict(BOUNDARY_REFERENCE, **patch)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert list(out.glob("*")) == []
+
+
+def test_non_finite_normality_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    def with_nan(samples, variances):
+        report = normality_diagnostics(samples, variances)
+        skewness = report.skewness.copy()
+        skewness[2] = math.nan
+        return dataclasses.replace(report, skewness=skewness)
+
+    monkeypatch.setattr("longmem.cli.normality_diagnostics", with_nan)
+    out = tmp_path / "out"
+    assert main(["verify-clt", "--config", _write(tmp_path, SMALL_LONG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: normality.csv skewness at t = 0.75 is nan, not a finite float: "
+                   "the input lies beyond the float range\n")
+    assert list(out.glob("*")) == []
 
 
 def _fresh_env() -> dict:

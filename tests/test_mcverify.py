@@ -7,11 +7,13 @@ import pytest
 from scipy import special, stats
 
 import longmem as lm
-from longmem.mcverify import ROW_BLOCK_WORDS, _ndtr
+from longmem.mcverify import ROW_BLOCK_WORDS, _ks_distance
 from longmem.simulate import (REPLICATION_BLOCK, _draw_plan, _excess_kurtosis,
                               _past_factor, _replication_sampler, _standard_draws,
                               innovation_block)
 from oracles import partial_sum_covariance_lagsum
+
+EPS = np.finfo(float).eps
 
 # passes the PSD tolerance of validate() but not a jittered Cholesky
 UNFACTORIZABLE = {"innovations": {"kind": "custom", "sigma": [
@@ -405,7 +407,10 @@ class TestNormalityDiagnostics:
                   for i in range(x.shape[1])]
         assert np.array_equal(rep.skewness, skew, equal_nan=True)
         assert np.array_equal(rep.excess_kurtosis, kurt, equal_nan=True)
-        assert np.array_equal(rep.ks_distance, ks, equal_nan=True)
+        # F in [0, 1] is libm's erfc, within 2 eps of scipy's ndtr, so each
+        # gap of the empirical CDF to F is within 4 eps of kstest's
+        assert np.array_equal(np.isnan(rep.ks_distance), np.isnan(ks))
+        assert np.nanmax(np.abs(rep.ks_distance - ks), initial=0.0) <= 4 * EPS
         return rep
 
     @pytest.mark.parametrize("q", [1, 4])
@@ -443,22 +448,25 @@ def _neighbours(x: float, count: int = 20) -> list:
     return up + down[1:]
 
 
-def test_ndtr_equals_scipy_bit_for_bit():
+def test_normal_cdf_within_two_eps_of_scipy():
     # Gaussian points at several scales, a uniform sweep past the underflow
-    # at |a| ~ 37.5, and the branch points of Cephes' erf/erfc (|a| = 1,
-    # sqrt 2, 8 sqrt 2 and sqrt(2 MAXLOG)) with their neighbours, both signs
+    # at |a| ~ 37.5, and the branch points of scipy's ndtr, Cephes' erf/erfc
+    # (|a| = 1, sqrt 2, 8 sqrt 2 and sqrt(2 MAXLOG)), with their neighbours,
+    # both signs.  The KS distance overwrites its sorted input with F, a block at
+    # a time; F lies in [0, 1], so the bound is absolute
     rng = np.random.default_rng(12)
     branches = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)]
     edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 38.5, -38.5, 1e308, -1e308,
              5e-324, -5e-324, *(s * v for b in branches for v in _neighbours(b)
                                for s in (1.0, -1.0))]
-    x = np.concatenate([rng.standard_normal(250_000) * scale for scale in (1.0, 3.0, 10.0)]
-                       + [rng.uniform(-40.0, 40.0, 250_000), edges])
+    x = np.sort(np.concatenate([rng.standard_normal(250_000) * scale
+                                for scale in (1.0, 3.0, 10.0)]
+                               + [rng.uniform(-40.0, 40.0, 250_000), edges]))
     got = x.copy()
-    for lo in range(0, len(got), ROW_BLOCK_WORDS):
-        _ndtr(got[lo:lo + ROW_BLOCK_WORDS])
+    _ks_distance(got)
     want = special.ndtr(x)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.nanmax(np.abs(got - want)) <= 2 * EPS
 
 
 class TestFitVarianceExponent:

@@ -130,6 +130,19 @@ class TestInnovationModel:
         with pytest.raises(lm.ValidationError, match="pareto_alpha must be finite"):
             lm.InnovationModel.white(1.0, q=2, law=law, pareto_alpha=alpha)
 
+    @pytest.mark.parametrize("sigma, entry", [
+        ([[1.0, 0.0], [0.0, 1e-320]], "(1, 1) is 1e-320"),
+        ([[1.0, -5e-324], [-5e-324, 1.0]], "(0, 1) is -5e-324"),
+    ], ids=["diagonal", "off-diagonal"])
+    def test_subnormal_entry_is_refused_naming_it(self, sigma, entry):
+        # a subnormal has lost significant bits before any arithmetic
+        with pytest.raises(lm.ValidationError, match=re.escape(f"entry {entry}, subnormal")):
+            lm.InnovationModel(np.array(sigma))
+
+    def test_zero_and_the_smallest_normal_entry_are_accepted(self):
+        tiny = np.finfo(float).tiny
+        assert lm.InnovationModel.white([1.0, 0.0, tiny]).sigma2[2] == tiny
+
 
 class TestValidate:
     def test_all_long_is_the_long_regime(self, long_spec):
