@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import ValidationError, _load_json, _read_config
+from .model import ValidationError, _load_json, _read_config, _unit
 from .analytics import (
     RegimeError,
     _pair_blocks,
@@ -216,9 +216,12 @@ def cmd_verify_clt(args) -> int:
     if N < MIN_NORMALITY_N:
         raise ValidationError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
     report = run_clt_experiment(spec, n, N, seed, z_star=z_star, shards=threads)
-    norm = normality_diagnostics(report.samples,
-                                 variances=np.diag(report.finite_n_exact))
     pts = spec.grid.points
+    _require_finite(report.empirical, lambda i: f"covariance_empirical.csv at (s, t) = "
+                                                f"({pts[i // spec.q]:g}, {pts[i % spec.q]:g})")
+    k = _unit(spec.innovations.sigma)   # read in sigma's unit, as the verdicts are
+    norm = normality_diagnostics(np.ldexp(report.samples, -k) if k else report.samples,
+                                 variances=np.ldexp(np.diag(report.finite_n_exact), -2 * k))
     for column in ("skewness", "excess_kurtosis", "ks_distance"):
         _require_finite(getattr(norm, column), lambda i: f"normality.csv {column} at "
                                                          f"t = {pts[i]:g}")

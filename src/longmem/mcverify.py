@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ProcessSpec, ValidationError
+from .model import ProcessSpec, ValidationError, _unit
 from .analytics import (
     _clt_regime,
     limit_kernel,
@@ -79,10 +79,10 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     Replications are addressed by absolute index and the covariance is
     reduced once over the index-ordered samples, so splitting them into
     shards (run on at most ``os.cpu_count()`` threads) changes no bit of the
-    result.  A run whose samples, coefficient table and draw buffers exceed
-    physical memory is refused (``ValidationError``) before any is allocated,
-    and one whose target covariances or standard errors leave the float
-    range before any is drawn.
+    result.  It runs on sigma in its unit 4^k (``model._unit``), so 4^j sigma
+    gets the same verdicts.  Refused (``ValidationError``) before allocating:
+    samples, coefficient table and draw buffers beyond physical memory; before
+    any draw: targets or standard errors beyond the float range.
     """
     if N < 100:
         raise ValidationError("N must be >= 100")
@@ -94,7 +94,10 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
         raise ValidationError(f"z_star must be positive and finite; got {z_star}")
     _require_nondegenerate(spec)
     regime = _clt_regime(spec)   # raises RegimeError on mixed regimes
-    model = spec.innovations
+    model, k = spec.innovations, _unit(spec.innovations.sigma)
+    if k:
+        model = replace(model, sigma=np.ldexp(model.sigma, -2 * k))
+        spec = replace(spec, innovations=model)
     shards = min(int(shards), N)
     _, rows, block = _draw_plan(model, n, spec.window)
     _require_memory({
@@ -110,8 +113,8 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     # Var(S_i S_j) = C_ii C_jj + C_ij^2 + the fourth cumulant of draws of
     # excess kurtosis kappa through the factor F: kappa [(F o F)(F o F)^T]_ij
     # sum_m z_im^2 z_jm^2 / (b_i b_j)^2, the sum once per distinct exponent.
-    # It reads no sample, so a sigma whose results leave the float range is
-    # refused before any draw
+    # It reads no sample, so a sigma whose results leave the float range, in
+    # its unit or in its own units, is refused before any draw
     z2 = np.square(z)
     f2 = np.square(model.factor)
     kappa = _excess_kurtosis(model.law, model.pareto_alpha)
@@ -120,14 +123,16 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
         finite = model.sigma * (z @ z.T)[pair] / np.outer(b, b)
         se = np.sqrt((np.outer(np.diag(finite), np.diag(finite)) + finite ** 2
                       + kappa * (f2 @ f2.T) * (z2 @ z2.T)[pair] / np.outer(b, b) ** 2) / N)
-    bad = ~(np.isfinite(finite) & np.isfinite(K) & (se > 0.0) & (se < math.inf))
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        pts = spec.grid.points
-        raise ValidationError(f"sigma lies beyond the float range: at (s, t) = "
-                              f"({pts[i]:g}, {pts[j]:g}) the finite-n covariance is "
-                              f"{finite[i, j]:g}, the limit {K[i, j]:g} and the standard "
-                              f"error {se[i, j]:g}; all must be finite and the error positive")
+        scaled = [np.ldexp(a, 2 * k) for a in (finite, K, se)]
+    in_unit = np.isfinite(finite) & np.isfinite(K) & (se > 0.0) & (se < math.inf)
+    bad = np.argwhere(~(in_unit & np.all(np.isfinite(scaled), axis=0)))
+    if len(bad):
+        (i, j), pts = bad[0], spec.grid.points
+        raise ValidationError(
+            f"at (s, t) = ({pts[i]:g}, {pts[j]:g}), in sigma's unit 4^{k}, the finite-n "
+            f"covariance is {finite[i, j]:g}, the limit {K[i, j]:g} and the standard error "
+            f"{se[i, j]:g}: " + ("not finite in sigma's units" if in_unit[i, j] else
+                                "sigma's variances span more than the float range"))
 
     # the shards write the partial sums into one array, normalized in place:
     # the (N, q) samples are the run's only N-sized array
@@ -154,11 +159,13 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     # certified truncation loss per exponent: untruncated series + bound - sum z^2
     tail_var = np.array([sum(partial_sum_covariance_series(float(d), float(d), n))
                          for d in u]) - np.sum(z2, axis=1)
-    return CovarianceReport(regime=regime, empirical=empirical,
-                            finite_n_exact=finite, limit=K, se=se,
-                            verdicts=verdicts, gap_rel=gap_rel, samples=samples,
-                            truncation_tail_var=model.sigma2 * tail_var[idx] / b ** 2,
-                            innovations_drawn=N * rows)
+    with np.errstate(over="ignore"):   # a non-finite empirical entry is the caller's
+        return CovarianceReport(
+            regime=regime, empirical=np.ldexp(empirical, 2 * k), finite_n_exact=scaled[0],
+            limit=scaled[1], se=scaled[2], verdicts=verdicts, gap_rel=gap_rel,
+            samples=np.ldexp(samples, k, out=samples),
+            truncation_tail_var=np.ldexp(model.sigma2 * tail_var[idx] / b ** 2, 2 * k),
+            innovations_drawn=N * rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +198,8 @@ def normality_diagnostics(samples: np.ndarray, variances,
 
     Bands are Monte Carlo: +-skew_z sqrt(6/N) and +-kurt_z sqrt(24/N).
     The KS distance is taken against the zero-mean normal of the given
-    ``variances`` (the exact finite-n ones, for a CLT run).  The statistics
-    follow the arithmetic of ``scipy.stats.skew``, ``kurtosis`` and
+    ``variances``, finite and non-negative (the exact finite-n ones, for a
+    CLT run); it is NaN where a variance is 0.  The statistics follow the arithmetic of ``scipy.stats.skew``, ``kurtosis`` and
     ``kstest`` (biased moments; NaN where the second moment vanishes against
     the mean).  The tests hold the moments to them bit for bit, and the KS
     distance, whose normal CDF is libm's ``erfc``, to within 4 eps.
@@ -201,6 +208,10 @@ def normality_diagnostics(samples: np.ndarray, variances,
     N, q = samples.shape
     if N < MIN_NORMALITY_N:
         raise ValidationError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
+    variances = np.asarray(variances, dtype=float)   # None reads as NaN
+    usable = (variances >= 0.0) & (variances < math.inf)
+    if variances.shape not in ((), (q,)) or not np.all(usable):
+        raise ValidationError(f"variances must be a finite, non-negative scalar or {q}-vector")
 
     # the central moment sums, streamed in blocks.  x - mean keeps the stride
     # order of x.  numpy sums axis 0 of a row-major array with q > 1 (C order,
@@ -218,7 +229,7 @@ def normality_diagnostics(samples: np.ndarray, variances,
     for rows, cols in blocks:
         _add_moment_sums(samples[rows, cols], mean[cols], sums[:, cols])
     m2, m3, m4 = sums / N
-    variances = np.broadcast_to(np.asarray(variances, dtype=float), (q,))
+    variances = np.broadcast_to(variances, (q,))
     with np.errstate(all="ignore"):
         zero = m2 <= (np.finfo(float).eps * mean) ** 2
         skew = np.where(zero, np.nan, m3 / m2 ** 1.5)

@@ -113,16 +113,26 @@ class MemoryFunction:
         return exponents, index
 
 
+def _unit(sigma: np.ndarray) -> int:
+    """k of sigma's unit 4^k, floor((e_max + e_min + 1) / 4) for the ``frexp``
+    exponents of the largest and smallest nonzero |sigma_ii| (else 0): 4^-k
+    sigma is exact, centres the variances on 1 and is the same for 4^j sigma."""
+    diag = np.diagonal(sigma)
+    e = np.frexp(diag[diag != 0.0])[1]
+    return int(e.max() + e.min() + 1) // 4 if e.size else 0
+
+
 def _factor_psd(sigma: np.ndarray) -> np.ndarray:
-    """Lower-triangular F with F F^T ~= sigma, adding diagonal jitter if needed."""
-    q = sigma.shape[0]
-    trace = float(np.trace(sigma))
-    if trace == 0.0:
+    """Lower-triangular F with F F^T ~= sigma, adding diagonal jitter if
+    needed, taken in sigma's unit 4^k and scaled back by 2^k."""
+    q, k = sigma.shape[0], _unit(sigma)
+    sigma = np.ldexp(sigma, -2 * k)
+    scale = float(np.trace(sigma)) / q
+    if scale == 0.0:
         return np.zeros_like(sigma)
-    scale = trace / q
     for jitter in (0.0, 1e-16 * scale, 1e-14 * scale, JITTER_RTOL * scale):
         try:
-            return np.linalg.cholesky(sigma + jitter * np.eye(q))
+            return np.ldexp(np.linalg.cholesky(sigma + jitter * np.eye(q)), k)
         except np.linalg.LinAlgError:
             continue
     raise ValidationError("innovation covariance could not be factorized even with jitter")
@@ -255,7 +265,8 @@ def validate(spec: ProcessSpec) -> ValidationReport:
 
 def _check(spec: ProcessSpec) -> ValidationReport:
     """Check every standing assumption, raising ``ValidationError`` that lists
-    each violation with its grid location; else the spec's regime report."""
+    each violation with its grid location; else the spec's regime report.
+    sigma is tested in its unit 4^k (``_unit``): 4^j sigma meets the same tests."""
     fatal = []
     q = spec.grid.q
     if len(spec.memory.values) != q:
@@ -270,19 +281,19 @@ def _check(spec: ProcessSpec) -> ValidationReport:
                      f"t={spec.grid.points[i]:g} (index {i}): defining series "
                      f"does not converge")
 
-    sigma = spec.innovations.sigma
+    sigma, k = spec.innovations.sigma, _unit(spec.innovations.sigma)
     if sigma.shape[0] == q:
-        if not np.allclose(sigma, sigma.T, rtol=1e-12, atol=1e-12 * max(1.0, abs(sigma).max())):
+        sigma = np.ldexp(sigma, -2 * k)
+        if not np.allclose(sigma, sigma.T, rtol=1e-12, atol=1e-12):
             fatal.append("innovation covariance is not symmetric")
         else:
             eig = np.linalg.eigvalsh(sigma)
             lo, hi = float(eig[0]), float(eig[-1])
             if lo < -PSD_RTOL * max(hi, 0.0):
                 fatal.append(f"innovation covariance is not positive semidefinite "
-                             f"(min eigenvalue {lo:.3e})")
-            sd = np.sqrt(spec.innovations.sigma2)   # no square of sigma: it may overflow
-            bound = np.outer(sd, sd)
-            if np.any(np.abs(sigma) > bound * (1 + 1e-9) + 1e-12):
+                             f"(min eigenvalue {lo * 2.0 ** k * 2.0 ** k:.3e})")
+            sd = np.sqrt(np.diagonal(sigma))
+            if np.any(np.abs(sigma) > np.outer(sd, sd) * (1 + 1e-9) + 1e-12):
                 fatal.append("innovation covariance violates |sigma(s,t)| <= "
                              "sqrt(sigma2(s) sigma2(t))")
 

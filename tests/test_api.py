@@ -200,6 +200,13 @@ ARGUMENT_REFUSALS = {
                    "z_star must be positive"),
     "normality-N": (lambda s, b: lm.normality_diagnostics(np.zeros((499, 2)), np.ones(2)),
                     "need N >= 500"),
+    # the variances the KS distance is taken against: None, NaN, negative,
+    # infinite, or of another length
+    **{f"normality-variances-{name}": (
+        lambda s, b, v=v: lm.normality_diagnostics(np.zeros((500, 2)), v),
+        "finite, non-negative scalar or 2-vector")
+       for name, v in (("none", None), ("nan", [1.0, np.nan]), ("negative", [1.0, -1.0]),
+                       ("inf", np.inf), ("length", np.ones(3)))},
     "fit-distinct": (lambda s, b: lm.fit_variance_exponent(s, [64] * 5), "5 distinct"),
     "fit-dyadic": (lambda s, b: lm.fit_variance_exponent(s, [3, 8, 16, 32, 64]), "dyadic"),
     "tail-budget": (lambda s, b: lm.truncation_length(0.5000001, 1e-3), "unreachable"),

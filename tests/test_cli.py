@@ -840,17 +840,16 @@ def test_mutated_configs_never_exit_3(tmp_path, capsys):
     ("analyze", {"grid": {"points": [0.25, 0.5, 0.75, 1.0], "weights": [1e300] * 4},
                  "innovations": {"kind": "white", "sigma2": 1e10}},
      "l2_report.json integral_sigma2 is inf,"),
-    ("verify-clt", {"innovations": {"kind": "white", "sigma2": 1e200}},
-     "at (s, t) = (0.25, 0.25) the finite-n covariance is 9.52697e+199, the limit 1e+200 "
-     "and the standard error nan;"),
-    ("verify-clt", {"innovations": {"kind": "white", "sigma2": 1e-300}},
-     "the standard error 0;"),
+    ("verify-clt", {"innovations": {"kind": "white", "sigma2": [1e300, 1, 1, 1e-300]}},
+     "at (s, t) = (0.25, 0.25), in sigma's unit 4^0, the finite-n covariance is 9.52697e+299, "
+     "the limit 1e+300 and the standard error nan: sigma's variances span more than the "
+     "float range\n"),
     ("simulate", {"innovations": {"kind": "white", "sigma2": 1e-320}},
      "innovation covariance entry (0, 0) is 1e-320, subnormal"),
     ("verify-clt", {"innovations": {"kind": "wiener"}, "grid": {"points": [1e-320, 1.0]}},
      "innovation covariance entry (0, 0) is 1e-320, subnormal"),
-], ids=["analyze-1e308", "analyze-memory-1e308", "analyze-l2", "verify-clt-1e200",
-        "verify-clt-1e-300", "simulate-1e-320", "verify-clt-wiener-1e-320"])
+], ids=["analyze-1e308", "analyze-memory-1e308", "analyze-l2", "verify-clt-span-1e600",
+        "simulate-1e-320", "verify-clt-wiener-1e-320"])
 def test_results_beyond_the_float_range_exit_2_writing_nothing(tmp_path, capsys, monkeypatch,
                                                                command, patch, message):
     # refused input, not a verdict: one stderr line, no numpy warning, no
@@ -864,6 +863,58 @@ def test_results_beyond_the_float_range_exit_2_writing_nothing(tmp_path, capsys,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert list(out.glob("*")) == []
+
+
+VERDICT_FILES = ("verdicts.csv", "normality.csv", "summary.json", "gap_relative.csv",
+                 "exponent_fit.csv")
+COVARIANCE_FILES = ("covariance_empirical.csv", "covariance_finite_exact.csv",
+                    "covariance_limit.csv", "covariance_se.csv")
+
+
+def test_verdicts_do_not_depend_on_sigma_units(tmp_path, capsys):
+    # sigma -> 4^k sigma moves sigma's unit by exactly k: the verdict files
+    # keep their bytes and the covariances are 4^k times sigma2 = 1's, exactly,
+    # from 4^-500 to 4^511 = 2^1022 (the largest power of four below the
+    # float limit)
+    def run(k: int) -> Path:
+        out = tmp_path / str(k)
+        cfg = dict(BOUNDARY_REFERENCE, innovations={"kind": "white", "sigma2": 4.0 ** k})
+        assert main(["verify-clt", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        return out
+
+    def values(path: Path) -> np.ndarray:
+        return np.array([row[1:] for row in csv.reader(path.read_text().splitlines())][1:],
+                        dtype=float)
+
+    base = run(0)
+    for k in (-500, -250, 250, 500, 511):
+        out = run(k)
+        for name in VERDICT_FILES:
+            assert (out / name).read_bytes() == (base / name).read_bytes(), (k, name)
+        for name in COVARIANCE_FILES:
+            assert np.array_equal(values(out / name), np.ldexp(values(base / name), 2 * k))
+
+
+def test_variances_spanning_1e300_run(tmp_path, capsys):
+    # sigma's unit centres its variances, so both ends keep their standard errors
+    cfg = dict(BOUNDARY_REFERENCE, innovations={"kind": "white",
+                                                "sigma2": [1e150, 1.0, 1.0, 1e-150]})
+    assert main(["verify-clt", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_empirical_beyond_the_float_range_exits_2_writing_nothing(tmp_path, capsys):
+    # the targets at 1.79e308 are finite, but at this seed an empirical variance
+    # lies above the largest float; the run is refused after the draws
+    cfg = dict(BOUNDARY_REFERENCE, innovations={"kind": "white", "sigma2": 1.79e308}, seed=2)
+    out = tmp_path / "out"
+    assert main(["verify-clt", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: covariance_empirical.csv at (s, t) = (0.75, 0.75) "
+                                       "is inf, not a finite float: the input lies beyond the "
+                                       "float range\n")
     assert list(out.glob("*")) == []
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
 import longmem as lm
-from longmem.model import _zeta, tail_variance_bound
+from longmem.model import _unit, _zeta, tail_variance_bound
 
 GRID = lm.SpaceGrid([0.25, 0.5], [0.5, 0.5])
 VALID_PARTS = {"grid": GRID, "memory": lm.MemoryFunction.constant(0.7, GRID),
@@ -143,8 +143,58 @@ class TestInnovationModel:
         tiny = np.finfo(float).tiny
         assert lm.InnovationModel.white([1.0, 0.0, tiny]).sigma2[2] == tiny
 
+    @pytest.mark.parametrize("j", [-500, 0, 500])
+    @pytest.mark.parametrize("sigma", [
+        np.diag([1.0, 2.0, 3.0]),
+        np.minimum.outer(np.linspace(0.125, 1.0, 8), np.linspace(0.125, 1.0, 8)),
+        np.minimum.outer(np.linspace(0.0, 1.0, 61), np.linspace(0.0, 1.0, 61)),
+    ], ids=["white", "wiener", "wiener-from-0"])
+    def test_factor_scales_exactly_with_sigma(self, sigma, j):
+        # factored in sigma's unit 4^k, so 4^j sigma has the factor times 2^j
+        # bit for bit; the Wiener sigma from t = 0 is singular and takes jitter
+        factor = lm.InnovationModel(sigma).factor
+        assert np.array_equal(lm.InnovationModel(np.ldexp(sigma, 2 * j)).factor,
+                              np.ldexp(factor, j))
+
+    def test_factor_of_the_largest_variances_does_not_overflow(self):
+        # the trace of 4 x 1e308 overflows; the suite turns a warning into an error
+        assert np.array_equal(lm.InnovationModel.white(1e308, q=4).factor,
+                              np.sqrt(1e308) * np.eye(4))
+
+    @pytest.mark.parametrize("name, k", [("clt_boundary_reference", 0),
+                                         ("clt_long_reference", 0),
+                                         ("fig1a", -1), ("fig1b", -1)])
+    def test_unit_of_the_bundled_configs(self, name, k):
+        # k = 0 keeps the CLT references' arithmetic as it is
+        sigma = lm.load_spec(resources.files("longmem") / "configs" / f"{name}.json"
+                             ).innovations.sigma
+        assert _unit(sigma) == k
+        assert _unit(np.ldexp(sigma, 2 * 300)) == k + 300
+
+    def test_unit_centres_the_variances(self):
+        assert _unit(np.zeros((2, 2))) == 0
+        assert _unit(np.diag([1e150, 1.0, 1.0, 1e-150])) == 0
+        assert _unit(np.diag([2.0 ** 1022, 0.0])) == 511
+
 
 class TestValidate:
+    @pytest.mark.parametrize("j", [-40, 0, 40])
+    def test_sigma_checks_do_not_depend_on_its_units(self, j):
+        # the checks run on sigma in its unit 4^k: an asymmetric sigma is
+        # refused, and a valid one accepted, at any scale
+        with pytest.raises(lm.ValidationError, match="not symmetric"):
+            lm.ProcessSpec(**dict(VALID_PARTS, innovations=lm.InnovationModel(
+                np.ldexp([[1.0, 0.5], [0.1, 1.0]], 2 * j))))
+        assert lm.ProcessSpec(**dict(VALID_PARTS, innovations=lm.InnovationModel(
+            np.ldexp([[1.0, 0.5], [0.5, 1.0]], 2 * j)))).report.regime == "long"
+
+    def test_min_eigenvalue_beyond_the_float_range_reads_inf(self):
+        # -3.4e308 in sigma's units, scaled back from its unit 4^498 without raising
+        grid = lm.SpaceGrid([0.25, 0.5, 0.75], [1 / 3] * 3)
+        sigma = np.where(np.eye(3, dtype=bool), 1e300, -1.7e308)
+        with pytest.raises(lm.ValidationError, match=re.escape("(min eigenvalue -inf)")):
+            lm.ProcessSpec(grid, lm.MemoryFunction.constant(0.7, grid), lm.InnovationModel(sigma))
+
     def test_all_long_is_the_long_regime(self, long_spec):
         report = lm.validate(long_spec)
         assert report.ok
