@@ -47,7 +47,7 @@ from .mcverify import (
     run_clt_experiment,
 )
 
-__version__ = "0.34.0"
+__version__ = "0.35.0"
 
 __all__ = [
     "CovarianceReport",

@@ -40,47 +40,26 @@ from .mcverify import (DEFAULT_Z_STAR, MIN_NORMALITY_N, fit_variance_exponent,
                        normality_diagnostics, run_clt_experiment)
 from . import io
 
-ENV_PREFIX = "LONGMEM_"
-
-
-def _override(flag: str, value, name: str, cast):
-    """``value`` if the flag was given, else ``cast`` of the environment
-    variable (None if unset); a value that fails names both."""
-    raw = os.environ.get(ENV_PREFIX + name)
-    if value is not None or not raw:
-        return value
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValidationError(f"{flag} / {ENV_PREFIX}{name}: invalid value {raw!r}") from None
-
-
-def _resolve(args):
-    """Flag > environment, for the shared knobs; ``seed`` and ``tail_tol``
-    are None when neither is given (the config file or a default decides)."""
-    seed = _override("--seed", args.seed, "SEED", int)
-    out = Path(_override("--out", args.out, "OUT", str) or ".")
-    threads = _override("--threads", args.threads, "THREADS", int)
-    threads = 1 if threads is None else threads
-    if threads < 1:
-        raise ValidationError(f"--threads / {ENV_PREFIX}THREADS must be >= 1; got {threads}")
-    return seed, out, threads, _override("--tail-tol", args.tail_tol, "TAIL_TOL", float)
+# no longer read: refused when set, so a leftover one never changes a run unnoticed
+_RETIRED = ("LONGMEM_SEED", "LONGMEM_OUT", "LONGMEM_THREADS", "LONGMEM_TAIL_TOL")
 
 
 def _load(args):
     """The raw config (for the manifest), its top level as read (the run
-    keys), the spec, and the shared knobs: flag > environment > config
-    file > default."""
+    keys), the spec, the seed and the output directory: flag > config file
+    > default."""
+    retired = [name for name in _RETIRED if name in os.environ]
+    if retired:
+        raise ValidationError(f"environment {', '.join(retired)}: no longer read; unset it "
+                              f"and set the value by a flag or in the config")
     cfg_path = Path(args.config)
-    cfg = _load_json(cfg_path)
-    seed, out, threads, tail_tol = _resolve(args)
-    cfg, spec, run = _read_config(cfg, cfg_path.parent, tail_tol)
-    seed = run.get("seed", 0) if seed is None else seed
+    cfg, spec, run = _read_config(_load_json(cfg_path), cfg_path.parent, args.tail_tol)
+    seed = run.get("seed", 0) if args.seed is None else args.seed
     if seed < 0:
-        raise ValidationError(f"--seed / {ENV_PREFIX}SEED / config 'seed' must be "
-                              f"non-negative; got {seed}")
+        raise ValidationError(f"--seed / config 'seed' must be non-negative; got {seed}")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, run, spec, seed, out, threads
+    return cfg, run, spec, seed, out
 
 
 def _require_finite(values, name) -> None:
@@ -115,7 +94,7 @@ def _manifest(out: Path, command: str, cfg: dict, seed: int, outputs: dict, extr
 
 
 def cmd_simulate(args) -> int:
-    cfg, _, spec, seed, out, _ = _load(args)
+    cfg, _, spec, seed, out = _load(args)
     values, tail_var = generate_paths(spec, spec.horizon, seed)
     outputs = {"paths.csv": io.write_table_csv(
         out / "paths.csv", ["k", *map(io.format_float, spec.grid.points)],
@@ -156,7 +135,7 @@ def _asymptotic(spec, h: int):
 
 
 def cmd_analyze(args) -> int:
-    cfg, run, spec, seed, out, _ = _load(args)
+    cfg, run, spec, seed, out = _load(args)
     pts = spec.grid.points
     q = spec.grid.q
     lags = run.get("lags", [0, 1, 10, 100])
@@ -205,7 +184,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_clt(args) -> int:
-    cfg, run, spec, seed, out, threads = _load(args)
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1; got {args.threads}")
+    cfg, run, spec, seed, out = _load(args)
     n = run.get("n", spec.horizon)
     N = run.get("N", MIN_NORMALITY_N)
     n_list = run.get("n_list", [256, 512, 1024, 2048, 4096])
@@ -215,7 +196,7 @@ def cmd_verify_clt(args) -> int:
     fit = fit_variance_exponent(spec, n_list)
     if N < MIN_NORMALITY_N:
         raise ValidationError(f"normality diagnostics need N >= {MIN_NORMALITY_N}; got N={N}")
-    report = run_clt_experiment(spec, n, N, seed, z_star=z_star, shards=threads)
+    report = run_clt_experiment(spec, n, N, seed, z_star=z_star, shards=args.threads)
     pts = spec.grid.points
     _require_finite(report.empirical, lambda i: f"covariance_empirical.csv at (s, t) = "
                                                 f"({pts[i // spec.q]:g}, {pts[i % spec.q]:g})")
@@ -271,14 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
             ("verify-clt", cmd_verify_clt, "Monte Carlo CLT verification")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="JSON spec/run config")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"master seed (env {ENV_PREFIX}SEED)")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (env {ENV_PREFIX}OUT)")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker cap (env {ENV_PREFIX}THREADS)")
+        p.add_argument("--seed", type=int, default=None, help="master seed")
+        p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tail-tol", type=float, default=None, dest="tail_tol",
-                       help=f"override truncation budget (env {ENV_PREFIX}TAIL_TOL)")
+                       help="override truncation budget")
+        if name == "verify-clt":
+            p.add_argument("--threads", type=int, default=1,
+                           help="Monte Carlo shards, run on at most the core count")
         p.set_defaults(func=fn)
     return parser
 

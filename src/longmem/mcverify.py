@@ -96,7 +96,11 @@ def run_clt_experiment(spec: ProcessSpec, n: int, N: int, seed: int,
     regime = _clt_regime(spec)   # raises RegimeError on mixed regimes
     model, k = spec.innovations, _unit(spec.innovations.sigma)
     if k:
-        model = replace(model, sigma=np.ldexp(model.sigma, -2 * k))
+        # an entry the unit makes subnormal reads 0: it moves by under 1e-307
+        # of the largest variance, which the unit puts at 0.5 or more
+        sigma = np.ldexp(model.sigma, -2 * k)
+        sigma[np.abs(sigma) < np.finfo(float).tiny] = 0.0
+        model = replace(model, sigma=sigma)
         spec = replace(spec, innovations=model)
     shards = min(int(shards), N)
     _, rows, block = _draw_plan(model, n, spec.window)

@@ -172,6 +172,11 @@ class InnovationModel:
             raise ValidationError(f"innovation covariance entry ({i}, {j}) is "
                                   f"{float(sigma[i, j])!r}, subnormal: a nonzero entry "
                                   f"must have |sigma| >= {float(np.finfo(float).tiny)!r}")
+        # in sigma's unit, so 4^j sigma is refused alike; Cholesky reads only
+        # the lower triangle, so an asymmetric sigma would sample another law
+        unit = np.ldexp(sigma, -2 * _unit(sigma))
+        if not np.allclose(unit, unit.T, rtol=1e-12, atol=1e-12):
+            raise ValidationError("innovation covariance is not symmetric")
         object.__setattr__(self, "sigma", _readonly(sigma))
 
     @functools.cached_property
@@ -284,18 +289,15 @@ def _check(spec: ProcessSpec) -> ValidationReport:
     sigma, k = spec.innovations.sigma, _unit(spec.innovations.sigma)
     if sigma.shape[0] == q:
         sigma = np.ldexp(sigma, -2 * k)
-        if not np.allclose(sigma, sigma.T, rtol=1e-12, atol=1e-12):
-            fatal.append("innovation covariance is not symmetric")
-        else:
-            eig = np.linalg.eigvalsh(sigma)
-            lo, hi = float(eig[0]), float(eig[-1])
-            if lo < -PSD_RTOL * max(hi, 0.0):
-                fatal.append(f"innovation covariance is not positive semidefinite "
-                             f"(min eigenvalue {lo * 2.0 ** k * 2.0 ** k:.3e})")
-            sd = np.sqrt(np.diagonal(sigma))
-            if np.any(np.abs(sigma) > np.outer(sd, sd) * (1 + 1e-9) + 1e-12):
-                fatal.append("innovation covariance violates |sigma(s,t)| <= "
-                             "sqrt(sigma2(s) sigma2(t))")
+        eig = np.linalg.eigvalsh(sigma)
+        lo, hi = float(eig[0]), float(eig[-1])
+        if lo < -PSD_RTOL * max(hi, 0.0):
+            fatal.append(f"innovation covariance is not positive semidefinite "
+                         f"(min eigenvalue {lo * 2.0 ** k * 2.0 ** k:.3e})")
+        sd = np.sqrt(np.diagonal(sigma))
+        if np.any(np.abs(sigma) > np.outer(sd, sd) * (1 + 1e-9) + 1e-12):
+            fatal.append("innovation covariance violates |sigma(s,t)| <= "
+                         "sqrt(sigma2(s) sigma2(t))")
 
     if fatal:
         raise ValidationError("; ".join(fatal))

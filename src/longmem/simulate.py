@@ -22,7 +22,7 @@ import types
 import numpy as np
 
 from .model import (InnovationModel, ProcessSpec, ValidationError, _factor_psd,
-                    tail_variance_bound)
+                    _integer, tail_variance_bound)
 from .analytics import partial_sum_weights
 
 # time indices are shifted by ORIGIN inside a replication's 2^64-word region
@@ -82,9 +82,9 @@ def _seek(bit_gen, at: int, rep: int, start: int, count: int, W: int) -> int:
     rep, start = int(rep), int(start)
     first, end = (start + ORIGIN) * W, (start + count + ORIGIN) * W
     if not (0 <= rep < 1 << 64 and 0 <= first and end <= 1 << 64):
-        raise ValueError(f"replication {rep}, indices {start}..{start + count - 1}: the "
-                         f"replication must lie in [0, 2**64) and its words in its "
-                         f"own 2**64-word region")
+        raise ValidationError(f"replication {rep}, indices {start}..{start + count - 1}: "
+                              f"the replication must lie in [0, 2**64) and its words in "
+                              f"its own 2**64-word region")
     word = (rep << 64) + first
     bit_gen.advance((word - at) % (1 << 128))
     return word + count * W
@@ -173,8 +173,13 @@ def _standard_draws(model: InnovationModel, seed: int, reps: range, start: int,
     each index transformed in place, viewed at its first q words: use it
     before asking for the next one.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    for name, value, low in (("seed", seed, 0), ("count", count, 1)):
+        try:   # the config's integer rule: no bool, and no fraction truncated
+            ok = _integer(value) >= low
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValidationError(f"{name} must be an integer >= {low}; got {value!r}")
     W = _words_per_index(model.q)
     npr = _numpy_random()
     bit_gen = npr.PCG64DXSM(int(seed))

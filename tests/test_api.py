@@ -207,6 +207,23 @@ ARGUMENT_REFUSALS = {
         "finite, non-negative scalar or 2-vector")
        for name, v in (("none", None), ("nan", [1.0, np.nan]), ("negative", [1.0, -1.0]),
                        ("inf", np.inf), ("length", np.ones(3)))},
+    # every draw passes the seed and the count through simulate._standard_draws,
+    # which reads them by the config's integer rule, and the replication
+    # through simulate._seek
+    "draw-seed-negative": (lambda s, b: lm.innovation_block(s.innovations, -1, 0, 4),
+                           "seed must be an integer >= 0; got -1"),
+    "draw-seed-fraction": (lambda s, b: lm.generate_paths(s, 4, 1.5),
+                           "seed must be an integer >= 0; got 1.5"),
+    "draw-seed-bool": (lambda s, b: lm.partial_sums_via_z(s, 4, True),
+                       "seed must be an integer >= 0; got True"),
+    "clt-seed-negative": (lambda s, b: lm.run_clt_experiment(b, 8, 100, -1),
+                          "seed must be an integer >= 0; got -1"),
+    "draw-count": (lambda s, b: lm.innovation_block(s.innovations, 0, 0, 0),
+                   "count must be an integer >= 1; got 0"),
+    **{f"draw-rep-{name}": (lambda s, b, rep=rep: lm.innovation_block(s.innovations, 0, 0, 4,
+                                                                     rep=rep),
+                            r"replication -?\d+, .* own 2\*\*64-word region")
+       for name, rep in (("negative", -1), ("2^64", 2 ** 64))},
     "fit-distinct": (lambda s, b: lm.fit_variance_exponent(s, [64] * 5), "5 distinct"),
     "fit-dyadic": (lambda s, b: lm.fit_variance_exponent(s, [3, 8, 16, 32, 64]), "dyadic"),
     "tail-budget": (lambda s, b: lm.truncation_length(0.5000001, 1e-3), "unreachable"),
@@ -240,7 +257,6 @@ def test_plain_value_errors_are_internal_invariants_only():
     assert {name: funcs for name, funcs in found.items() if funcs} == {
         "io": ["write_table_csv"],                   # columns of unequal length
         "model": ["_integer"],                       # which _cast refuses as input
-        "simulate": ["_seek", "_standard_draws"],    # address region, draw count
     }
 
 

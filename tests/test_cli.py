@@ -407,19 +407,17 @@ class TestSimulate:
                                  "simd_baseline": simd.get("baseline", []),
                                  "simd_found": simd.get("found", [])}
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = _write(tmp_path, SMALL_LONG)
-        monkeypatch.setenv("LONGMEM_SEED", "123")
-        main(["simulate", "--config", cfg, "--out", str(tmp_path / "e")])
-        m = json.loads((tmp_path / "e" / "manifest.json").read_text())
-        assert m["seed"] == 123
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        cfg = _write(tmp_path, SMALL_LONG)
-        monkeypatch.setenv("LONGMEM_SEED", "123")
-        main(["simulate", "--config", cfg, "--out", str(tmp_path / "f"), "--seed", "7"])
-        m = json.loads((tmp_path / "f" / "manifest.json").read_text())
-        assert m["seed"] == 7
+    @pytest.mark.parametrize("config_seed, argv, seed", [
+        (None, [], 0), (9, [], 9), (9, ["--seed", "7"], 7)],
+        ids=["default", "config", "flag"])
+    def test_seed_resolves_flag_then_config_then_default(self, tmp_path, config_seed,
+                                                         argv, seed):
+        cfg = {key: value for key, value in SMALL_LONG.items() if key != "seed"}
+        if config_seed is not None:
+            cfg["seed"] = config_seed
+        assert main(["simulate", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "s"), *argv]) == 0
+        assert json.loads((tmp_path / "s" / "manifest.json").read_text())["seed"] == seed
 
 
 class TestAnalyze:
@@ -593,33 +591,50 @@ class TestThreads:
         err = capsys.readouterr().err
         assert err.count("\n") == 1  # single-line diagnostic
         assert "--threads" in err and threads in err
+        assert not (tmp_path / "v").exists()
 
-    def test_env_below_one_exits_2(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_commands_that_read_no_threads_refuse_the_flag(self, tmp_path, capsys, command):
+        # only verify-clt runs shards, so only it takes --threads
         cfg = _write(tmp_path, SMALL_LONG)
-        monkeypatch.setenv("LONGMEM_THREADS", "0")
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-        assert "LONGMEM_THREADS" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "s"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestSharedKnobs:
-    @pytest.mark.parametrize("env, argv, names", [
-        ({"LONGMEM_SEED": "1.5"}, [], ["LONGMEM_SEED", "'1.5'"]),
-        ({"LONGMEM_THREADS": "two"}, [], ["--threads", "LONGMEM_THREADS", "'two'"]),
-        ({"LONGMEM_TAIL_TOL": "tight"}, [], ["--tail-tol", "LONGMEM_TAIL_TOL", "'tight'"]),
+    @pytest.mark.parametrize("patch, argv, names", [
         ({}, ["--seed", "-3"], ["--seed", "non-negative", "-3"]),
-        ({"LONGMEM_SEED": "-3"}, [], ["LONGMEM_SEED", "non-negative", "-3"]),
-    ], ids=["env-seed-fraction", "env-threads-word", "env-tail-tol-word",
-            "flag-seed-negative", "env-seed-negative"])
-    def test_bad_value_exits_2_naming_its_source(self, tmp_path, capsys, monkeypatch,
-                                                  env, argv, names):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        cfg = _write(tmp_path, SMALL_LONG)
+        ({"seed": -3}, [], ["config 'seed'", "non-negative", "-3"]),
+    ], ids=["flag-seed-negative", "config-seed-negative"])
+    def test_bad_value_exits_2_naming_its_source(self, tmp_path, capsys, patch, argv, names):
+        cfg = _write(tmp_path, dict(SMALL_LONG, **patch))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), *argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1  # single-line diagnostic
         assert all(name in err for name in names), err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("name", ["LONGMEM_SEED", "LONGMEM_OUT", "LONGMEM_THREADS",
+                                      "LONGMEM_TAIL_TOL"])
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "verify-clt"])
+    def test_retired_variable_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch,
+                                                      command, name):
+        # a variable longmem no longer reads is refused, naming it, rather
+        # than ignored, and even an empty one counts as set
+        values = {"LONGMEM_SEED": "5", "LONGMEM_OUT": str(tmp_path / "env"),
+                  "LONGMEM_THREADS": "2", "LONGMEM_TAIL_TOL": "0.2"}
+        monkeypatch.setenv(name, values[name])
+        cfg = _write(tmp_path, SMALL_LONG)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err and "no longer read" in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+        monkeypatch.setenv(name, "")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert name in capsys.readouterr().err
 
 
 class TestVerifyClt:
@@ -904,6 +919,21 @@ def test_variances_spanning_1e300_run(tmp_path, capsys):
     assert main(["verify-clt", "--config", _write(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_entry_that_the_unit_makes_subnormal_reads_zero(tmp_path, capsys):
+    # sigma_01 = 1e-110 beside variances of 1e200 is 1.3e-310 in sigma's unit
+    # 4^332: it reads 0 there, and the run goes on as analyze and simulate do
+    sigma = np.diag([1e200] * 4)
+    sigma[0, 1] = sigma[1, 0] = 1e-110
+    cfg = _write(tmp_path, dict(BOUNDARY_REFERENCE, innovations={"kind": "custom",
+                                                                 "sigma": sigma.tolist()}))
+    for command in ("analyze", "simulate", "verify-clt"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().err == ""
+    finite = np.loadtxt(tmp_path / "verify-clt" / "covariance_finite_exact.csv",
+                        delimiter=",", skiprows=1, usecols=range(1, 5))
+    assert finite[0, 1] == finite[1, 0] == 0.0 and np.all(np.diag(finite) > 1e199)
 
 
 def test_empirical_beyond_the_float_range_exits_2_writing_nothing(tmp_path, capsys):

@@ -39,9 +39,6 @@ VIOLATIONS = [
     (r"d\(t\)=0.5 <= 1/2 at grid point t=0.5 \(index 1\)",
      lambda: {"memory": lm.MemoryFunction([0.7, 0.5])},
      {"memory": {"kind": "table", "values": [0.7, 0.5]}}),
-    ("innovation covariance is not symmetric",
-     lambda: {"innovations": lm.InnovationModel([[1.0, 0.5], [0.4, 1.0]])},
-     {"innovations": {"kind": "custom", "sigma": [[1.0, 0.5], [0.4, 1.0]]}}),
     (r"not positive semidefinite \(min eigenvalue -1.000e\+00\)",
      lambda: {"innovations": lm.InnovationModel(NON_PSD)},
      {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
@@ -49,6 +46,9 @@ VIOLATIONS = [
      lambda: {"innovations": lm.InnovationModel(NON_PSD)},
      {"innovations": {"kind": "custom", "sigma": NON_PSD}}),
     # refused by the innovation model itself, like a non-finite grid or exponent
+    ("innovation covariance is not symmetric",
+     lambda: {"innovations": lm.InnovationModel([[1.0, 0.5], [0.4, 1.0]])},
+     {"innovations": {"kind": "custom", "sigma": [[1.0, 0.5], [0.4, 1.0]]}}),
     ("innovation covariance must be finite",
      lambda: {"innovations": lm.InnovationModel([[math.inf, 0.0], [0.0, 1.0]])},
      {"innovations": {"kind": "custom", "sigma": [[math.inf, 0.0], [0.0, 1.0]]}}),
@@ -138,6 +138,13 @@ class TestInnovationModel:
         # a subnormal has lost significant bits before any arithmetic
         with pytest.raises(lm.ValidationError, match=re.escape(f"entry {entry}, subnormal")):
             lm.InnovationModel(np.array(sigma))
+
+    @pytest.mark.parametrize("j", [-500, 0, 500])
+    def test_asymmetric_sigma_is_refused_by_the_model_itself(self, j):
+        # Cholesky reads the lower triangle only: built alone, this model
+        # would sample the identity's law; at any scale 4^j it is refused
+        with pytest.raises(lm.ValidationError, match="innovation covariance is not symmetric"):
+            lm.InnovationModel(np.ldexp([[1.0, 0.9], [0.0, 1.0]], 2 * j))
 
     def test_zero_and_the_smallest_normal_entry_are_accepted(self):
         tiny = np.finfo(float).tiny
@@ -265,9 +272,9 @@ class TestValidate:
                 lm.spec_from_dict(dict(VALID_CONFIG, **section))
 
     def test_violation_cases_cover_every_check(self):
-        # each message of _check, and the innovation model's own finiteness
-        # check on an infinite and on a NaN entry
-        assert inspect.getsource(lm.model._check).count("fatal.append(") + 2 == len(VIOLATIONS)
+        # each message of _check, and the innovation model's own symmetry
+        # check and its finiteness check on an infinite and on a NaN entry
+        assert inspect.getsource(lm.model._check).count("fatal.append(") + 3 == len(VIOLATIONS)
 
     def test_spec_has_no_later_check(self):
         # a spec is checked when it is built, so it offers no method that

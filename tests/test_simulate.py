@@ -71,12 +71,12 @@ class TestInnovations:
         (0, 2 ** 62 - ORIGIN - 1, 2)])
     def test_seek_refuses_an_address_outside_the_replication(self, rep, start, count):
         bit_gen = np.random.PCG64DXSM(1)
-        with pytest.raises(ValueError, match="own 2\\*\\*64-word region"):
+        with pytest.raises(lm.ValidationError, match="own 2\\*\\*64-word region"):
             _seek(bit_gen, 0, rep, start, count, 4)
         # the region's last index is inside it
         assert _seek(bit_gen, 0, 2 ** 64 - 1, 2 ** 62 - ORIGIN - 1, 1, 4) == 2 ** 128
         model = lm.InnovationModel.white(1.0, q=4)
-        with pytest.raises(ValueError, match="own 2\\*\\*64-word region"):
+        with pytest.raises(lm.ValidationError, match="own 2\\*\\*64-word region"):
             innovation_block(model, seed=1, start=start, count=count, rep=rep)
 
     def test_pinned_words(self):
